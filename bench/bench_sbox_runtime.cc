@@ -431,7 +431,7 @@ void PrintShardedScaling() {
         bench::CheckOk(transport.Send(k, std::move(bundle)));
       }
       SboxReport report =
-          ValueOrAbort(GatherSboxEstimate(&transport, shards));
+          ValueOrAbort(GatherSboxEstimate(&transport, shards)).report;
       const auto t1 = std::chrono::steady_clock::now();
       est = report.estimate;
       best = std::min(

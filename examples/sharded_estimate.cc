@@ -107,35 +107,27 @@ int RunWorker(const DemoQuery& demo, uint64_t seed, int shard, int shards,
 }
 
 int RunGather(int shards, const std::string& dir, bool allow_partial) {
-  FileTransport files(dir);
-  if (!allow_partial) {
-    auto report = GatherSboxEstimate(&files, shards);
-    if (!report.ok()) {
-      std::fprintf(stderr, "gather failed: %s\n",
-                   report.status().ToString().c_str());
-      return 1;
-    }
-    PrintReport("gathered estimate", report.ValueOrDie());
-    return 0;
-  }
   // A degraded gather must know which lineage agreement sets pin a pair of
   // rows to one shard — the plan's pivot relation. Every process can
   // recompute it deterministically, exactly like the workers recompute
   // their own shard specs.
-  DemoQuery demo;
-  ColumnarCatalog columnar(&demo.catalog);
-  auto sp = PlanShards(demo.q1.plan, &columnar, ExecMode::kSampled,
-                       ShardedExecOptions(demo.exec), shards);
-  if (!sp.ok()) {
-    std::fprintf(stderr, "plan failed: %s\n",
-                 sp.status().ToString().c_str());
-    return 1;
+  std::string pivot;
+  if (allow_partial) {
+    DemoQuery demo;
+    ColumnarCatalog columnar(&demo.catalog);
+    auto sp = PlanShards(demo.q1.plan, &columnar, ExecMode::kSampled,
+                         ShardedExecOptions(demo.exec), shards);
+    if (!sp.ok()) {
+      std::fprintf(stderr, "plan failed: %s\n",
+                   sp.status().ToString().c_str());
+      return 1;
+    }
+    if (sp.ValueOrDie().split.partitionable) {
+      pivot = sp.ValueOrDie().split.pivot_relation;
+    }
   }
-  const std::string pivot = sp.ValueOrDie().split.partitionable
-                                ? sp.ValueOrDie().split.pivot_relation
-                                : "";
-  auto result = GatherSboxEstimatePartial(&files, shards, pivot,
-                                          /*allow_partial=*/true);
+  FileTransport files(dir);
+  auto result = GatherSboxEstimate(&files, shards, pivot, allow_partial);
   if (!result.ok()) {
     std::fprintf(stderr, "gather failed: %s\n",
                  result.status().ToString().c_str());

@@ -1,6 +1,6 @@
 #include "dist/coordinator.h"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -25,36 +25,6 @@
 namespace gus {
 
 namespace {
-
-/// \brief Converts every base relation `plan` scans into columnar form
-/// ahead of concurrent shard workers.
-///
-/// ColumnarCatalog's caches are lazily written on first use and are not
-/// thread-safe; pre-warming them serially lets the in-process workers
-/// afterwards share the catalog read-only. Callers whose workers also
-/// fingerprint the catalog (the estimator scatter) additionally warm the
-/// fingerprint cache via PlanCatalogFingerprint — deliberately not done
-/// here, because it costs a full pass over the base data.
-Status WarmCatalogForPlan(const PlanPtr& plan, ColumnarCatalog* catalog) {
-  std::function<Status(const PlanPtr&)> walk =
-      [&](const PlanPtr& node) -> Status {
-    if (node->op() == PlanOp::kScan) {
-      // Segment-backed relations stay on disk: their scans stream through
-      // the pinned cache (which is thread-safe), so materializing them
-      // here would defeat out-of-core execution. Only in-memory relations
-      // need their lazy caches pre-written.
-      GUS_ASSIGN_OR_RETURN(const StoredRelation* stored,
-                           catalog->Stored(node->relation()));
-      if (stored != nullptr) return Status::OK();
-      return catalog->Get(node->relation()).status();
-    }
-    for (int c = 0; c < node->num_children(); ++c) {
-      GUS_RETURN_NOT_OK(walk(c == 0 ? node->left() : node->right()));
-    }
-    return Status::OK();
-  };
-  return walk(plan);
-}
 
 /// The shared parse/validate step behind every (complete or partial)
 /// gather: bundle bytes -> sections, with META recorded, the RNGS seed
@@ -108,9 +78,8 @@ std::vector<std::thread>* Orphans() {
 /// it only computes (never touches the transport), so a late finisher's
 /// work is simply discarded; re-dispatch re-derives the identical bundle
 /// from the same seed.
-Result<std::string> RunWithDeadline(int64_t deadline_ms, bool* deadline_hit,
+Result<std::string> RunWithDeadline(int64_t deadline_ms,
                                     std::function<Result<std::string>()> fn) {
-  *deadline_hit = false;
   if (deadline_ms <= 0) return fn();
   struct Slot {
     std::mutex mu;
@@ -135,7 +104,6 @@ Result<std::string> RunWithDeadline(int64_t deadline_ms, bool* deadline_hit,
     runner.join();
     return std::move(slot->result);
   }
-  *deadline_hit = true;
   {
     std::lock_guard<std::mutex> guard(*OrphanMutex());
     Orphans()->push_back(std::move(runner));
@@ -162,17 +130,36 @@ void SleepBackoff(const ShardRetryPolicy& retry, int64_t shard, int attempt) {
   if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-/// \brief Folds verified shard bundles — all of them, or a survivors'
-/// subset re-weighted through the shard-survival GUS (est/partial_gather).
-///
-/// `shard_ids`/`bundles` are parallel, ascending. `failed` carries
-/// (shard, final error) for every shard that never delivered.
-Result<FaultTolerantResult> FoldShardBundles(
+
+}  // namespace
+
+Status WarmCatalogForPlan(const PlanPtr& plan, ColumnarCatalog* catalog) {
+  std::function<Status(const PlanPtr&)> walk =
+      [&](const PlanPtr& node) -> Status {
+    if (node->op() == PlanOp::kScan) {
+      // Materializing a segment-backed relation here would defeat
+      // out-of-core execution; only in-memory relations need their lazy
+      // caches pre-written.
+      GUS_ASSIGN_OR_RETURN(const StoredRelation* stored,
+                           catalog->Stored(node->relation()));
+      if (stored != nullptr) return Status::OK();
+      return catalog->Get(node->relation()).status();
+    }
+    for (int c = 0; c < node->num_children(); ++c) {
+      GUS_RETURN_NOT_OK(walk(c == 0 ? node->left() : node->right()));
+    }
+    return Status::OK();
+  };
+  return walk(plan);
+}
+
+
+Result<FaultTolerantResult> FoldGatheredShardBundles(
     const std::vector<int>& shard_ids,
     const std::vector<const std::string*>& bundles, int num_shards,
     const std::string& pivot_relation,
     const std::vector<std::pair<int, std::string>>& failed,
-    bool capture_merged_state = false) {
+    bool capture_merged_state) {
   GUS_RETURN_NOT_OK(FaultInjector::Global()->Hit("coordinator.gather"));
   if (shard_ids.empty()) {
     return Status::Unavailable(
@@ -323,18 +310,6 @@ Result<FaultTolerantResult> FoldShardBundles(
   return out;
 }
 
-}  // namespace
-
-Result<FaultTolerantResult> FoldGatheredShardBundles(
-    const std::vector<int>& shard_ids,
-    const std::vector<const std::string*>& bundles, int num_shards,
-    const std::string& pivot_relation,
-    const std::vector<std::pair<int, std::string>>& failed,
-    bool capture_merged_state) {
-  return FoldShardBundles(shard_ids, bundles, num_shards, pivot_relation,
-                          failed, capture_merged_state);
-}
-
 bool IsRetryableShardFailure(const Status& st) {
   switch (st.code()) {
     case StatusCode::kUnavailable:
@@ -378,69 +353,133 @@ Status ValidateShardSamplerStates(
   return Status::OK();
 }
 
-Result<SboxReport> GatherSboxEstimate(ShardTransport* transport,
-                                      int num_shards) {
-  if (num_shards < 1) {
-    return Status::InvalidArgument("num_shards must be >= 1");
-  }
-  std::vector<std::string> bundles(static_cast<size_t>(num_shards));
-  std::vector<int> shard_ids;
-  std::vector<const std::string*> views;
-  shard_ids.reserve(num_shards);
-  views.reserve(num_shards);
-  for (int k = 0; k < num_shards; ++k) {
-    GUS_ASSIGN_OR_RETURN(bundles[k], transport->Receive(k));
-    shard_ids.push_back(k);
-    views.push_back(&bundles[k]);
-  }
-  GUS_ASSIGN_OR_RETURN(
-      FaultTolerantResult result,
-      FoldShardBundles(shard_ids, views, num_shards, "", {}));
-  return result.report;
+std::vector<ShardOutcome> SuperviseShards(int num_shards,
+                                          const ShardRetryPolicy& retry,
+                                          const ShardAttemptFn& attempt) {
+  std::vector<ShardOutcome> outcomes(
+      static_cast<size_t>(std::max(num_shards, 0)));
+  const int max_attempts = std::max(retry.max_attempts, 1);
+  const auto supervise = [&](int k) {
+    ShardOutcome& outcome = outcomes[static_cast<size_t>(k)];
+    for (int a = 1; a <= max_attempts; ++a) {
+      if (a > 1) SleepBackoff(retry, k, a);
+      ++outcome.attempts;
+      Result<std::string> delivered = attempt(k);
+      if (delivered.ok()) {
+        outcome.bundle = std::move(delivered).ValueOrDie();
+        outcome.status = Status::OK();
+        return;
+      }
+      outcome.status = delivered.status();
+      if (outcome.status.code() == StatusCode::kDeadlineExceeded) {
+        ++outcome.deadline_hits;
+      }
+      // Retrying identical divergent inputs reproduces the identical
+      // mismatch: fatal failures end the loop.
+      if (!IsRetryableShardFailure(outcome.status)) return;
+    }
+  };
+  std::vector<std::thread> loops;
+  loops.reserve(outcomes.size());
+  for (int k = 0; k < num_shards; ++k) loops.emplace_back(supervise, k);
+  for (std::thread& loop : loops) loop.join();
+  return outcomes;
 }
 
-Result<FaultTolerantResult> GatherSboxEstimatePartial(
+Result<FaultTolerantResult> FinishShardGather(
+    const std::vector<ShardOutcome>& outcomes,
+    const std::string& pivot_relation, bool allow_partial,
+    bool capture_merged_state, ExecStats* stats) {
+  const int num_shards = static_cast<int>(outcomes.size());
+  std::vector<int> shard_ids;
+  std::vector<const std::string*> bundles;
+  std::vector<std::pair<int, std::string>> failed;
+  int fatal_shard = -1;
+  int64_t attempts = 0;
+  int64_t retries = 0;
+  int64_t deadline_hits = 0;
+  for (int k = 0; k < num_shards; ++k) {
+    const ShardOutcome& outcome = outcomes[static_cast<size_t>(k)];
+    attempts += outcome.attempts;
+    retries += std::max(outcome.attempts - 1, 0);
+    deadline_hits += outcome.deadline_hits;
+    if (outcome.status.ok()) {
+      shard_ids.push_back(k);
+      bundles.push_back(&outcome.bundle);
+      continue;
+    }
+    if (fatal_shard < 0 && !IsRetryableShardFailure(outcome.status)) {
+      fatal_shard = k;
+    }
+    failed.emplace_back(k, outcome.status.ToString());
+  }
+  if (stats != nullptr) {
+    stats->shard_attempts = attempts;
+    stats->shard_retries = retries;
+    stats->shard_deadline_hits = deadline_hits;
+    stats->shards_lost = static_cast<int64_t>(failed.size());
+  }
+  const auto shard_failure = [&](int k, const char* why) {
+    const ShardOutcome& outcome = outcomes[static_cast<size_t>(k)];
+    return outcome.status.WithMessage(
+        "shard " + std::to_string(k) + " failed after " +
+        std::to_string(outcome.attempts) + " attempt(s)" + why + ": " +
+        outcome.status.message());
+  };
+  // Fatal (divergent-state) failures propagate regardless of
+  // allow_partial — degrading would hide a configuration bug.
+  if (fatal_shard >= 0) return shard_failure(fatal_shard, "");
+  if (!failed.empty() && !allow_partial) {
+    return shard_failure(failed.front().first,
+                         " and allow_partial is not set");
+  }
+  Result<FaultTolerantResult> result = FoldGatheredShardBundles(
+      shard_ids, bundles, num_shards, pivot_relation, failed,
+      capture_merged_state && failed.empty());
+  if (stats != nullptr && result.ok()) {
+    const FaultTolerantResult& folded = result.ValueOrDie();
+    stats->degraded = folded.degraded;
+    stats->effective_coverage =
+        folded.degraded ? folded.degradation.effective_coverage : 1.0;
+  }
+  return result;
+}
+
+Result<FaultTolerantResult> GatherSboxEstimate(
     ShardTransport* transport, int num_shards,
     const std::string& pivot_relation, bool allow_partial) {
   if (num_shards < 1) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
-  std::vector<std::string> bundles(static_cast<size_t>(num_shards));
-  std::vector<int> shard_ids;
-  std::vector<const std::string*> views;
-  std::vector<std::pair<int, std::string>> failed;
-  for (int k = 0; k < num_shards; ++k) {
-    Result<std::string> received = transport->Receive(k);
-    if (received.ok()) {
-      bundles[k] = std::move(received).ValueOrDie();
-      shard_ids.push_back(k);
-      views.push_back(&bundles[k]);
-      continue;
-    }
-    const Status st = received.status();
-    if (!allow_partial || !IsRetryableShardFailure(st)) return st;
-    failed.emplace_back(k, st.ToString());
-  }
-  return FoldShardBundles(shard_ids, views, num_shards, pivot_relation,
-                          failed);
+  ShardRetryPolicy once;
+  once.max_attempts = 1;
+  return FinishShardGather(
+      SuperviseShards(num_shards, once,
+                      [transport](int k) { return transport->Receive(k); }),
+      pivot_relation, allow_partial, /*capture_merged_state=*/false,
+      /*stats=*/nullptr);
 }
 
-Result<FaultTolerantResult> FaultTolerantShardedSboxEstimate(
-    const PlanPtr& plan, const Catalog& catalog, uint64_t seed, ExecMode mode,
-    const ExecOptions& exec, int num_shards, const ExprPtr& f_expr,
-    const GusParams& gus, const SboxOptions& options,
+namespace {
+
+/// \brief The in-process scatter/gather behind every one-call form: an
+/// attempt runs the worker under `exec.retry.deadline_ms`, sends, and
+/// reads the bundle back (wire damage surfaces while the shard can still
+/// be re-dispatched). `columnar` is shared with attempts abandoned at a
+/// deadline, keeping its caches alive for late finishers (the base data
+/// itself must outlive them; see JoinAbandonedShardAttempts).
+Result<FaultTolerantResult> InProcessShardGather(
+    const PlanPtr& plan, std::shared_ptr<ColumnarCatalog> columnar,
+    uint64_t seed, ExecMode mode, const ExecOptions& exec, int num_shards,
+    const ExprPtr& f_expr, const GusParams& gus, const SboxOptions& options,
     ShardTransport* transport) {
   if (num_shards < 1) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
   GUS_RETURN_NOT_OK(exec.Validate());
+  if (exec.stats != nullptr) exec.stats->Reset();
   LocalTransport local;
   if (transport == nullptr) transport = &local;
-  // Shared by attempt threads, including ones abandoned at a deadline —
-  // shared ownership keeps the columnar caches alive for late finishers
-  // (the base Catalog itself must outlive them; see
-  // JoinAbandonedShardAttempts).
-  auto columnar = std::make_shared<ColumnarCatalog>(&catalog);
   GUS_RETURN_NOT_OK(WarmCatalogForPlan(plan, columnar.get()));
   GUS_ASSIGN_OR_RETURN(const uint64_t expected_fingerprint,
                        PlanCatalogFingerprint(plan, columnar.get()));
@@ -454,111 +493,38 @@ Result<FaultTolerantResult> FaultTolerantShardedSboxEstimate(
   // abandoned attempts possibly outliving this call — would race on it).
   ExecOptions worker_exec = exec;
   worker_exec.stats = nullptr;
+  const std::vector<ShardOutcome> outcomes = SuperviseShards(
+      num_shards, exec.retry, [&](int k) -> Result<std::string> {
+        GUS_ASSIGN_OR_RETURN(
+            std::string bundle,
+            RunWithDeadline(exec.retry.deadline_ms,
+                            [plan, columnar, seed, mode, worker_exec, k,
+                             num_shards, f_expr, gus, options,
+                             expected_fingerprint] {
+                              return RunShardSbox(
+                                  plan, columnar.get(), seed, mode,
+                                  worker_exec, k, num_shards, f_expr, gus,
+                                  options, expected_fingerprint);
+                            }));
+        GUS_RETURN_NOT_OK(transport->Send(k, std::move(bundle)));
+        return transport->Receive(k);
+      });
+  return FinishShardGather(outcomes, pivot_relation, exec.allow_partial,
+                           /*capture_merged_state=*/false, exec.stats);
+}
 
-  struct ShardOutcome {
-    bool ok = false;
-    std::string bundle;
-    Status final_status = Status::Internal("shard supervisor did not run");
-  };
-  std::vector<ShardOutcome> outcomes(static_cast<size_t>(num_shards));
-  std::atomic<int64_t> attempts{0};
-  std::atomic<int64_t> retries{0};
-  std::atomic<int64_t> deadline_hits{0};
+}  // namespace
 
-  {
-    PoolLease pool(std::min(num_shards, ThreadPool::HardwareThreads()));
-    pool->ParallelFor(num_shards, [&](int64_t k) {
-      ShardOutcome& outcome = outcomes[static_cast<size_t>(k)];
-      Status last = Status::Internal("no attempt ran");
-      for (int attempt = 1; attempt <= exec.retry.max_attempts; ++attempt) {
-        if (attempt > 1) {
-          retries.fetch_add(1, std::memory_order_relaxed);
-          SleepBackoff(exec.retry, k, attempt);
-        }
-        attempts.fetch_add(1, std::memory_order_relaxed);
-        bool deadline_hit = false;
-        Result<std::string> produced = RunWithDeadline(
-            exec.retry.deadline_ms, &deadline_hit,
-            [plan, columnar, seed, mode, worker_exec, k, num_shards, f_expr,
-             gus, options, expected_fingerprint] {
-              return RunShardSbox(plan, columnar.get(), seed, mode,
-                                  worker_exec, static_cast<int>(k),
-                                  num_shards, f_expr, gus, options,
-                                  expected_fingerprint);
-            });
-        if (deadline_hit) {
-          deadline_hits.fetch_add(1, std::memory_order_relaxed);
-        }
-        Status st;
-        if (produced.ok()) {
-          st = transport->Send(static_cast<int>(k),
-                               std::move(produced).ValueOrDie());
-          if (st.ok()) {
-            // Verification read-back: wire damage (drop/corrupt/truncate)
-            // surfaces here, while this supervisor can still re-dispatch.
-            Result<std::string> verified =
-                transport->Receive(static_cast<int>(k));
-            if (verified.ok()) {
-              outcome.ok = true;
-              outcome.bundle = std::move(verified).ValueOrDie();
-              outcome.final_status = Status::OK();
-              return;
-            }
-            st = verified.status();
-          }
-        } else {
-          st = produced.status();
-        }
-        last = st;
-        // Fatal failures (divergent state) stop the attempt loop: retrying
-        // identical divergent inputs reproduces the identical mismatch.
-        if (!IsRetryableShardFailure(st)) break;
-      }
-      outcome.final_status = last;
-    });
-  }
-
-  std::vector<int> shard_ids;
-  std::vector<const std::string*> views;
-  std::vector<std::pair<int, std::string>> failed;
-  for (int k = 0; k < num_shards; ++k) {
-    const ShardOutcome& outcome = outcomes[static_cast<size_t>(k)];
-    if (outcome.ok) {
-      shard_ids.push_back(k);
-      views.push_back(&outcome.bundle);
-    } else {
-      failed.emplace_back(k, outcome.final_status.ToString());
-    }
-  }
-
-  if (!failed.empty() && !exec.allow_partial) {
-    const auto& [shard, message] = failed.front();
-    return Status::Unavailable(
-        "shard " + std::to_string(shard) + " failed after " +
-        std::to_string(exec.retry.max_attempts) +
-        " attempt(s) and ExecOptions::allow_partial is not set: " + message);
-  }
-
-  Result<FaultTolerantResult> result = FoldShardBundles(
-      shard_ids, views, num_shards, pivot_relation, failed);
-
-  if (exec.stats != nullptr) {
-    exec.stats->Reset();
-    exec.stats->shard_attempts = attempts.load(std::memory_order_relaxed);
-    exec.stats->shard_retries = retries.load(std::memory_order_relaxed);
-    exec.stats->shard_deadline_hits =
-        deadline_hits.load(std::memory_order_relaxed);
-    exec.stats->shards_lost = static_cast<int64_t>(failed.size());
-    if (result.ok()) {
-      exec.stats->degraded = result.ValueOrDie().degraded;
-      exec.stats->effective_coverage =
-          result.ValueOrDie().degraded
-              ? result.ValueOrDie().degradation.effective_coverage
-              : 1.0;
-    }
-    if (ProfileEnvEnabled()) {
-      std::fputs(exec.stats->ToString("sharded-ft").c_str(), stderr);
-    }
+Result<FaultTolerantResult> FaultTolerantShardedSboxEstimate(
+    const PlanPtr& plan, const Catalog& catalog, uint64_t seed, ExecMode mode,
+    const ExecOptions& exec, int num_shards, const ExprPtr& f_expr,
+    const GusParams& gus, const SboxOptions& options,
+    ShardTransport* transport) {
+  Result<FaultTolerantResult> result = InProcessShardGather(
+      plan, std::make_shared<ColumnarCatalog>(&catalog), seed, mode, exec,
+      num_shards, f_expr, gus, options, transport);
+  if (exec.stats != nullptr && ProfileEnvEnabled()) {
+    std::fputs(exec.stats->ToString("sharded-ft").c_str(), stderr);
   }
   return result;
 }
@@ -568,37 +534,19 @@ Result<SboxReport> ShardedSboxEstimateOverCatalog(
     ExecMode mode, const ExecOptions& exec, int num_shards,
     const ExprPtr& f_expr, const GusParams& gus, const SboxOptions& options,
     ShardTransport* transport) {
-  if (num_shards < 1) {
-    return Status::InvalidArgument("num_shards must be >= 1");
-  }
-  LocalTransport local;
-  if (transport == nullptr) transport = &local;
-  ColumnarCatalog& columnar = *columnar_catalog;
-  GUS_RETURN_NOT_OK(WarmCatalogForPlan(plan, &columnar));
-  GUS_ASSIGN_OR_RETURN(const uint64_t expected_fingerprint,
-                       PlanCatalogFingerprint(plan, &columnar));
-  // Scatter: the workers are shared-nothing (each re-runs the serial
-  // prepare phase from its own Rng(seed)), so they run concurrently;
-  // bundles land on the transport in shard order afterwards, keeping the
-  // gather's fold order deterministic.
-  std::vector<Result<std::string>> bundles(
-      static_cast<size_t>(num_shards),
-      Result<std::string>(Status::Internal("shard worker did not run")));
-  {
-    PoolLease pool(std::min(num_shards, ThreadPool::HardwareThreads()));
-    pool->ParallelFor(num_shards, [&](int64_t k) {
-      bundles[static_cast<size_t>(k)] =
-          RunShardSbox(plan, &columnar, seed, mode, exec,
-                       static_cast<int>(k), num_shards, f_expr, gus, options,
-                       expected_fingerprint);
-    });
-  }
-  for (int k = 0; k < num_shards; ++k) {
-    GUS_RETURN_NOT_OK(bundles[k].status());
-    GUS_RETURN_NOT_OK(
-        transport->Send(k, std::move(bundles[k]).ValueOrDie()));
-  }
-  return GatherSboxEstimate(transport, num_shards);
+  ExecOptions once = exec;
+  once.retry = ShardRetryPolicy{};
+  once.retry.max_attempts = 1;
+  once.allow_partial = false;
+  // Non-owning: with no deadline every attempt runs inline on its shard
+  // loop, so none outlives this call.
+  std::shared_ptr<ColumnarCatalog> columnar(columnar_catalog,
+                                            [](ColumnarCatalog*) {});
+  GUS_ASSIGN_OR_RETURN(
+      FaultTolerantResult result,
+      InProcessShardGather(plan, std::move(columnar), seed, mode, once,
+                           num_shards, f_expr, gus, options, transport));
+  return std::move(result.report);
 }
 
 Result<SboxReport> ShardedSboxEstimate(const PlanPtr& plan,

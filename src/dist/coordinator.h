@@ -2,22 +2,27 @@
 //
 // The coordinator never sees tuples — only the serialized partial
 // estimator states the shard workers produced (dist/worker.h). Gathering
-// is: receive bundle k for k = 0..N-1 from a ShardTransport, validate the
-// META/RNGS consistency fingerprints, deserialize, and fold the states in
-// ascending shard (= global unit) order with the est/ Merge family. The
-// ordered fold is what makes the result bit-identical to a single-process
-// run: merge order is part of the floating-point result's identity.
+// is: receive bundle k for k = 0..N-1, validate the META/RNGS consistency
+// fingerprints, deserialize, and fold the states in ascending shard
+// (= global unit) order with the est/ Merge family. The ordered fold is
+// what makes the result bit-identical to a single-process run: merge
+// order is part of the floating-point result's identity.
 //
-// ShardedSboxEstimate is the one-call form (scatter in-process workers,
-// gather, finish); GatherSboxEstimate is the half the coordinator of a
-// multi-process deployment runs after external workers populated the
-// transport (see examples/sharded_estimate.cc for both shapes).
+// Every SBox scatter/gather — in-process, from a transport, or over
+// sockets (serve/session.h) — is an attempt callable run by the one
+// per-shard retry loop (SuperviseShards) and finished by the one finish
+// step (FinishShardGather), so which failures are fatal, which are
+// retried, and when a gather degrades is decided in one place (see
+// examples/sharded_estimate.cc for the in-process and multi-process
+// shapes).
 
 #ifndef GUS_DIST_COORDINATOR_H_
 #define GUS_DIST_COORDINATOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/gus_params.h"
@@ -61,20 +66,125 @@ Result<std::vector<WireSectionView>> ReceiveShardSections(
 Status ValidateShardSamplerStates(
     const std::vector<std::string>& sampler_payloads);
 
-/// \brief Receives and merges `num_shards` SBox shard bundles from
-/// `transport` (shards 0..N-1, merged in that order) and finishes the
-/// estimation.
+/// \brief Serially pre-writes the lazy, not thread-safe columnar caches of
+/// every in-memory relation `plan` scans, so concurrent shard workers or
+/// daemon request threads can then share `catalog` read-only.
 ///
-/// Fails loudly on missing shards, corrupt or version-skewed bundles, and
-/// on any consistency-fingerprint mismatch (divergent seed, catalog, or
-/// shard plan) — merging incompatible partial states would silently bias
-/// the estimate, so nothing is ever skipped or coerced.
-Result<SboxReport> GatherSboxEstimate(ShardTransport* transport,
-                                      int num_shards);
+/// Segment-backed relations stay on disk (their scans stream through the
+/// thread-safe pinned cache). The fingerprint cache is left to
+/// PlanCatalogFingerprint: warming it costs a full pass over the data.
+Status WarmCatalogForPlan(const PlanPtr& plan, ColumnarCatalog* catalog);
+
+/// \brief True for failures a retry can fix: lost workers, torn/missing
+/// transport frames (Unavailable, KeyError), and elapsed deadlines.
+///
+/// Divergent-state failures (InvalidArgument: seed, catalog-fingerprint,
+/// or wire-version skew; SMPL divergence) are fatal — re-executing the
+/// same divergent inputs reproduces the same mismatch, so retrying them
+/// only hides a configuration bug behind latency.
+bool IsRetryableShardFailure(const Status& st);
+
+/// \brief What SuperviseShards learned about one shard.
+struct ShardOutcome {
+  /// OK iff some attempt delivered; otherwise the last attempt's failure.
+  Status status = Status::Internal("shard was never attempted");
+  std::string bundle;     ///< the delivered bundle, iff status is OK
+  int attempts = 0;       ///< attempts actually made
+  int deadline_hits = 0;  ///< attempts that ended in DeadlineExceeded
+};
+
+/// \brief One attempt at shard `shard`: returns its (verified) bundle.
+using ShardAttemptFn = std::function<Result<std::string>(int shard)>;
+
+/// \brief The per-shard attempt loop behind every SBox scatter/gather.
+///
+/// Runs `attempt(k)` for each shard k in [0, num_shards), each loop on its
+/// own plain thread — never a shared-pool task, whose held batch would
+/// stall an attempt that leases the pool. Retryable failures are
+/// re-attempted up to `retry.max_attempts` times after a deterministic
+/// backoff (jitter forked from (shard, attempt), so a fixed fault plan
+/// replays the same schedule); a fatal one ends the loop at once.
+/// `attempt` must be safe to call concurrently for distinct shards.
+std::vector<ShardOutcome> SuperviseShards(int num_shards,
+                                          const ShardRetryPolicy& retry,
+                                          const ShardAttemptFn& attempt);
+
+/// \brief Outcome of a gather: the report, plus — iff the gather had to
+/// degrade — the acknowledgement payload describing what was lost.
+struct FaultTolerantResult {
+  SboxReport report;
+  /// True when the report folds only a subset of the shards (unbiased,
+  /// re-weighted, CI widened; see est/partial_gather.h).
+  bool degraded = false;
+  /// Meaningful iff degraded.
+  DegradedReport degradation;
+  /// Meaningful iff degraded: the WireTag::kSurvivingRanges payload that
+  /// makes a cached partial result self-describing.
+  SurvivingRangesInfo live;
+  /// \brief Filled only when the fold was asked to capture it (see
+  /// FoldGatheredShardBundles) AND the gather was complete: the merged
+  /// (pre-Finish) StreamingSboxEstimator state.
+  ///
+  /// Round-trip bit-exactness (est/streaming.h) makes Finish over the
+  /// deserialized state reproduce `report` to the last bit — this is
+  /// what an approximate-view cache stores. Never captured for degraded
+  /// folds: a cache must not immortalize an outage.
+  std::string merged_sbox_state;
+};
+
+/// \brief The one fold implementation behind every SBox gather.
+///
+/// `shard_ids`/`bundles` are parallel and strictly ascending; `failed`
+/// carries (shard, final error) for shards that never delivered — with a
+/// complete set it folds every state in shard order, with a subset it
+/// degrades through est/partial_gather (or fails when a CI would be
+/// fabricated). With `capture_merged_state`, a complete fold also
+/// serializes the merged pre-Finish estimator state into
+/// FaultTolerantResult::merged_sbox_state (the view-cache payload).
+/// Using this single implementation is what makes a served gather
+/// bit-identical to the one-shot kSharded gather by construction.
+Result<FaultTolerantResult> FoldGatheredShardBundles(
+    const std::vector<int>& shard_ids,
+    const std::vector<const std::string*>& bundles, int num_shards,
+    const std::string& pivot_relation,
+    const std::vector<std::pair<int, std::string>>& failed,
+    bool capture_merged_state = false);
+
+/// \brief The one finish step: SuperviseShards outcomes -> result.
+///
+/// A fatal failure propagates with its own code; so does a retryable loss
+/// (naming the shard, the attempts it made, and allow_partial) unless
+/// `allow_partial` is set. Otherwise the bundles fold through
+/// FoldGatheredShardBundles (`pivot_relation`: MorselSplit::
+/// pivot_relation, "" for non-partitionable plans), capturing the merged
+/// state only for a complete gather. `stats`, when set, receives the
+/// shard counters on every return path, and degraded/effective_coverage
+/// from a successful fold; no other field is touched.
+Result<FaultTolerantResult> FinishShardGather(
+    const std::vector<ShardOutcome>& outcomes,
+    const std::string& pivot_relation, bool allow_partial,
+    bool capture_merged_state, ExecStats* stats);
+
+/// \brief Receives (once per shard) and merges `num_shards` SBox shard
+/// bundles from `transport` and finishes the estimation — the half the
+/// coordinator of a multi-process deployment runs after external workers
+/// populated the transport.
+///
+/// Fails loudly on corrupt or version-skewed bundles and on any
+/// consistency-fingerprint mismatch — merging incompatible partial states
+/// would silently bias the estimate. A missing or retryably damaged
+/// bundle fails the gather unless `allow_partial` is set; then the
+/// survivors are re-weighted into an unbiased partial estimate with an
+/// honestly wider CI (see FinishShardGather and est/partial_gather.h; a
+/// CI needs >= 2 survivors on a partitioned plan).
+Result<FaultTolerantResult> GatherSboxEstimate(
+    ShardTransport* transport, int num_shards,
+    const std::string& pivot_relation = "", bool allow_partial = false);
 
 /// \brief One-call scatter/gather: runs every shard worker in-process
-/// (sequentially, each from its own Rng(seed)) through `transport` —
-/// defaulting to a process-local mailbox when null — then gathers.
+/// (concurrently, one attempt each, each from its own Rng(seed)) through
+/// `transport` — defaulting to a process-local mailbox when null — then
+/// gathers.
 ///
 /// For a fixed (plan, catalog, seed, morsel_rows) the report is
 /// bit-identical across num_shards AND to EstimatePlanParallel at the
@@ -99,91 +209,21 @@ Result<SboxReport> ShardedSboxEstimateOverCatalog(
     const ExprPtr& f_expr, const GusParams& gus, const SboxOptions& options,
     ShardTransport* transport = nullptr);
 
-/// \brief True for failures a retry can fix: lost workers, torn/missing
-/// transport frames (Unavailable, KeyError), and elapsed deadlines.
-///
-/// Divergent-state failures (InvalidArgument: seed, catalog-fingerprint,
-/// or wire-version skew; SMPL divergence) are fatal — re-executing the
-/// same divergent inputs reproduces the same mismatch, so retrying them
-/// only hides a configuration bug behind latency.
-bool IsRetryableShardFailure(const Status& st);
-
-/// \brief Outcome of a fault-tolerant estimate: the report, plus — iff the
-/// gather had to degrade — the acknowledgement payload describing what
-/// was lost.
-struct FaultTolerantResult {
-  SboxReport report;
-  /// True when the report folds only a subset of the shards (unbiased,
-  /// re-weighted, CI widened; see est/partial_gather.h).
-  bool degraded = false;
-  /// Meaningful iff degraded.
-  DegradedReport degradation;
-  /// Meaningful iff degraded: the WireTag::kSurvivingRanges payload that
-  /// makes a cached partial result self-describing.
-  SurvivingRangesInfo live;
-  /// \brief Filled only when the fold was asked to capture it (see
-  /// FoldGatheredShardBundles) AND the gather was complete: the merged
-  /// (pre-Finish) StreamingSboxEstimator state.
-  ///
-  /// Round-trip bit-exactness (est/streaming.h) makes Finish over the
-  /// deserialized state reproduce `report` to the last bit — this is
-  /// what an approximate-view cache stores. Never captured for degraded
-  /// folds: a cache must not immortalize an outage.
-  std::string merged_sbox_state;
-};
-
-/// \brief GatherSboxEstimate that can degrade: shards whose bundles are
-/// missing or retryably damaged (Unavailable / KeyError) are — when
-/// `allow_partial` is set — excluded from the fold, and the survivors
-/// re-weighted through the shard-survival GUS into an unbiased partial
-/// estimate with an honestly wider CI.
-///
-/// `pivot_relation` is the plan's partitioned scan (MorselSplit::
-/// pivot_relation; "" for non-partitionable plans) — it determines which
-/// lineage agreement sets pin a pair of rows to one shard. With
-/// allow_partial false this behaves exactly like GatherSboxEstimate.
-/// Fatal (divergent-state) bundle failures propagate regardless. At least
-/// one shard must survive, and a valid CI needs >= 2 survivors on a
-/// partitioned plan (cross-shard co-survival is impossible from one
-/// shard, so a CI would be fabrication — the gather says so instead).
-Result<FaultTolerantResult> GatherSboxEstimatePartial(
-    ShardTransport* transport, int num_shards,
-    const std::string& pivot_relation, bool allow_partial);
-
-/// \brief The one fold implementation behind every SBox gather, exposed
-/// for gatherers that receive bundles by other means (the serving
-/// layer's session coordinator pulls them over sockets).
-///
-/// `shard_ids`/`bundles` are parallel and strictly ascending; `failed`
-/// carries (shard, final error) for shards that never delivered — with a
-/// complete set it behaves exactly like GatherSboxEstimate's fold, with
-/// a subset it degrades through est/partial_gather (or fails when a CI
-/// would be fabricated). With `capture_merged_state`, a complete fold
-/// also serializes the merged pre-Finish estimator state into
-/// FaultTolerantResult::merged_sbox_state (the view-cache payload).
-/// Using this single implementation is what makes a served gather
-/// bit-identical to the one-shot kSharded gather by construction.
-Result<FaultTolerantResult> FoldGatheredShardBundles(
-    const std::vector<int>& shard_ids,
-    const std::vector<const std::string*>& bundles, int num_shards,
-    const std::string& pivot_relation,
-    const std::vector<std::pair<int, std::string>>& failed,
-    bool capture_merged_state = false);
-
 /// \brief The fault-tolerant one-call scatter/gather.
 ///
 /// Dispatches every shard's unit range to an in-process worker under
-/// `exec.retry`: per-attempt deadlines (attempts past their deadline are
-/// abandoned and the shard re-dispatched — the range re-executes
-/// bit-reproducibly from the same seed), bounded retries with
+/// SuperviseShards with `exec.retry`: per-attempt deadlines (attempts past
+/// their deadline are abandoned and the shard re-dispatched — the range
+/// re-executes bit-reproducibly from the same seed), bounded retries with
 /// deterministic exponential backoff + jitter, and verification read-back
 /// through `transport` (defaulting to a process-local mailbox) so wire
 /// damage is caught while the shard can still be re-sent. When a shard
-/// exhausts its budget: with `exec.allow_partial` the survivors fold
-/// through est/partial_gather (DegradedReport attached); without it the
-/// shard's final error propagates. `exec.stats`, when set, receives the
-/// retry/degradation counters. With no faults the report is bit-identical
-/// to ShardedSboxEstimate.
+/// exhausts its budget, FinishShardGather decides: with
+/// `exec.allow_partial` the survivors fold through est/partial_gather
+/// (DegradedReport attached); without it the shard's final error
+/// propagates. `exec.stats`, when set, is reset and receives the
+/// retry/degradation counters on every return path. With no faults the
+/// report is bit-identical to ShardedSboxEstimate.
 Result<FaultTolerantResult> FaultTolerantShardedSboxEstimate(
     const PlanPtr& plan, const Catalog& catalog, uint64_t seed, ExecMode mode,
     const ExecOptions& exec, int num_shards, const ExprPtr& f_expr,

@@ -50,8 +50,9 @@ Result<std::string> ReadFrame(std::istream* in, bool* clean_eof = nullptr);
 
 /// \brief Moves one opaque payload per shard from workers to the gatherer.
 ///
-/// Implementations must allow Send from concurrent workers; Receive is
-/// coordinator-side and called after the sends it waits for.
+/// Implementations must allow Send and Receive from concurrent shard
+/// loops (SuperviseShards runs one per shard; each touches only its own
+/// shard index).
 class ShardTransport {
  public:
   virtual ~ShardTransport() = default;

@@ -68,7 +68,8 @@ struct ExecStats {
   /// serial columnar pipeline (phase times then cover that path).
   bool serial_fallback = false;
 
-  // ---- Fault tolerance (FaultTolerantShardedSboxEstimate) ----
+  // ---- Fault tolerance (every supervised shard gather: see
+  // FinishShardGather in dist/coordinator.h) ----
   int64_t shard_attempts = 0;       ///< shard worker attempts launched
   int64_t shard_retries = 0;        ///< re-dispatches after retryable failure
   int64_t shard_deadline_hits = 0;  ///< attempts abandoned at the deadline

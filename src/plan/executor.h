@@ -103,8 +103,8 @@ inline constexpr int64_t kDefaultMorselRows = 32768;
 inline constexpr int64_t kMinAutoMorselRows = 8192;
 inline constexpr int64_t kMaxAutoMorselRows = 131072;
 
-/// \brief Per-shard retry discipline for the fault-tolerant scatter/gather
-/// (dist/coordinator.h, FaultTolerantShardedSboxEstimate).
+/// \brief Per-shard retry discipline of the shard supervisor
+/// (dist/coordinator.h, SuperviseShards).
 ///
 /// A shard attempt that fails *retryably* (Unavailable / DeadlineExceeded /
 /// a missing bundle — lost workers, torn transport frames, deadlines) is
@@ -200,8 +200,9 @@ struct ExecOptions {
   /// environment variable additionally dumps the same profile to stderr
   /// whether or not this is set.
   ExecStats* stats = nullptr;
-  /// Retry/deadline/backoff discipline for fault-tolerant sharded runs
-  /// (read only by FaultTolerantShardedSboxEstimate).
+  /// Retry/deadline/backoff discipline for FaultTolerantShardedSboxEstimate
+  /// (the plain sharded one-call forms run one attempt per shard; served
+  /// queries carry their own in ServedRequest).
   ShardRetryPolicy retry;
   /// \brief Acknowledges statistical degradation: when shards are lost
   /// past their retry budget, fold the survivors through the

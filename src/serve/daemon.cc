@@ -1,9 +1,9 @@
 #include "serve/daemon.h"
 
-#include <functional>
 #include <optional>
 #include <utility>
 
+#include "dist/coordinator.h"
 #include "dist/shard.h"
 #include "dist/worker.h"
 #include "est/wire.h"
@@ -12,33 +12,6 @@
 #include "util/fault_inject.h"
 
 namespace gus {
-
-namespace {
-
-/// Serial pre-warm of the columnar conversion caches for `plan`'s scans
-/// (the same contract the one-shot coordinator honors: caches are lazily
-/// written and not thread-safe, so they must be hot before concurrent
-/// request threads share the catalog read-only).
-Status WarmScans(const PlanPtr& plan, ColumnarCatalog* catalog) {
-  std::function<Status(const PlanPtr&)> walk =
-      [&](const PlanPtr& node) -> Status {
-    if (node->op() == PlanOp::kScan) {
-      // Segment-backed relations stream through the (thread-safe) pinned
-      // cache; materializing them would defeat out-of-core serving.
-      GUS_ASSIGN_OR_RETURN(const StoredRelation* stored,
-                           catalog->Stored(node->relation()));
-      if (stored != nullptr) return Status::OK();
-      return catalog->Get(node->relation()).status();
-    }
-    for (int c = 0; c < node->num_children(); ++c) {
-      GUS_RETURN_NOT_OK(walk(c == 0 ? node->left() : node->right()));
-    }
-    return Status::OK();
-  };
-  return walk(plan);
-}
-
-}  // namespace
 
 uint64_t ServedQueryFingerprint(const ServedQuery& query) {
   WireWriter w;
@@ -94,7 +67,7 @@ Result<Endpoint> WorkerDaemon::Start(const Endpoint& listen) {
   }
   plan_infos_.clear();
   for (const auto& [name, query] : queries_) {
-    GUS_RETURN_NOT_OK(WarmScans(query.plan, columnar_.get()));
+    GUS_RETURN_NOT_OK(WarmCatalogForPlan(query.plan, columnar_.get()));
     ServePlanInfo info;
     GUS_ASSIGN_OR_RETURN(
         info.catalog_fingerprint,

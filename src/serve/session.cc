@@ -3,36 +3,15 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 #include "dist/shard.h"
 #include "est/streaming.h"
 #include "est/wire.h"
-#include "util/random.h"
 
 namespace gus {
 
 namespace {
-
-/// The fault-tolerant scatter's deterministic backoff, replicated for the
-/// wire path: same formula, same (shard, attempt)-forked jitter stream,
-/// so a fixed fault plan replays the same retry schedule over sockets as
-/// it does in process.
-void SleepServeBackoff(const ShardRetryPolicy& retry, int64_t shard,
-                       int attempt) {
-  if (retry.backoff_base_ms <= 0) return;
-  const double scaled =
-      static_cast<double>(retry.backoff_base_ms) *
-      std::pow(retry.backoff_mult, static_cast<double>(attempt - 2));
-  int64_t ms = std::min(static_cast<int64_t>(scaled), retry.backoff_max_ms);
-  Rng jitter = Rng::ForkStream(retry.jitter_seed,
-                               static_cast<uint64_t>(shard) * 64 +
-                                   static_cast<uint64_t>(attempt));
-  ms += static_cast<int64_t>(
-      jitter.UniformInt(static_cast<uint64_t>(retry.backoff_base_ms) + 1));
-  if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
 
 uint64_t DoubleBits(double v) {
   uint64_t bits = 0;
@@ -242,28 +221,26 @@ Result<ServePlanInfo> SessionCoordinator::ResolvePlanInfo(
   WireWriter w;
   w.PutString(query_name);
   const std::string body = w.buffer();
-  // Any daemon in the fleet can answer (they serve the same registry);
-  // sweep the fleet, retrying the sweep under the usual backoff.
-  Status last = Status::Unavailable("empty fleet");
-  const int attempts = retry.max_attempts < 1 ? 1 : retry.max_attempts;
-  for (int attempt = 1; attempt <= attempts; ++attempt) {
-    if (attempt > 1) SleepServeBackoff(retry, /*shard=*/0, attempt);
-    for (auto& channel : channels_) {
-      Result<std::string> answer =
-          channel->Call(ServeMsg::kPlanInfoRequest, session_id, body,
-                        ServeMsg::kPlanInfoResponse, retry.deadline_ms);
-      if (answer.ok()) {
-        GUS_ASSIGN_OR_RETURN(ServePlanInfo info,
-                             ServePlanInfoFromBytes(answer.ValueOrDie()));
-        std::lock_guard<std::mutex> lock(info_mu_);
-        plan_infos_[query_name] = info;
-        return info;
-      }
-      last = answer.status();
-      if (!IsRetryableShardFailure(last)) return last;
-    }
-  }
-  return last;
+  // Any daemon in the fleet can answer (they serve the same registry):
+  // one supervised attempt sweeps the fleet, and the sweep is retried
+  // under the usual backoff.
+  const std::vector<ShardOutcome> answer = SuperviseShards(
+      1, retry, [&](int) -> Result<std::string> {
+        Result<std::string> last = Status::Unavailable("empty fleet");
+        for (auto& channel : channels_) {
+          last = channel->Call(ServeMsg::kPlanInfoRequest, session_id, body,
+                               ServeMsg::kPlanInfoResponse,
+                               retry.deadline_ms);
+          if (last.ok() || !IsRetryableShardFailure(last.status())) break;
+        }
+        return last;
+      });
+  GUS_RETURN_NOT_OK(answer[0].status);
+  GUS_ASSIGN_OR_RETURN(ServePlanInfo info,
+                       ServePlanInfoFromBytes(answer[0].bundle));
+  std::lock_guard<std::mutex> lock(info_mu_);
+  plan_infos_[query_name] = info;
+  return info;
 }
 
 Result<ServedResult> SessionCoordinator::Execute(const std::string& query_name,
@@ -329,98 +306,30 @@ Result<ServedResult> SessionCoordinator::Execute(const std::string& query_name,
     if (req.stats != nullptr) ++req.stats->cache_misses;
   }
 
-  // Scatter: shard k goes to channel k % M; every shard retries
-  // independently under the policy (reconnecting channels make a restarted
-  // daemon transparent to the retry loop).
-  const int num_shards = req.num_shards;
-  const int max_attempts =
-      req.retry.max_attempts < 1 ? 1 : req.retry.max_attempts;
-  std::vector<std::string> bundles(static_cast<size_t>(num_shards));
-  std::vector<Status> final_status(static_cast<size_t>(num_shards),
-                                   Status::OK());
-  std::vector<uint8_t> delivered(static_cast<size_t>(num_shards), 0);
-  std::vector<int64_t> attempts_used(static_cast<size_t>(num_shards), 0);
-
+  // Scatter: shard k goes to channel k % M under the shared shard
+  // supervisor (reconnecting channels make a restarted daemon transparent
+  // to its retry loop).
   ExecShardRequest base;
   base.query = query_name;
   base.seed = req.seed;
-  base.num_shards = num_shards;
+  base.num_shards = req.num_shards;
   base.morsel_rows = req.morsel_rows;
   base.num_threads = req.num_threads < 1 ? 1 : req.num_threads;
   base.admission_scale = scale;
   base.expected_catalog_fingerprint = info.catalog_fingerprint;
-
-  const auto run_shard = [&](int k) {
-    DaemonChannel* channel = channels_[static_cast<size_t>(k) %
-                                       channels_.size()]
-                                 .get();
-    ExecShardRequest ereq = base;
-    ereq.shard_index = k;
-    const std::string body = ExecShardRequestToBytes(ereq);
-    Status last = Status::Unavailable("shard never attempted");
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-      if (attempt > 1) SleepServeBackoff(req.retry, k, attempt);
-      ++attempts_used[static_cast<size_t>(k)];
-      Result<std::string> answer =
-          channel->Call(ServeMsg::kExecRequest, session_id, body,
-                        ServeMsg::kExecResponse, req.retry.deadline_ms);
-      if (answer.ok()) {
-        bundles[static_cast<size_t>(k)] = std::move(answer).ValueOrDie();
-        delivered[static_cast<size_t>(k)] = 1;
-        return;
-      }
-      last = answer.status();
-      if (!IsRetryableShardFailure(last)) break;
-    }
-    final_status[static_cast<size_t>(k)] = last;
-  };
-
-  {
-    std::vector<std::thread> scatter;
-    scatter.reserve(static_cast<size_t>(num_shards));
-    for (int k = 0; k < num_shards; ++k) {
-      scatter.emplace_back(run_shard, k);
-    }
-    for (std::thread& t : scatter) t.join();
-  }
-
-  std::vector<int> shard_ids;
-  std::vector<const std::string*> views;
-  std::vector<std::pair<int, std::string>> failed;
-  int64_t total_attempts = 0;
-  for (int k = 0; k < num_shards; ++k) {
-    total_attempts += attempts_used[static_cast<size_t>(k)];
-    if (delivered[static_cast<size_t>(k)]) {
-      shard_ids.push_back(k);
-      views.push_back(&bundles[static_cast<size_t>(k)]);
-    } else {
-      const Status& st = final_status[static_cast<size_t>(k)];
-      // Fatal (divergent-state) failures propagate regardless of
-      // allow_partial — degrading would hide a configuration bug.
-      if (!IsRetryableShardFailure(st)) return st;
-      failed.emplace_back(k, st.ToString());
-    }
-  }
-  if (req.stats != nullptr) {
-    req.stats->shard_attempts = total_attempts;
-    req.stats->shard_retries = total_attempts - num_shards;
-    req.stats->shards_lost = static_cast<int64_t>(failed.size());
-  }
-  if (!failed.empty() && !req.allow_partial) {
-    const auto& [shard, message] = failed.front();
-    return Status::Unavailable(
-        "shard " + std::to_string(shard) + " failed after " +
-        std::to_string(max_attempts) +
-        " attempt(s) and ServedRequest::allow_partial is not set: " + message);
-  }
-
-  const bool complete = failed.empty();
+  const std::vector<ShardOutcome> outcomes =
+      SuperviseShards(req.num_shards, req.retry, [&](int k) {
+        ExecShardRequest shard_req = base;
+        shard_req.shard_index = k;
+        return channels_[static_cast<size_t>(k) % channels_.size()]->Call(
+            ServeMsg::kExecRequest, session_id,
+            ExecShardRequestToBytes(shard_req), ServeMsg::kExecResponse,
+            req.retry.deadline_ms);
+      });
   GUS_ASSIGN_OR_RETURN(
       FaultTolerantResult folded,
-      FoldGatheredShardBundles(shard_ids, views, num_shards,
-                               info.pivot_relation, failed,
-                               /*capture_merged_state=*/complete &&
-                                   req.use_cache));
+      FinishShardGather(outcomes, info.pivot_relation, req.allow_partial,
+                        /*capture_merged_state=*/req.use_cache, req.stats));
 
   ServedResult out;
   out.report = folded.report;
@@ -429,12 +338,7 @@ Result<ServedResult> SessionCoordinator::Execute(const std::string& query_name,
   out.live = folded.live;
   out.session_id = session_id;
   out.admission_scale = scale;
-  if (req.stats != nullptr) {
-    req.stats->degraded = folded.degraded;
-    req.stats->effective_coverage =
-        folded.degraded ? folded.degradation.effective_coverage : 1.0;
-  }
-  if (complete && req.use_cache && !folded.merged_sbox_state.empty()) {
+  if (!folded.merged_sbox_state.empty()) {
     WireBundleWriter bundle;
     bundle.AddSection(WireTag::kSboxState,
                       std::move(folded.merged_sbox_state));

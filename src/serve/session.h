@@ -14,14 +14,13 @@
 // SessionCoordinator::Execute is one query end to end: allocate a
 // session id, resolve the query's ServePlanInfo (fetched once per name,
 // then cached), consult the approximate-view cache, fan the shards out
-// across the fleet (shard k -> channel[k % M], each shard retried under
-// the ShardRetryPolicy with the same deterministic backoff as the
-// in-process fault-tolerant path), and fold the gathered bundles through
-// FoldGatheredShardBundles — the *same* fold as the one-shot kSharded
-// gather, which is what makes a served answer bit-identical to it by
-// construction. Execute is thread-safe; N client threads driving one
-// coordinator is the intended shape (the concurrency tests do exactly
-// that).
+// across the fleet through SuperviseShards (shard k -> channel[k % M];
+// the same per-shard retry loop and backoff as every in-process gather),
+// and finish with FinishShardGather — whose fold is the *same* as the
+// one-shot kSharded gather's, which is what makes a served answer
+// bit-identical to it by construction. Execute is thread-safe; N client
+// threads driving one coordinator is the intended shape (the concurrency
+// tests do exactly that).
 //
 // Admission control sits at the front door: when a controller is
 // attached, its current scale travels in every shard request and the
@@ -110,7 +109,6 @@ class DaemonChannel {
 
   /// Current live generation, connecting a fresh one if needed.
   Result<std::shared_ptr<ConnState>> EnsureConnected();
-  void ReaderLoop(std::shared_ptr<ConnState> conn);
   /// Marks the generation dead and fails every parked call with `why`.
   static void KillConn(const std::shared_ptr<ConnState>& conn,
                        const Status& why);

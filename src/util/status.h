@@ -72,6 +72,11 @@ class Status {
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }
 
+  /// The same code carrying `msg` (for adding context to a failure).
+  Status WithMessage(std::string msg) const {
+    return Status(code_, std::move(msg));
+  }
+
   /// Renders "OK" or "<Code>: <message>".
   std::string ToString() const {
     if (ok()) return "OK";

@@ -780,8 +780,10 @@ TEST(FaultToleranceTest, HangsAreBoundedAndNeverWedgeTheCoordinator) {
 TEST(FaultToleranceTest, ExhaustedRetriesFailLoudlyWithoutAllowPartial) {
   Query1Fixture fx;
   ScopedFaultPlan plan("worker.execute@1=fail*0");  // every attempt fails
+  ExecStats stats;
   ExecOptions exec = fx.exec;
   exec.retry.max_attempts = 2;
+  exec.stats = &stats;
   const Status st =
       FaultTolerantShardedSboxEstimate(fx.q1.plan, fx.catalog, 17,
                                        ExecMode::kSampled, exec, 3,
@@ -790,6 +792,90 @@ TEST(FaultToleranceTest, ExhaustedRetriesFailLoudlyWithoutAllowPartial) {
           .status();
   EXPECT_STATUS_CODE(kUnavailable, st);
   EXPECT_NE(std::string::npos, st.message().find("allow_partial"));
+  // The counters survive the failure: shards 0 and 2 once, shard 1 twice.
+  EXPECT_EQ(4, stats.shard_attempts);
+  EXPECT_EQ(1, stats.shard_retries);
+  EXPECT_EQ(1, stats.shards_lost);
+}
+
+/// A transport whose Send refuses shard 1 as divergent state — a fatal
+/// failure no retry can fix.
+class RejectShardOneTransport final : public ShardTransport {
+ public:
+  Status Send(int shard_index, std::string payload) override {
+    if (shard_index == 1) {
+      return Status::InvalidArgument("shard 1 state diverges");
+    }
+    return inner_.Send(shard_index, std::move(payload));
+  }
+  Result<std::string> Receive(int shard_index) override {
+    return inner_.Receive(shard_index);
+  }
+
+ private:
+  LocalTransport inner_;
+};
+
+TEST(FaultToleranceTest, FatalShardFailurePropagatesWithItsOwnCode) {
+  // A fatal failure stops the shard's loop after one attempt and keeps its
+  // code — allow_partial must not degrade it away, since re-weighting the
+  // survivors would hide a configuration bug.
+  Query1Fixture fx;
+  for (const bool allow_partial : {false, true}) {
+    SCOPED_TRACE(allow_partial);
+    RejectShardOneTransport transport;
+    ExecStats stats;
+    ExecOptions exec = fx.exec;
+    exec.allow_partial = allow_partial;
+    exec.stats = &stats;
+    const Status st =
+        FaultTolerantShardedSboxEstimate(fx.q1.plan, fx.catalog, 17,
+                                         ExecMode::kSampled, exec, 3,
+                                         fx.q1.aggregate, fx.soa.top,
+                                         fx.options, &transport)
+            .status();
+    EXPECT_STATUS_CODE(kInvalidArgument, st);
+    EXPECT_NE(std::string::npos, st.message().find("after 1 attempt(s)"))
+        << st.ToString();
+    EXPECT_NE(std::string::npos, st.message().find("shard 1 state diverges"));
+    EXPECT_EQ(3, stats.shard_attempts);
+    EXPECT_EQ(0, stats.shard_retries);
+  }
+}
+
+TEST(FaultToleranceTest, DeadlineWithMultiThreadedShardsDoesNotStall) {
+  // Shard loops must not be shared-pool tasks: an attempt whose worker
+  // leases the pool would otherwise wait on the batch its own shard loop
+  // holds, until the deadline abandoned it.
+  Query1Fixture fx;
+  ExecOptions exec = fx.exec;
+  exec.num_threads = 4;
+  ASSERT_OK_AND_ASSIGN(
+      SboxReport plain,
+      ShardedSboxEstimate(fx.q1.plan, fx.catalog, 17, ExecMode::kSampled,
+                          exec, /*num_shards=*/3, fx.q1.aggregate,
+                          fx.soa.top, fx.options));
+  constexpr int64_t kDeadlineMs = 2000;
+  ExecStats stats;
+  exec.retry.deadline_ms = kDeadlineMs;
+  exec.stats = &stats;
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_OK_AND_ASSIGN(
+      FaultTolerantResult ft,
+      FaultTolerantShardedSboxEstimate(fx.q1.plan, fx.catalog, 17,
+                                       ExecMode::kSampled, exec, 3,
+                                       fx.q1.aggregate, fx.soa.top,
+                                       fx.options));
+  const int64_t elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_FALSE(ft.degraded);
+  ExpectReportsIdentical(plain, ft.report);
+  EXPECT_EQ(0, stats.shard_deadline_hits);
+  EXPECT_EQ(0, stats.shard_retries);
+  EXPECT_LT(elapsed_ms, kDeadlineMs / 2);
+  JoinAbandonedShardAttempts();  // none expected; keeps a failure clean
 }
 
 TEST(FaultToleranceTest, PartialEstimateMeanOverKillsIsExactlyUnbiased) {
@@ -920,7 +1006,7 @@ TEST(FaultToleranceTest, SingleSurvivorOnPartitionedPlanRefusesCi) {
 
 TEST(FaultToleranceTest, GatherPartialToleratesMissingShard) {
   // The multi-process half: external workers populated the transport, one
-  // bundle never arrived. GatherSboxEstimatePartial degrades only under
+  // bundle never arrived. GatherSboxEstimate degrades only under
   // allow_partial, and reports exactly the missing range.
   Query1Fixture fx;
   ColumnarCatalog columnar(&fx.catalog);
@@ -942,15 +1028,14 @@ TEST(FaultToleranceTest, GatherPartialToleratesMissingShard) {
   }
   // Without acknowledgement, the missing shard fails the gather.
   EXPECT_STATUS_CODE(kKeyError,
-                     GatherSboxEstimatePartial(&strict_transport, 3,
-                                               sp.split.pivot_relation,
-                                               /*allow_partial=*/false)
+                     GatherSboxEstimate(&strict_transport, 3,
+                                        sp.split.pivot_relation,
+                                        /*allow_partial=*/false)
                          .status());
   ASSERT_OK_AND_ASSIGN(
       FaultTolerantResult ft,
-      GatherSboxEstimatePartial(&partial_transport, 3,
-                                sp.split.pivot_relation,
-                                /*allow_partial=*/true));
+      GatherSboxEstimate(&partial_transport, 3, sp.split.pivot_relation,
+                         /*allow_partial=*/true));
   EXPECT_TRUE(ft.degraded);
   EXPECT_EQ(2, ft.degradation.surviving_shards);
   EXPECT_EQ(3, ft.degradation.total_shards);

@@ -59,11 +59,14 @@ class StoredRelation;  // store/segment_store.h
 
 /// \brief Catalog of base relations in columnar form.
 ///
-/// The base class is the in-memory form: a lazy cache of row-engine catalog
-/// relations converted on first use. Conversion happens once per base
-/// relation and is shared by every scan of the plan (and across plans, if
-/// the caller keeps the catalog around — the benchmarks do, mirroring a
-/// system that ingests columnar once).
+/// The base class is the in-memory form over a row-engine Catalog. A base
+/// relation converts to columnar at most once per content, however many
+/// catalogs are built over it: Get() pins the relation's shared columnar
+/// form (Relation::Columnar), and Fingerprint() reuses the fingerprint
+/// memoized next to it. Building a catalog per query is therefore cheap —
+/// the const Catalog& entry points (ExecutePlan, sqlish RunApproxQuery,
+/// ShardedSboxEstimate) do exactly that. A catalog keeps scanning the
+/// snapshot it first saw even if the relation is appended to afterwards.
 ///
 /// The virtual surface is what lets the execution engines run over other
 /// storage unchanged: SegmentCatalog (store/segment_catalog.h) overrides it
@@ -120,7 +123,9 @@ class ColumnarCatalog {
 
  private:
   const Catalog* catalog_;
-  std::map<std::string, ColumnarRelation> cache_;
+  // The relations' shared columnar forms (Relation::Columnar), pinned at
+  // first use: this catalog keeps scanning the snapshot it first saw.
+  std::map<std::string, std::shared_ptr<const ColumnarRelation>> cache_;
   std::map<std::string, uint64_t> fingerprints_;
 };
 

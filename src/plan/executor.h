@@ -245,11 +245,11 @@ struct ExecOptions {
 /// nodes use the hash equi-join; product and union use their respective
 /// physical operators. With ExecEngine::kColumnar the plan runs on the
 /// batch pipeline and the result converts back to a Relation at the end.
-/// Each such call builds a throwaway ColumnarCatalog (one row-to-columnar
-/// ingest per scanned base relation); callers issuing repeated queries
-/// against the same catalog — or wanting to stay columnar / stream — hold
-/// a ColumnarCatalog and use plan/columnar_executor.h directly, as the
-/// benchmarks do.
+/// Each such call builds a short-lived ColumnarCatalog over the relations'
+/// shared columnar forms (Relation::Columnar), so a base relation converts
+/// to columnar once, on its first query, not on every call. Callers that
+/// want to stay columnar or stream hold a ColumnarCatalog and use
+/// plan/columnar_executor.h directly.
 Result<Relation> ExecutePlan(const PlanPtr& plan, const Catalog& catalog,
                              Rng* rng, ExecMode mode = ExecMode::kSampled,
                              ExecEngine engine = ExecEngine::kRowAtATime);

@@ -1241,8 +1241,9 @@ ColumnarRelation ConcatPartsToRelation(const LayoutPtr& layout,
         remaps[p].resize(num_cols);
         std::vector<uint32_t> remap;
         remap.reserve(from.dict->values.size());
+        StringDict* dict = dc->MutableDict();
         for (const std::string& s : from.dict->values) {
-          remap.push_back(dc->dict->Intern(s));
+          remap.push_back(dict->Intern(s));
         }
         remaps[p][c] = std::move(remap);
       }

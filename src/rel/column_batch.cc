@@ -57,6 +57,15 @@ Value ColumnData::ValueAt(int64_t i) const {
   return Value();
 }
 
+StringDict* ColumnData::MutableDict() {
+  if (dict == nullptr) {
+    dict = std::make_shared<StringDict>();
+  } else if (dict.use_count() > 1) {
+    dict = std::make_shared<StringDict>(*dict);
+  }
+  return dict.get();
+}
+
 Status ColumnData::AppendValue(const Value& v) {
   if (v.type() != type) {
     return Status::TypeError(std::string("column of type ") +
@@ -71,8 +80,7 @@ Status ColumnData::AppendValue(const Value& v) {
       f64.push_back(v.AsFloat64());
       break;
     case ValueType::kString:
-      if (dict == nullptr) dict = std::make_shared<StringDict>();
-      codes.push_back(dict->Intern(v.AsString()));
+      codes.push_back(MutableDict()->Intern(v.AsString()));
       break;
   }
   return Status::OK();
@@ -94,7 +102,7 @@ void ColumnData::AppendFrom(const ColumnData& src, int64_t row) {
       if (dict == src.dict) {
         codes.push_back(src.codes[row]);
       } else {
-        codes.push_back(dict->Intern(src.StringAt(row)));
+        codes.push_back(MutableDict()->Intern(src.StringAt(row)));
       }
       break;
   }
@@ -162,7 +170,7 @@ void ColumnBatch::AppendRangeFrom(const ColumnBatch& src, int64_t begin,
           // per-partition results merging): unify the dictionaries once,
           // then bulk-remap the integer codes.
           const std::vector<uint32_t> remap =
-              BuildDictRemap(dst.dict.get(), *from.dict);
+              BuildDictRemap(dst.MutableDict(), *from.dict);
           GrowFor(&dst.codes, static_cast<size_t>(len));
           for (int64_t i = 0; i < len; ++i) {
             dst.codes.push_back(remap[from.codes[begin + i]]);
@@ -207,8 +215,9 @@ void GatherColumn(ColumnData* dst, const ColumnData& from, const int64_t* sel,
         simd::GatherU32(from.codes.data(), sel, len,
                         dst->codes.data() + base);
       } else {
+        StringDict* dict = dst->MutableDict();
         for (const int64_t* p = sel; p != sel + len; ++p) {
-          dst->codes.push_back(dst->dict->Intern(from.StringAt(*p)));
+          dst->codes.push_back(dict->Intern(from.StringAt(*p)));
         }
       }
       break;

@@ -43,9 +43,11 @@ namespace gus {
 /// \brief Append-only string dictionary shared between columns.
 ///
 /// Codes are stable once assigned (entries are never removed or reordered),
-/// so extending a dictionary shared by several columns is safe: existing
+/// so a column may extend a copy of a shared dictionary and its existing
 /// codes keep their meaning. Interning guarantees code equality <=> string
-/// equality within one dictionary.
+/// equality within one dictionary. A dictionary held by more than one
+/// column is never extended in place (ColumnData::MutableDict): base
+/// relations' columnar forms are shared read-only across threads.
 struct StringDict {
   std::vector<std::string> values;
   std::unordered_map<std::string, uint32_t> index;
@@ -101,6 +103,12 @@ struct ColumnData {
   const std::string& StringAt(int64_t i) const {
     return dict->values[codes[i]];
   }
+
+  /// \brief This column's dictionary, ready to intern into.
+  ///
+  /// Creates one if absent and copies it first if another column also
+  /// holds it, so only an unshared dictionary is ever extended.
+  StringDict* MutableDict();
 
   /// Appends a Value; fails on type mismatch with the column type.
   Status AppendValue(const Value& v);

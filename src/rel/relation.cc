@@ -3,15 +3,28 @@
 #include <algorithm>
 #include <sstream>
 
+#include "rel/column_batch.h"
 #include "util/logging.h"
 
 namespace gus {
+
+namespace {
+
+Result<std::shared_ptr<const ColumnarRelation>> ToSharedColumnar(
+    const Relation& rel) {
+  GUS_ASSIGN_OR_RETURN(ColumnarRelation col,
+                       ColumnarRelation::FromRelation(rel));
+  return std::make_shared<const ColumnarRelation>(std::move(col));
+}
+
+}  // namespace
 
 void Relation::AppendRow(Row row, LineageRow lineage) {
   GUS_CHECK(static_cast<int>(row.size()) == schema_.num_columns() &&
             "row arity must match the column schema");
   GUS_CHECK(lineage.size() == lineage_schema_.size() &&
             "lineage arity must match the lineage schema");
+  DetachColumnarMemo();
   rows_.push_back(std::move(row));
   lineage_.push_back(std::move(lineage));
 }
@@ -29,9 +42,48 @@ Status Relation::AppendRowChecked(Row row, LineageRow lineage) {
         " does not match the lineage schema arity " +
         std::to_string(lineage_schema_.size()));
   }
-  rows_.push_back(std::move(row));
-  lineage_.push_back(std::move(lineage));
+  AppendRow(std::move(row), std::move(lineage));
   return Status::OK();
+}
+
+void Relation::DetachColumnarMemo() {
+  // Other holders of the memo keep the content it describes. A sole owner
+  // keeps its memo; FillColumnarLocked drops a form the appends outgrew.
+  if (memo_.use_count() != 1) memo_ = std::make_shared<ColumnarMemo>();
+}
+
+Status Relation::FillColumnarLocked() const {
+  // Rows are only ever appended, so a form with as many rows as the
+  // relation holds exactly its content.
+  if (memo_->columnar != nullptr && memo_->columnar->num_rows() == num_rows()) {
+    return Status::OK();
+  }
+  memo_->columnar.reset();
+  memo_->fingerprints.clear();
+  GUS_ASSIGN_OR_RETURN(memo_->columnar, ToSharedColumnar(*this));
+  return Status::OK();
+}
+
+Result<std::shared_ptr<const ColumnarRelation>> Relation::Columnar() const {
+  if (memo_ == nullptr) return ToSharedColumnar(*this);
+  std::lock_guard<std::mutex> lock(memo_->mu);
+  GUS_RETURN_NOT_OK(FillColumnarLocked());
+  return memo_->columnar;
+}
+
+Result<uint64_t> Relation::Fingerprint(const std::string& name) const {
+  if (memo_ == nullptr) {
+    GUS_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnarRelation> col,
+                         Columnar());
+    return ContentFingerprint(name, col->data());
+  }
+  std::lock_guard<std::mutex> lock(memo_->mu);
+  GUS_RETURN_NOT_OK(FillColumnarLocked());
+  auto cached = memo_->fingerprints.find(name);
+  if (cached != memo_->fingerprints.end()) return cached->second;
+  const uint64_t h = ContentFingerprint(name, memo_->columnar->data());
+  memo_->fingerprints.emplace(name, h);
+  return h;
 }
 
 Relation Relation::MakeBase(const std::string& name, Schema schema,

@@ -19,6 +19,9 @@
 #define GUS_REL_RELATION_H_
 
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -28,6 +31,8 @@
 #include "util/status.h"
 
 namespace gus {
+
+class ColumnarRelation;  // rel/column_batch.h
 
 /// Per-row lineage: one base-tuple id per lineage-schema entry.
 using LineageRow = std::vector<uint64_t>;
@@ -94,13 +99,46 @@ class Relation {
   /// True if the two relations' lineage schemas share no base relation.
   static bool LineageDisjoint(const Relation& a, const Relation& b);
 
+  /// \brief The columnar form of this relation's rows, converted on first
+  /// use and shared by every copy of the relation.
+  ///
+  /// Thread-safe: concurrent first calls convert once and all receive the
+  /// same immutable form. After AppendRow or AppendRowChecked the next
+  /// call builds a new form, while a copy (or a ColumnarCatalog) that took
+  /// the form before keeps the snapshot it saw. A failed conversion
+  /// (TypeError, see ColumnarRelation::FromRelation) is not memoized:
+  /// every call converts again and fails again.
+  Result<std::shared_ptr<const ColumnarRelation>> Columnar() const;
+
+  /// \brief ContentFingerprint(name, columnar data), memoized next to the
+  /// columnar form. Keyed by `name` because the fingerprint hashes it.
+  Result<uint64_t> Fingerprint(const std::string& name) const;
+
   std::string ToString(int64_t max_rows = 10) const;
 
  private:
+  /// The lazily filled columnar form and fingerprints of one row content,
+  /// shared by copies of a relation until one of them mutates.
+  struct ColumnarMemo {
+    std::mutex mu;
+    std::shared_ptr<const ColumnarRelation> columnar;  // guarded by mu
+    std::map<std::string, uint64_t> fingerprints;      // guarded by mu
+  };
+
+  /// Before an append: leaves a memo that other copies also hold to them.
+  void DetachColumnarMemo();
+
+  /// Fills memo_->columnar for the current rows, dropping a form (and its
+  /// fingerprints) built for fewer rows; memo_->mu must be held.
+  Status FillColumnarLocked() const;
+
   Schema schema_;
   std::vector<std::string> lineage_schema_;
   std::vector<Row> rows_;
   std::vector<LineageRow> lineage_;
+  // Null only in a moved-from relation, whose const calls then convert
+  // without memoizing.
+  std::shared_ptr<ColumnarMemo> memo_ = std::make_shared<ColumnarMemo>();
 };
 
 }  // namespace gus

@@ -1,12 +1,15 @@
 // Tests for the columnar layer: lossless Relation <-> ColumnarRelation
-// round trips (randomized property test), dictionary interning, vectorized
-// expression evaluation parity with the row evaluator, and the streaming
-// estimation sinks (SampleViewBuilder, StreamingSboxEstimator) matching
-// their materializing counterparts exactly.
+// round trips (randomized property test), dictionary interning, the shared
+// columnar memo on Relation, vectorized expression evaluation parity with
+// the row evaluator, and the streaming estimation sinks (SampleViewBuilder,
+// StreamingSboxEstimator) matching their materializing counterparts exactly.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/tpch_gen.h"
@@ -17,6 +20,7 @@
 #include "plan/soa_transform.h"
 #include "plan/vector_eval.h"
 #include "rel/column_batch.h"
+#include "sqlish/planner.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -118,6 +122,249 @@ TEST(ColumnarRoundTripTest, TypeMismatchSurfacesAsTypeError) {
   rel.AppendRow(Row{Value(1.5)}, LineageRow{0});
   EXPECT_STATUS_CODE(kTypeError,
                      ColumnarRelation::FromRelation(rel).status());
+}
+
+// ---- Shared columnar memo on Relation --------------------------------------
+
+constexpr char kMemoQuery1[] = R"(
+    SELECT SUM(l_discount*(1.0-l_tax))
+    FROM l TABLESAMPLE (10 PERCENT), o TABLESAMPLE (100 ROWS)
+    WHERE l_orderkey = o_orderkey AND l_extendedprice > 100.0;
+  )";
+
+Catalog MakeMemoCatalog() {
+  TpchConfig config;
+  config.num_orders = 300;
+  config.num_customers = 40;
+  config.num_parts = 30;
+  return GenerateTpch(config).MakeCatalog();
+}
+
+/// A deep copy of `catalog` whose relations have never been converted.
+Catalog RebuildCatalog(const Catalog& catalog) {
+  Catalog fresh;
+  for (const auto& [name, rel] : catalog) {
+    Relation copy(rel.schema(), rel.lineage_schema());
+    for (int64_t i = 0; i < rel.num_rows(); ++i) {
+      copy.AppendRow(rel.row(i), rel.lineage(i));
+    }
+    fresh.emplace(name, std::move(copy));
+  }
+  return fresh;
+}
+
+/// Appends `n` copies of the first rows of `rel` under new lineage ids.
+void AppendCopies(Relation* rel, int64_t n) {
+  const auto next_id = static_cast<uint64_t>(rel->num_rows());
+  for (int64_t i = 0; i < n; ++i) {
+    rel->AppendRow(rel->row(i), {next_id + static_cast<uint64_t>(i)});
+  }
+}
+
+void ExpectSameApprox(const sqlish::ApproxResult& a,
+                      const sqlish::ApproxResult& b) {
+  EXPECT_EQ(a.sample_rows, b.sample_rows);
+  ASSERT_EQ(a.values.size(), b.values.size());
+  for (size_t i = 0; i < a.values.size(); ++i) {
+    EXPECT_EQ(a.values[i].label, b.values[i].label);
+    EXPECT_EQ(a.values[i].group, b.values[i].group);
+    EXPECT_EQ(a.values[i].value, b.values[i].value);
+    EXPECT_EQ(a.values[i].stddev, b.values[i].stddev);
+    EXPECT_EQ(a.values[i].lo, b.values[i].lo);
+    EXPECT_EQ(a.values[i].hi, b.values[i].hi);
+  }
+}
+
+ExecOptions MorselExec(int num_threads) {
+  ExecOptions exec;
+  exec.engine = ExecEngine::kMorselParallel;
+  exec.num_threads = num_threads;
+  return exec;
+}
+
+TEST(ColumnarMemoTest, ConcurrentFirstQueriesConvertOnce) {
+  const Catalog catalog = MakeMemoCatalog();  // never queried before
+  constexpr int kThreads = 8;
+  constexpr uint64_t kSeed = 7;
+  std::vector<sqlish::ApproxResult> results(kThreads);
+  std::vector<std::string> errors(kThreads);
+  std::vector<const ColumnarRelation*> handed_out(kThreads, nullptr);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      auto result = sqlish::RunApproxQuery(kMemoQuery1, catalog, kSeed, {},
+                                           MorselExec(2));
+      auto columnar = catalog.at("l").Columnar();
+      if (!result.ok() || !columnar.ok()) {
+        errors[t] = result.status().ToString() + columnar.status().ToString();
+        return;
+      }
+      results[t] = std::move(result).ValueOrDie();
+      handed_out[t] = columnar->get();
+    });
+  }
+  go.store(true);
+  for (std::thread& t : threads) t.join();
+
+  ASSERT_OK_AND_ASSIGN(
+      sqlish::ApproxResult serial,
+      sqlish::RunApproxQuery(kMemoQuery1, catalog, kSeed, {}, MorselExec(1)));
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ColumnarRelation> l,
+                       catalog.at("l").Columnar());
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ("", errors[t]);
+    ExpectSameApprox(serial, results[t]);
+    EXPECT_EQ(l.get(), handed_out[t]);
+  }
+}
+
+TEST(ColumnarMemoTest, QueryAfterAppendSeesTheNewRows) {
+  Catalog catalog = MakeMemoCatalog();
+  constexpr uint64_t kSeed = 11;
+  ColumnarCatalog before(&catalog);
+  ASSERT_OK_AND_ASSIGN(const ColumnarRelation* snapshot, before.Get("l"));
+  const int64_t old_rows = snapshot->num_rows();
+  for (ExecEngine engine :
+       {ExecEngine::kColumnar, ExecEngine::kMorselParallel}) {
+    ExecOptions exec = MorselExec(2);
+    exec.engine = engine;
+    ASSERT_OK_AND_ASSIGN(
+        sqlish::ApproxResult first,
+        sqlish::RunApproxQuery(kMemoQuery1, catalog, kSeed, {}, exec));
+    AppendCopies(&catalog.at("l"), 200);
+    ASSERT_OK_AND_ASSIGN(
+        sqlish::ApproxResult second,
+        sqlish::RunApproxQuery(kMemoQuery1, catalog, kSeed, {}, exec));
+    ASSERT_OK_AND_ASSIGN(sqlish::ApproxResult fresh,
+                         sqlish::RunApproxQuery(kMemoQuery1,
+                                                RebuildCatalog(catalog), kSeed,
+                                                {}, exec));
+    ExpectSameApprox(fresh, second);
+    EXPECT_NE(first.sample_rows, second.sample_rows);
+  }
+  // A catalog built before the appends keeps scanning its snapshot.
+  ASSERT_OK_AND_ASSIGN(const ColumnarRelation* again, before.Get("l"));
+  EXPECT_EQ(snapshot, again);
+  EXPECT_EQ(old_rows, again->num_rows());
+  EXPECT_EQ(old_rows + 400, catalog.at("l").num_rows());
+}
+
+TEST(ColumnarMemoTest, CopiesShareTheMemoUntilOneMutates) {
+  Relation a = testing::MakeSingleTable(10);
+  Relation b = a;
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ColumnarRelation> from_a,
+                       a.Columnar());
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ColumnarRelation> from_b,
+                       b.Columnar());
+  EXPECT_EQ(from_a.get(), from_b.get());
+
+  b.AppendRow(Row{Value(11.0)}, {10});
+  ASSERT_OK_AND_ASSIGN(from_b, b.Columnar());
+  EXPECT_NE(from_a.get(), from_b.get());
+  EXPECT_EQ(11, from_b->num_rows());
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ColumnarRelation> a_again,
+                       a.Columnar());
+  EXPECT_EQ(from_a.get(), a_again.get());
+  EXPECT_EQ(10, a_again->num_rows());
+}
+
+TEST(ColumnarMemoTest, MovedFromRelationWorksAfterReassignment) {
+  Relation a = testing::MakeSingleTable(5);
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ColumnarRelation> original,
+                       a.Columnar());
+  Relation b = std::move(a);
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ColumnarRelation> moved,
+                       b.Columnar());
+  EXPECT_EQ(original.get(), moved.get());
+
+  a = testing::MakeSingleTable(3);
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ColumnarRelation> reassigned,
+                       a.Columnar());
+  EXPECT_EQ(3, reassigned->num_rows());
+  a.AppendRow(Row{Value(4.0)}, {3});
+  ASSERT_OK_AND_ASSIGN(reassigned, a.Columnar());
+  EXPECT_EQ(4, reassigned->num_rows());
+  ASSERT_OK_AND_ASSIGN(const uint64_t fp, a.Fingerprint("R"));
+  EXPECT_EQ(ContentFingerprint("R", reassigned->data()), fp);
+
+  Relation c;  // default-constructed: converts to an empty form
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ColumnarRelation> empty,
+                       c.Columnar());
+  EXPECT_EQ(0, empty->num_rows());
+}
+
+TEST(ColumnarMemoTest, TypeErrorIsNeverMemoized) {
+  Relation rel(Schema({{"x", ValueType::kInt64}}), {"R"});
+  rel.AppendRow(Row{Value(1.5)}, LineageRow{0});
+  Catalog catalog;
+  catalog.emplace("R", rel);
+  for (int call = 0; call < 3; ++call) {
+    EXPECT_STATUS_CODE(kTypeError, rel.Columnar().status());
+    EXPECT_STATUS_CODE(kTypeError, rel.Fingerprint("R").status());
+    ColumnarCatalog columnar(&catalog);
+    EXPECT_STATUS_CODE(kTypeError, columnar.Get("R").status());
+    EXPECT_STATUS_CODE(kTypeError, columnar.Fingerprint("R").status());
+  }
+}
+
+TEST(ColumnarMemoTest, FingerprintsAreSharedAndTrackAppends) {
+  Catalog catalog = MakeMemoCatalog();
+  ColumnarCatalog first(&catalog);
+  ColumnarCatalog second(&catalog);
+  ASSERT_OK_AND_ASSIGN(const uint64_t fp, first.Fingerprint("l"));
+  ASSERT_OK_AND_ASSIGN(const uint64_t fp_again, second.Fingerprint("l"));
+  EXPECT_EQ(fp, fp_again);
+  // The memoized value is the plain ContentFingerprint of the content.
+  ASSERT_OK_AND_ASSIGN(ColumnarRelation direct,
+                       ColumnarRelation::FromRelation(catalog.at("l")));
+  EXPECT_EQ(ContentFingerprint("l", direct.data()), fp);
+  ASSERT_OK_AND_ASSIGN(const uint64_t other, first.Fingerprint("o"));
+  EXPECT_NE(fp, other);
+
+  ColumnarCatalog pinned(&catalog);
+  ASSERT_OK(pinned.Get("l").status());
+  AppendCopies(&catalog.at("l"), 1);
+  ColumnarCatalog after(&catalog);
+  ASSERT_OK_AND_ASSIGN(const uint64_t changed, after.Fingerprint("l"));
+  EXPECT_NE(fp, changed);
+  ASSERT_OK_AND_ASSIGN(const uint64_t changed_direct,
+                       catalog.at("l").Fingerprint("l"));
+  EXPECT_EQ(changed, changed_direct);
+  // Catalogs that saw the old content keep fingerprinting that snapshot.
+  ASSERT_OK_AND_ASSIGN(const uint64_t old_cached, first.Fingerprint("l"));
+  ASSERT_OK_AND_ASSIGN(const uint64_t old_pinned, pinned.Fingerprint("l"));
+  EXPECT_EQ(fp, old_cached);
+  EXPECT_EQ(fp, old_pinned);
+}
+
+TEST(ColumnarMemoTest, SharedDictionaryIsNeverExtendedInPlace) {
+  const Schema schema({{"tag", ValueType::kString}});
+  const Relation base = Relation::MakeBase(
+      "S", schema, {Row{Value("a")}, Row{Value("b")}});
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ColumnarRelation> shared,
+                       base.Columnar());
+  ASSERT_OK_AND_ASSIGN(
+      ColumnarRelation other,
+      ColumnarRelation::FromRelation(
+          Relation::MakeBase("S", schema, {Row{Value("c")}})));
+  const StringDict& dict = *shared->data().column(0).dict;
+
+  ColumnBatch ranged(shared->layout_ptr());
+  ranged.AppendRangeFrom(shared->data(), 0, 2);  // adopts the shared dict
+  ranged.AppendRangeFrom(other.data(), 0, 1);
+  ColumnBatch gathered(shared->layout_ptr());
+  gathered.GatherFrom(shared->data(), std::vector<int64_t>{1});
+  gathered.GatherFrom(other.data(), std::vector<int64_t>{0});
+  ColumnBatch appended(shared->layout_ptr());
+  appended.mutable_column(0)->AppendFrom(shared->data().column(0), 0);
+  appended.mutable_column(0)->AppendFrom(other.data().column(0), 0);
+
+  EXPECT_EQ(2u, dict.values.size());
+  EXPECT_EQ("c", ranged.column(0).StringAt(2));
+  EXPECT_EQ("c", gathered.column(0).StringAt(1));
+  EXPECT_EQ("c", appended.column(0).StringAt(1));
 }
 
 // ---- Vectorized expression evaluation --------------------------------------

@@ -8,7 +8,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -17,46 +17,52 @@
 #include "est/streaming.h"
 #include "est/wire.h"
 #include "plan/exec_stats.h"
-#include "plan/parallel_executor.h"
 #include "util/fault_inject.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace gus {
 
 namespace {
 
 /// The shared parse/validate step behind every (complete or partial)
-/// gather: bundle bytes -> sections, with META recorded, the RNGS seed
-/// fingerprint enforced, and a well-formed SMPL section appended.
-Result<std::vector<WireSectionView>> ParseShardSections(
-    std::string_view bundle, int shard_index, std::vector<ShardMeta>* metas,
-    std::string* rng_fingerprint, std::vector<std::string>* sampler_payloads) {
-  GUS_ASSIGN_OR_RETURN(std::vector<WireSectionView> sections,
-                       ParseWireBundle(bundle));
-  GUS_ASSIGN_OR_RETURN(WireSectionView meta_section,
-                       FindWireSection(sections, WireTag::kMeta));
-  GUS_ASSIGN_OR_RETURN(ShardMeta meta,
-                       ShardMetaFromBytes(meta_section.payload));
-  metas->push_back(meta);
-  GUS_ASSIGN_OR_RETURN(WireSectionView rng_section,
-                       FindWireSection(sections, WireTag::kRngState));
-  if (rng_fingerprint->empty()) {
-    rng_fingerprint->assign(rng_section.payload);
-  } else if (rng_section.payload != *rng_fingerprint) {
-    return Status::InvalidArgument(
-        "shard " + std::to_string(shard_index) +
-        " started from a different Rng stream than the first gathered "
-        "shard (seed mismatch); refusing to merge");
+/// gather: each bundle -> its sections, with META recorded in `*metas`,
+/// the RNGS seed fingerprint enforced across the set, and the SMPL
+/// sections well-formed and byte-equal (ValidateShardSamplerStates).
+Result<std::vector<std::vector<WireSectionView>>> ParseShardBundles(
+    const std::vector<int>& shard_ids,
+    const std::vector<const std::string*>& bundles,
+    std::vector<ShardMeta>* metas) {
+  std::vector<std::vector<WireSectionView>> parsed;
+  parsed.reserve(bundles.size());
+  std::vector<std::string> sampler_payloads;
+  sampler_payloads.reserve(bundles.size());
+  std::string_view rng_fingerprint;
+  for (size_t i = 0; i < bundles.size(); ++i) {
+    GUS_ASSIGN_OR_RETURN(std::vector<WireSectionView> sections,
+                         ParseWireBundle(*bundles[i]));
+    GUS_ASSIGN_OR_RETURN(WireSectionView meta_section,
+                         FindWireSection(sections, WireTag::kMeta));
+    GUS_ASSIGN_OR_RETURN(ShardMeta meta,
+                         ShardMetaFromBytes(meta_section.payload));
+    metas->push_back(meta);
+    GUS_ASSIGN_OR_RETURN(WireSectionView rng_section,
+                         FindWireSection(sections, WireTag::kRngState));
+    if (i == 0) {
+      rng_fingerprint = rng_section.payload;
+    } else if (rng_section.payload != rng_fingerprint) {
+      return Status::InvalidArgument(
+          "shard " + std::to_string(shard_ids[i]) +
+          " started from a different Rng stream than the first gathered "
+          "shard (seed mismatch); refusing to merge");
+    }
+    GUS_ASSIGN_OR_RETURN(WireSectionView sampler_section,
+                         FindWireSection(sections, WireTag::kSamplerState));
+    GUS_RETURN_NOT_OK(SamplerStateFromBytes(sampler_section.payload).status());
+    sampler_payloads.emplace_back(sampler_section.payload);
+    parsed.push_back(std::move(sections));
   }
-  // The SMPL section must parse (well-formedness); the cross-shard
-  // equality check lives in ValidateShardSamplerStates so callers run it
-  // once over the full gather.
-  GUS_ASSIGN_OR_RETURN(WireSectionView sampler_section,
-                       FindWireSection(sections, WireTag::kSamplerState));
-  GUS_RETURN_NOT_OK(SamplerStateFromBytes(sampler_section.payload).status());
-  sampler_payloads->emplace_back(sampler_section.payload);
-  return sections;
+  GUS_RETURN_NOT_OK(ValidateShardSamplerStates(sampler_payloads));
+  return parsed;
 }
 
 /// Registry of attempt threads abandoned at their deadline. Leaked on
@@ -166,17 +172,11 @@ Result<FaultTolerantResult> FoldGatheredShardBundles(
         "no shard delivered a bundle; nothing to estimate from");
   }
   std::vector<ShardMeta> metas;
-  metas.reserve(shard_ids.size());
-  std::vector<std::string> sampler_payloads;
-  sampler_payloads.reserve(shard_ids.size());
-  std::string rng_fingerprint;
+  GUS_ASSIGN_OR_RETURN(std::vector<std::vector<WireSectionView>> parsed,
+                       ParseShardBundles(shard_ids, bundles, &metas));
   std::vector<StreamingSboxEstimator> states;
-  states.reserve(shard_ids.size());
-  for (size_t i = 0; i < shard_ids.size(); ++i) {
-    GUS_ASSIGN_OR_RETURN(
-        std::vector<WireSectionView> sections,
-        ParseShardSections(*bundles[i], shard_ids[i], &metas,
-                           &rng_fingerprint, &sampler_payloads));
+  states.reserve(parsed.size());
+  for (const std::vector<WireSectionView>& sections : parsed) {
     GUS_ASSIGN_OR_RETURN(WireSectionView state,
                          FindWireSection(sections, WireTag::kSboxState));
     GUS_ASSIGN_OR_RETURN(
@@ -184,7 +184,6 @@ Result<FaultTolerantResult> FoldGatheredShardBundles(
         StreamingSboxEstimator::DeserializeState(state.payload));
     states.push_back(std::move(est));
   }
-  GUS_RETURN_NOT_OK(ValidateShardSamplerStates(sampler_payloads));
   // Shard-ordered merge of the delivered states; the degraded path below
   // folds the per-shard states directly instead (it needs the
   // within-shard / cross-shard pair split the merge would erase).
@@ -331,15 +330,6 @@ void JoinAbandonedShardAttempts() {
   for (std::thread& t : take) t.join();
 }
 
-Result<std::vector<WireSectionView>> ReceiveShardSections(
-    ShardTransport* transport, int shard_index, std::vector<ShardMeta>* metas,
-    std::string* rng_fingerprint, std::vector<std::string>* sampler_payloads,
-    std::string* bundle_storage) {
-  GUS_ASSIGN_OR_RETURN(*bundle_storage, transport->Receive(shard_index));
-  return ParseShardSections(*bundle_storage, shard_index, metas,
-                            rng_fingerprint, sampler_payloads);
-}
-
 Status ValidateShardSamplerStates(
     const std::vector<std::string>& sampler_payloads) {
   for (size_t k = 1; k < sampler_payloads.size(); ++k) {
@@ -386,14 +376,26 @@ std::vector<ShardOutcome> SuperviseShards(int num_shards,
   return outcomes;
 }
 
-Result<FaultTolerantResult> FinishShardGather(
-    const std::vector<ShardOutcome>& outcomes,
-    const std::string& pivot_relation, bool allow_partial,
-    bool capture_merged_state, ExecStats* stats) {
-  const int num_shards = static_cast<int>(outcomes.size());
+namespace {
+
+/// The delivered bundles (borrowed from the outcomes) in ascending shard
+/// order, plus (shard, final error) for each shard lost past its retry
+/// budget — non-empty only under allow_partial.
+struct DeliveredShards {
   std::vector<int> shard_ids;
   std::vector<const std::string*> bundles;
   std::vector<std::pair<int, std::string>> failed;
+};
+
+/// The outcome accounting every finish step shares: shard counters into
+/// `stats` on every return path, a fatal failure propagates, a retryable
+/// loss propagates unless `allow_partial` (its message ending in
+/// `no_partial_why`).
+Result<DeliveredShards> AccountShardOutcomes(
+    const std::vector<ShardOutcome>& outcomes, bool allow_partial,
+    const char* no_partial_why, ExecStats* stats) {
+  const int num_shards = static_cast<int>(outcomes.size());
+  DeliveredShards delivered;
   int fatal_shard = -1;
   int64_t attempts = 0;
   int64_t retries = 0;
@@ -404,20 +406,20 @@ Result<FaultTolerantResult> FinishShardGather(
     retries += std::max(outcome.attempts - 1, 0);
     deadline_hits += outcome.deadline_hits;
     if (outcome.status.ok()) {
-      shard_ids.push_back(k);
-      bundles.push_back(&outcome.bundle);
+      delivered.shard_ids.push_back(k);
+      delivered.bundles.push_back(&outcome.bundle);
       continue;
     }
     if (fatal_shard < 0 && !IsRetryableShardFailure(outcome.status)) {
       fatal_shard = k;
     }
-    failed.emplace_back(k, outcome.status.ToString());
+    delivered.failed.emplace_back(k, outcome.status.ToString());
   }
   if (stats != nullptr) {
     stats->shard_attempts = attempts;
     stats->shard_retries = retries;
     stats->shard_deadline_hits = deadline_hits;
-    stats->shards_lost = static_cast<int64_t>(failed.size());
+    stats->shards_lost = static_cast<int64_t>(delivered.failed.size());
   }
   const auto shard_failure = [&](int k, const char* why) {
     const ShardOutcome& outcome = outcomes[static_cast<size_t>(k)];
@@ -429,13 +431,26 @@ Result<FaultTolerantResult> FinishShardGather(
   // Fatal (divergent-state) failures propagate regardless of
   // allow_partial — degrading would hide a configuration bug.
   if (fatal_shard >= 0) return shard_failure(fatal_shard, "");
-  if (!failed.empty() && !allow_partial) {
-    return shard_failure(failed.front().first,
-                         " and allow_partial is not set");
+  if (!delivered.failed.empty() && !allow_partial) {
+    return shard_failure(delivered.failed.front().first, no_partial_why);
   }
+  return delivered;
+}
+
+}  // namespace
+
+Result<FaultTolerantResult> FinishShardGather(
+    const std::vector<ShardOutcome>& outcomes,
+    const std::string& pivot_relation, bool allow_partial,
+    bool capture_merged_state, ExecStats* stats) {
+  GUS_ASSIGN_OR_RETURN(DeliveredShards delivered,
+                       AccountShardOutcomes(outcomes, allow_partial,
+                                            " and allow_partial is not set",
+                                            stats));
   Result<FaultTolerantResult> result = FoldGatheredShardBundles(
-      shard_ids, bundles, num_shards, pivot_relation, failed,
-      capture_merged_state && failed.empty());
+      delivered.shard_ids, delivered.bundles,
+      static_cast<int>(outcomes.size()), pivot_relation, delivered.failed,
+      capture_merged_state && delivered.failed.empty());
   if (stats != nullptr && result.ok()) {
     const FaultTolerantResult& folded = result.ValueOrDie();
     stats->degraded = folded.degraded;
@@ -443,6 +458,40 @@ Result<FaultTolerantResult> FinishShardGather(
         folded.degraded ? folded.degradation.effective_coverage : 1.0;
   }
   return result;
+}
+
+Result<int64_t> FinishItemShardGather(const std::vector<ShardOutcome>& outcomes,
+                                      WireTag item_tag, size_t num_items,
+                                      const ShardItemMergeFn& merge,
+                                      ExecStats* stats) {
+  GUS_ASSIGN_OR_RETURN(
+      DeliveredShards delivered,
+      AccountShardOutcomes(outcomes, /*allow_partial=*/false,
+                           " and per-item states cannot degrade", stats));
+  std::vector<ShardMeta> metas;
+  GUS_ASSIGN_OR_RETURN(
+      std::vector<std::vector<WireSectionView>> parsed,
+      ParseShardBundles(delivered.shard_ids, delivered.bundles, &metas));
+  // Every bundle passed the consistency checks before any state merges.
+  GUS_RETURN_NOT_OK(ValidateShardMetas(metas));
+  int64_t rows = 0;
+  for (size_t k = 0; k < parsed.size(); ++k) {
+    std::vector<std::string_view> payloads;
+    for (const WireSectionView& section : parsed[k]) {
+      if (section.tag == item_tag) payloads.push_back(section.payload);
+    }
+    if (payloads.size() != num_items) {
+      return Status::InvalidArgument(
+          "shard " + std::to_string(k) + " bundle carries " +
+          std::to_string(payloads.size()) + " item states, expected " +
+          std::to_string(num_items));
+    }
+    for (size_t item = 0; item < num_items; ++item) {
+      GUS_RETURN_NOT_OK(merge(item, payloads[item]));
+    }
+    rows += metas[k].rows;
+  }
+  return rows;
 }
 
 Result<FaultTolerantResult> GatherSboxEstimate(
@@ -460,55 +509,62 @@ Result<FaultTolerantResult> GatherSboxEstimate(
       /*stats=*/nullptr);
 }
 
+Result<std::vector<ShardOutcome>> SuperviseInProcessShards(
+    const PlanPtr& plan, ColumnarCatalog* columnar, const ExecOptions& exec,
+    int num_shards, ShardTransport* transport, const InProcessShardFn& worker) {
+  GUS_RETURN_NOT_OK(WarmCatalogForPlan(plan, columnar));
+  GUS_ASSIGN_OR_RETURN(const uint64_t expected_fingerprint,
+                       PlanCatalogFingerprint(plan, columnar));
+  LocalTransport local;
+  if (transport == nullptr) transport = &local;
+  // Workers must not share the caller's ExecStats (concurrent shards — and
+  // abandoned attempts possibly outliving this call — would race on it).
+  ExecOptions worker_exec = exec;
+  worker_exec.stats = nullptr;
+  return SuperviseShards(
+      num_shards, exec.retry, [&](int k) -> Result<std::string> {
+        GUS_ASSIGN_OR_RETURN(
+            std::string bundle,
+            RunWithDeadline(exec.retry.deadline_ms,
+                            [worker, worker_exec, k, expected_fingerprint] {
+                              return worker(k, worker_exec,
+                                            expected_fingerprint);
+                            }));
+        GUS_RETURN_NOT_OK(transport->Send(k, std::move(bundle)));
+        return transport->Receive(k);
+      });
+}
+
 namespace {
 
-/// \brief The in-process scatter/gather behind every one-call form: an
-/// attempt runs the worker under `exec.retry.deadline_ms`, sends, and
-/// reads the bundle back (wire damage surfaces while the shard can still
-/// be re-dispatched). `columnar` is shared with attempts abandoned at a
-/// deadline, keeping its caches alive for late finishers (the base data
-/// itself must outlive them; see JoinAbandonedShardAttempts).
+/// \brief The SBox one-call scatter/gather: RunShardSbox attempts under
+/// SuperviseInProcessShards, finished by FinishShardGather. `columnar` is
+/// shared with attempts abandoned at a deadline, keeping its caches alive
+/// for late finishers (the base data itself must outlive them; see
+/// JoinAbandonedShardAttempts).
 Result<FaultTolerantResult> InProcessShardGather(
     const PlanPtr& plan, std::shared_ptr<ColumnarCatalog> columnar,
     uint64_t seed, ExecMode mode, const ExecOptions& exec, int num_shards,
     const ExprPtr& f_expr, const GusParams& gus, const SboxOptions& options,
     ShardTransport* transport) {
-  if (num_shards < 1) {
-    return Status::InvalidArgument("num_shards must be >= 1");
-  }
-  GUS_RETURN_NOT_OK(exec.Validate());
   if (exec.stats != nullptr) exec.stats->Reset();
-  LocalTransport local;
-  if (transport == nullptr) transport = &local;
-  GUS_RETURN_NOT_OK(WarmCatalogForPlan(plan, columnar.get()));
-  GUS_ASSIGN_OR_RETURN(const uint64_t expected_fingerprint,
-                       PlanCatalogFingerprint(plan, columnar.get()));
+  // PlanShards validates num_shards and `exec` before anything runs.
   GUS_ASSIGN_OR_RETURN(ShardPlan sp,
                        PlanShards(plan, columnar.get(), mode,
                                   ShardedExecOptions(exec), num_shards));
   const std::string pivot_relation =
       sp.split.partitionable ? sp.split.pivot_relation : std::string();
-
-  // Workers must not share the caller's ExecStats (concurrent shards — and
-  // abandoned attempts possibly outliving this call — would race on it).
-  ExecOptions worker_exec = exec;
-  worker_exec.stats = nullptr;
-  const std::vector<ShardOutcome> outcomes = SuperviseShards(
-      num_shards, exec.retry, [&](int k) -> Result<std::string> {
-        GUS_ASSIGN_OR_RETURN(
-            std::string bundle,
-            RunWithDeadline(exec.retry.deadline_ms,
-                            [plan, columnar, seed, mode, worker_exec, k,
-                             num_shards, f_expr, gus, options,
-                             expected_fingerprint] {
-                              return RunShardSbox(
-                                  plan, columnar.get(), seed, mode,
-                                  worker_exec, k, num_shards, f_expr, gus,
-                                  options, expected_fingerprint);
-                            }));
-        GUS_RETURN_NOT_OK(transport->Send(k, std::move(bundle)));
-        return transport->Receive(k);
-      });
+  GUS_ASSIGN_OR_RETURN(
+      std::vector<ShardOutcome> outcomes,
+      SuperviseInProcessShards(
+          plan, columnar.get(), exec, num_shards, transport,
+          [plan, columnar, seed, mode, num_shards, f_expr, gus, options](
+              int k, const ExecOptions& worker_exec,
+              uint64_t expected_fingerprint) {
+            return RunShardSbox(plan, columnar.get(), seed, mode, worker_exec,
+                                k, num_shards, f_expr, gus, options,
+                                expected_fingerprint);
+          }));
   return FinishShardGather(outcomes, pivot_relation, exec.allow_partial,
                            /*capture_merged_state=*/false, exec.stats);
 }
@@ -564,50 +620,6 @@ Result<SboxReport> ShardedSboxEstimate(const PlanPtr& plan,
   return ShardedSboxEstimateOverCatalog(plan, &columnar, seed, mode, exec,
                                         num_shards, f_expr, gus, options,
                                         transport);
-}
-
-Result<ColumnarRelation> ExecutePlanSharded(const PlanPtr& plan,
-                                            ColumnarCatalog* catalog,
-                                            Rng* rng, ExecMode mode,
-                                            const ExecOptions& options) {
-  GUS_RETURN_NOT_OK(options.Validate());
-  const ExecOptions normalized = ShardedExecOptions(options);
-  GUS_RETURN_NOT_OK(WarmCatalogForPlan(plan, catalog));
-  GUS_ASSIGN_OR_RETURN(
-      ShardPlan sp,
-      PlanShards(plan, catalog, mode, normalized, options.num_shards));
-  // Every shard starts from the identical stream position; shard 0 runs on
-  // the caller's generator so `rng` advances exactly as one full morsel
-  // run would (serial prepare + the stream-base draw). Shards execute
-  // concurrently — each on its own generator copy — and their relations
-  // concatenate in shard order.
-  const Rng initial = *rng;
-  const int num_shards = static_cast<int>(sp.shards.size());
-  std::vector<Rng> worker_rngs(static_cast<size_t>(num_shards), initial);
-  std::vector<Result<ColumnarRelation>> parts(
-      static_cast<size_t>(num_shards),
-      Result<ColumnarRelation>(Status::Internal("shard did not run")));
-  {
-    PoolLease pool(std::min(num_shards, ThreadPool::HardwareThreads()));
-    pool->ParallelFor(num_shards, [&](int64_t k) {
-      const ShardSpec& spec = sp.shards[static_cast<size_t>(k)];
-      Rng* use = spec.shard_index == 0 ? rng : &worker_rngs[k];
-      parts[static_cast<size_t>(k)] =
-          ExecutePlanMorselRange(plan, catalog, use, mode, normalized,
-                                 spec.unit_begin, spec.unit_end);
-    });
-  }
-  std::optional<ColumnarRelation> merged;
-  for (int k = 0; k < num_shards; ++k) {
-    GUS_RETURN_NOT_OK(parts[k].status());
-    ColumnarRelation part = std::move(parts[k]).ValueOrDie();
-    if (!merged.has_value()) {
-      merged.emplace(std::move(part));
-    } else {
-      merged->AppendBatch(part.data());
-    }
-  }
-  return std::move(merged).value();
 }
 
 }  // namespace gus

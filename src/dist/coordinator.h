@@ -8,13 +8,12 @@
 // what makes the result bit-identical to a single-process run: merge
 // order is part of the floating-point result's identity.
 //
-// Every SBox scatter/gather — in-process, from a transport, or over
-// sockets (serve/session.h) — is an attempt callable run by the one
-// per-shard retry loop (SuperviseShards) and finished by the one finish
-// step (FinishShardGather), so which failures are fatal, which are
-// retried, and when a gather degrades is decided in one place (see
-// examples/sharded_estimate.cc for the in-process and multi-process
-// shapes).
+// Every scatter/gather — SBox in-process, from a transport or over sockets
+// (serve/session.h), and sqlish's per-item SQL gathers — is an attempt
+// callable run by the one per-shard retry loop (SuperviseShards), whose
+// outcomes one accounting step judges: fatal, retried, or degraded. Only
+// the fold differs: FinishShardGather (SBox) or FinishItemShardGather
+// (per-item). See examples/sharded_estimate.cc for both process shapes.
 
 #ifndef GUS_DIST_COORDINATOR_H_
 #define GUS_DIST_COORDINATOR_H_
@@ -22,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,25 +37,6 @@
 #include "util/status.h"
 
 namespace gus {
-
-/// \brief The shared first half of every gather step: receive shard
-/// `shard_index`'s bundle, parse and checksum it, record its META in
-/// `*metas`, enforce the RNGS seed fingerprint against `*rng_fingerprint`
-/// (adopted from the first bundle when empty), and require a well-formed
-/// SMPL resolved-sampler section.
-///
-/// Every gather (SBox here, per-item sqlish in sqlish/planner.cc) goes
-/// through this one implementation so a hardened consistency contract
-/// applies everywhere at once. The SMPL payload is parsed for
-/// well-formedness and appended to `*sampler_payloads` (byte-compared
-/// across shards later). The returned section views borrow
-/// `*bundle_storage`, which receives the raw bundle bytes and must
-/// outlive them. Callers finish with ValidateShardMetas +
-/// ValidateShardSamplerStates once all shards are in.
-Result<std::vector<WireSectionView>> ReceiveShardSections(
-    ShardTransport* transport, int shard_index, std::vector<ShardMeta>* metas,
-    std::string* rng_fingerprint, std::vector<std::string>* sampler_payloads,
-    std::string* bundle_storage);
 
 /// \brief Cross-shard equality of the SMPL resolved-sampler payloads
 /// (index order, shard 0 as the reference).
@@ -150,11 +131,11 @@ Result<FaultTolerantResult> FoldGatheredShardBundles(
     const std::vector<std::pair<int, std::string>>& failed,
     bool capture_merged_state = false);
 
-/// \brief The one finish step: SuperviseShards outcomes -> result.
+/// \brief The SBox finish step: SuperviseShards outcomes -> result.
 ///
 /// A fatal failure propagates with its own code; so does a retryable loss
-/// (naming the shard, the attempts it made, and allow_partial) unless
-/// `allow_partial` is set. Otherwise the bundles fold through
+/// (naming the shard and the attempts it made) unless `allow_partial` is
+/// set. Otherwise the bundles fold through
 /// FoldGatheredShardBundles (`pivot_relation`: MorselSplit::
 /// pivot_relation, "" for non-partitionable plans), capturing the merged
 /// state only for a complete gather. `stats`, when set, receives the
@@ -164,6 +145,24 @@ Result<FaultTolerantResult> FinishShardGather(
     const std::vector<ShardOutcome>& outcomes,
     const std::string& pivot_relation, bool allow_partial,
     bool capture_merged_state, ExecStats* stats);
+
+/// Merges item `item`'s serialized state into the caller's accumulator.
+using ShardItemMergeFn =
+    std::function<Status(size_t item, std::string_view payload)>;
+
+/// \brief The per-item finish step of the sqlish kSharded / kServed
+/// gathers, whose bundles carry `num_items` `item_tag` sections (VBLD or
+/// GRUP) instead of one SBOX state.
+///
+/// Accounts the outcomes as FinishShardGather does, except that per-item
+/// states never degrade: any lost shard fails with its own code. All
+/// bundles pass the SBox fold's META/RNGS/SMPL checks and
+/// ValidateShardMetas before `merge` sees an item, shard-major in shard
+/// order. Returns the summed META row count.
+Result<int64_t> FinishItemShardGather(const std::vector<ShardOutcome>& outcomes,
+                                      WireTag item_tag, size_t num_items,
+                                      const ShardItemMergeFn& merge,
+                                      ExecStats* stats);
 
 /// \brief Receives (once per shard) and merges `num_shards` SBox shard
 /// bundles from `transport` and finishes the estimation — the half the
@@ -180,6 +179,22 @@ Result<FaultTolerantResult> FinishShardGather(
 Result<FaultTolerantResult> GatherSboxEstimate(
     ShardTransport* transport, int num_shards,
     const std::string& pivot_relation = "", bool allow_partial = false);
+
+/// \brief One in-process run of shard `shard`, returning its bundle.
+/// Holds what it uses by value: an attempt abandoned at its deadline may
+/// outlive the gather that launched it.
+using InProcessShardFn = std::function<Result<std::string>(
+    int shard, const ExecOptions& exec, uint64_t expected_fingerprint)>;
+
+/// \brief The in-process scatter behind the one-call SBox forms and the
+/// sqlish SQL gathers: warms `columnar`, then runs `worker` per shard under
+/// SuperviseShards with `exec.retry` (valid `exec` required). Each attempt
+/// runs under the deadline with `exec.stats` stripped, then is sent
+/// through `transport` (a local mailbox when null) and read back, so wire
+/// damage surfaces while the shard can still be re-dispatched.
+Result<std::vector<ShardOutcome>> SuperviseInProcessShards(
+    const PlanPtr& plan, ColumnarCatalog* columnar, const ExecOptions& exec,
+    int num_shards, ShardTransport* transport, const InProcessShardFn& worker);
 
 /// \brief One-call scatter/gather: runs every shard worker in-process
 /// (concurrently, one attempt each, each from its own Rng(seed)) through
@@ -237,18 +252,6 @@ Result<FaultTolerantResult> FaultTolerantShardedSboxEstimate(
 /// this before tearing those down (tests and long-lived coordinators do;
 /// short-lived processes can rely on exit). Idempotent.
 void JoinAbandonedShardAttempts();
-
-/// \brief The materializing sharded engine behind ExecEngine::kSharded:
-/// every shard executes its unit range (shard 0 advancing `rng` exactly
-/// like a full morsel run; the rest from copies of the initial stream)
-/// and the per-shard relations concatenate in shard order.
-///
-/// Bit-identical across num_shards and to ExecutePlanMorsel at the same
-/// (seed, morsel_rows).
-Result<ColumnarRelation> ExecutePlanSharded(const PlanPtr& plan,
-                                            ColumnarCatalog* catalog,
-                                            Rng* rng, ExecMode mode,
-                                            const ExecOptions& options);
 
 }  // namespace gus
 

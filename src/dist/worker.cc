@@ -29,31 +29,6 @@ Status AnnotateShard(Status st, int shard_index, const char* site) {
   }
 }
 
-/// Adapts StreamingSboxEstimator to the morsel sink protocol (the dist
-/// twin of the adapter inside est/streaming.cc).
-class SboxShardSink final : public MergeableBatchSink {
- public:
-  explicit SboxShardSink(StreamingSboxEstimator est) : est_(std::move(est)) {}
-
-  Status Consume(const ColumnBatch& batch) override {
-    return est_.Consume(batch);
-  }
-
-  Status MergeFrom(BatchSink* other) override {
-    return est_.Merge(std::move(static_cast<SboxShardSink*>(other)->est_));
-  }
-
-  bool Recycle() override {
-    est_.Reset();
-    return true;
-  }
-
-  StreamingSboxEstimator* estimator() { return &est_; }
-
- private:
-  StreamingSboxEstimator est_;
-};
-
 }  // namespace
 
 std::string BuildShardBundle(
@@ -145,17 +120,10 @@ Result<std::string> RunShardSbox(
   std::vector<ResolvedPivotSampler> samplers;
   GUS_RETURN_NOT_OK(RunShardToSink(
       plan, catalog, seed, mode, exec, shard_index, num_shards,
-      [&](const BatchLayout& layout)
-          -> Result<std::unique_ptr<MergeableBatchSink>> {
-        GUS_ASSIGN_OR_RETURN(
-            StreamingSboxEstimator est,
-            StreamingSboxEstimator::Make(layout, f_expr, gus, options));
-        return std::unique_ptr<MergeableBatchSink>(
-            new SboxShardSink(std::move(est)));
-      },
-      &sink, &meta, &samplers, expected_catalog_fingerprint));
+      SboxEstimatorSink::Factory(f_expr, gus, options), &sink, &meta,
+      &samplers, expected_catalog_fingerprint));
   StreamingSboxEstimator* est =
-      static_cast<SboxShardSink*>(sink.get())->estimator();
+      static_cast<SboxEstimatorSink*>(sink.get())->estimator();
   meta.rows = est->rows_seen();
   // Injection site: the range executed, but the bundle never materializes
   // (death/failure between execution and serialization).

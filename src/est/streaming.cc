@@ -506,34 +506,18 @@ void StreamingSboxEstimator::Reset() {
   ustar_.clear();
 }
 
-namespace {
-
-/// Adapts StreamingSboxEstimator to the morsel executor's sink protocol.
-class SboxEstimatorSink final : public MergeableBatchSink {
- public:
-  explicit SboxEstimatorSink(StreamingSboxEstimator est)
-      : est_(std::move(est)) {}
-
-  Status Consume(const ColumnBatch& batch) override {
-    return est_.Consume(batch);
-  }
-
-  Status MergeFrom(BatchSink* other) override {
-    return est_.Merge(std::move(static_cast<SboxEstimatorSink*>(other)->est_));
-  }
-
-  bool Recycle() override {
-    est_.Reset();
-    return true;
-  }
-
-  StreamingSboxEstimator* estimator() { return &est_; }
-
- private:
-  StreamingSboxEstimator est_;
-};
-
-}  // namespace
+MorselSinkFactory SboxEstimatorSink::Factory(ExprPtr f_expr, GusParams gus,
+                                             SboxOptions options) {
+  return [f_expr = std::move(f_expr), gus = std::move(gus),
+          options = std::move(options)](const BatchLayout& layout)
+             -> Result<std::unique_ptr<MergeableBatchSink>> {
+    GUS_ASSIGN_OR_RETURN(
+        StreamingSboxEstimator est,
+        StreamingSboxEstimator::Make(layout, f_expr, gus, options));
+    return std::unique_ptr<MergeableBatchSink>(
+        new SboxEstimatorSink(std::move(est)));
+  };
+}
 
 Result<SboxReport> EstimatePlanParallel(const PlanPtr& plan,
                                         ColumnarCatalog* catalog, Rng* rng,
@@ -545,15 +529,7 @@ Result<SboxReport> EstimatePlanParallel(const PlanPtr& plan,
   std::unique_ptr<MergeableBatchSink> sink;
   GUS_RETURN_NOT_OK(ParallelExecutePlanToSink(
       plan, catalog, rng, mode, exec,
-      [&](const BatchLayout& layout)
-          -> Result<std::unique_ptr<MergeableBatchSink>> {
-        GUS_ASSIGN_OR_RETURN(
-            StreamingSboxEstimator est,
-            StreamingSboxEstimator::Make(layout, f_expr, gus, options));
-        return std::unique_ptr<MergeableBatchSink>(
-            new SboxEstimatorSink(std::move(est)));
-      },
-      &sink));
+      SboxEstimatorSink::Factory(f_expr, gus, options), &sink));
   return static_cast<SboxEstimatorSink*>(sink.get())->estimator()->Finish();
 }
 

@@ -35,6 +35,7 @@
 #include "est/sample_view.h"
 #include "est/sbox.h"
 #include "plan/columnar_executor.h"
+#include "plan/parallel_executor.h"
 #include "rel/column_batch.h"
 #include "rel/expression.h"
 #include "util/status.h"
@@ -231,6 +232,38 @@ class StreamingSboxEstimator final : public BatchSink {
   /// (a row survives threshold p iff ustar < p).
   SampleView retained_;
   std::vector<double> ustar_;
+};
+
+/// \brief Adapts StreamingSboxEstimator to the morsel sink protocol — the
+/// one SBox sink behind EstimatePlanParallel and the shard workers
+/// (dist/worker.h). Recycle() resets the estimator, so the executor's
+/// per-morsel arena reuses one binding across morsels.
+class SboxEstimatorSink final : public MergeableBatchSink {
+ public:
+  explicit SboxEstimatorSink(StreamingSboxEstimator est)
+      : est_(std::move(est)) {}
+
+  /// Hands every morsel a fresh estimator for `f_expr` over `gus`.
+  static MorselSinkFactory Factory(ExprPtr f_expr, GusParams gus,
+                                   SboxOptions options);
+
+  Status Consume(const ColumnBatch& batch) override {
+    return est_.Consume(batch);
+  }
+
+  Status MergeFrom(BatchSink* other) override {
+    return est_.Merge(std::move(static_cast<SboxEstimatorSink*>(other)->est_));
+  }
+
+  bool Recycle() override {
+    est_.Reset();
+    return true;
+  }
+
+  StreamingSboxEstimator* estimator() { return &est_; }
+
+ private:
+  StreamingSboxEstimator est_;
 };
 
 /// \brief Executes `plan` on the columnar engine and streams the result

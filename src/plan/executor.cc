@@ -1,6 +1,6 @@
 #include "plan/executor.h"
 
-#include "dist/coordinator.h"
+#include "dist/shard.h"
 #include "plan/columnar_executor.h"
 #include "plan/parallel_executor.h"
 #include "rel/operators.h"
@@ -94,18 +94,19 @@ Result<Relation> ExecutePlan(const PlanPtr& plan, const Catalog& catalog,
                               options.batch_rows));
       return result.ToRelation();
     }
-    case ExecEngine::kMorselParallel: {
-      ColumnarCatalog columnar(&catalog);
-      GUS_ASSIGN_OR_RETURN(
-          ColumnarRelation result,
-          ExecutePlanMorsel(plan, &columnar, rng, mode, options));
-      return result.ToRelation();
-    }
+    case ExecEngine::kMorselParallel:
     case ExecEngine::kSharded: {
+      // Shards are contiguous ranges of the morsel engine's unit sequence,
+      // merged in unit order, so the materialized kSharded relation is the
+      // morsel run at the shard-normalized geometry — bits and `rng`
+      // advance included.
       ColumnarCatalog columnar(&catalog);
       GUS_ASSIGN_OR_RETURN(
           ColumnarRelation result,
-          ExecutePlanSharded(plan, &columnar, rng, mode, options));
+          ExecutePlanMorsel(plan, &columnar, rng, mode,
+                            options.engine == ExecEngine::kSharded
+                                ? ShardedExecOptions(options)
+                                : options));
       return result.ToRelation();
     }
     case ExecEngine::kServed:

@@ -59,7 +59,10 @@ enum class ExecMode { kSampled, kExact };
 /// shard-count independent, its result is bit-identical across num_shards
 /// values AND to kMorselParallel at the same (seed, morsel_rows); an
 /// unset morsel_rows is pinned to kDefaultMorselRows rather than
-/// auto-sized, so the split never depends on num_threads either.
+/// auto-sized, so the split never depends on num_threads either. SBox and
+/// sqlish shards run under the one shard supervisor (dist/coordinator.h)
+/// per ExecOptions::retry; ExecutePlan materializes kSharded as the morsel
+/// run at ShardedExecOptions — the same relation and `rng` advance.
 ///
 /// kServed is the estimator-only serving engine (sqlish RunApproxQuery):
 /// the kSharded scatter/gather fronted by the approximate-view cache
@@ -200,15 +203,18 @@ struct ExecOptions {
   /// environment variable additionally dumps the same profile to stderr
   /// whether or not this is set.
   ExecStats* stats = nullptr;
-  /// Retry/deadline/backoff discipline for FaultTolerantShardedSboxEstimate
-  /// (the plain sharded one-call forms run one attempt per shard; served
-  /// queries carry their own in ServedRequest).
+  /// Retry/deadline/backoff discipline for the supervised shard gathers:
+  /// FaultTolerantShardedSboxEstimate and the sqlish kSharded / kServed
+  /// queries (the plain ShardedSboxEstimate forms run one attempt per
+  /// shard; socket-served SBox queries carry their own in ServedRequest).
   ShardRetryPolicy retry;
   /// \brief Acknowledges statistical degradation: when shards are lost
   /// past their retry budget, fold the survivors through the
   /// est/partial_gather re-weighting (unbiased estimate, honestly wider
   /// CI, DegradedReport attached) instead of failing the query.
   ///
+  /// Degrades SBox gathers only: a sqlish kSharded / kServed query that
+  /// loses a shard fails with that shard's error whatever this says.
   /// Defaults to false — partial answers are opt-in, never silent.
   bool allow_partial = false;
   /// \brief Zone-map / keep-set segment skipping for segment-backed pivot

@@ -1665,14 +1665,13 @@ Status ParallelExecutePlanToSink(const PlanPtr& plan, ColumnarCatalog* catalog,
       std::numeric_limits<int64_t>::max(), make_sink, out);
 }
 
-namespace {
-
-Result<ColumnarRelation> ExecuteRangeToRelation(
-    const PlanPtr& plan, ColumnarCatalog* catalog, Rng* rng, ExecMode mode,
-    const ExecOptions& options, int64_t unit_begin, int64_t unit_end) {
+Result<ColumnarRelation> ExecutePlanMorsel(const PlanPtr& plan,
+                                           ColumnarCatalog* catalog, Rng* rng,
+                                           ExecMode mode,
+                                           const ExecOptions& options) {
   std::unique_ptr<MergeableBatchSink> sink;
-  GUS_RETURN_NOT_OK(ParallelExecuteUnitRangeToSink(
-      plan, catalog, rng, mode, options, unit_begin, unit_end,
+  GUS_RETURN_NOT_OK(ParallelExecutePlanToSink(
+      plan, catalog, rng, mode, options,
       [](const BatchLayout& layout)
           -> Result<std::unique_ptr<MergeableBatchSink>> {
         auto ptr = std::make_shared<BatchLayout>(layout);
@@ -1708,26 +1707,6 @@ Result<ColumnarRelation> ExecuteRangeToRelation(
                  gather_ms, static_cast<long long>(num_parts));
   }
   return result;
-}
-
-}  // namespace
-
-Result<ColumnarRelation> ExecutePlanMorsel(const PlanPtr& plan,
-                                           ColumnarCatalog* catalog, Rng* rng,
-                                           ExecMode mode,
-                                           const ExecOptions& options) {
-  return ExecuteRangeToRelation(plan, catalog, rng, mode, options, 0,
-                                std::numeric_limits<int64_t>::max());
-}
-
-Result<ColumnarRelation> ExecutePlanMorselRange(const PlanPtr& plan,
-                                                ColumnarCatalog* catalog,
-                                                Rng* rng, ExecMode mode,
-                                                const ExecOptions& options,
-                                                int64_t unit_begin,
-                                                int64_t unit_end) {
-  return ExecuteRangeToRelation(plan, catalog, rng, mode, options, unit_begin,
-                                unit_end);
 }
 
 }  // namespace gus

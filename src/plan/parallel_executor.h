@@ -217,15 +217,6 @@ Result<ColumnarRelation> ExecutePlanMorsel(const PlanPtr& plan,
                                            ExecMode mode,
                                            const ExecOptions& options);
 
-/// ExecutePlanMorsel restricted to units [unit_begin, unit_end) — the
-/// materializing shard-worker path (ExecEngine::kSharded relations).
-Result<ColumnarRelation> ExecutePlanMorselRange(const PlanPtr& plan,
-                                                ColumnarCatalog* catalog,
-                                                Rng* rng, ExecMode mode,
-                                                const ExecOptions& options,
-                                                int64_t unit_begin,
-                                                int64_t unit_end);
-
 }  // namespace gus
 
 #endif  // GUS_PLAN_PARALLEL_EXECUTOR_H_

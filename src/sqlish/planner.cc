@@ -9,7 +9,6 @@
 
 #include "dist/coordinator.h"
 #include "dist/shard.h"
-#include "dist/transport.h"
 #include "dist/worker.h"
 #include "est/confidence.h"
 #include "est/group_by.h"
@@ -263,66 +262,37 @@ Result<ApproxValue> EstimateItem(const SelectItem& item, const GusParams& top,
   return value;
 }
 
-/// Ungrouped columnar path: one pipeline pass fans the batch stream out to
-/// every item's SampleViewBuilder; the result is never materialized.
-Result<ApproxResult> RunUngroupedStreaming(const PlannedQuery& planned,
-                                           const SoaResult& soa,
-                                           const Catalog& catalog, Rng* rng,
-                                           const SboxOptions& options,
-                                           int64_t batch_rows) {
-  ColumnarCatalog columnar(&catalog);
-  GUS_ASSIGN_OR_RETURN(
-      std::unique_ptr<BatchSource> pipeline,
-      CompileBatchPipeline(planned.plan, &columnar, rng, ExecMode::kSampled,
-                           batch_rows));
-  std::vector<SampleViewBuilder> builders;
-  builders.reserve(planned.items.size());
-  for (const SelectItem& item : planned.items) {
-    GUS_ASSIGN_OR_RETURN(
-        SampleViewBuilder builder,
-        SampleViewBuilder::Make(*pipeline->layout(), item.expr,
-                                soa.top.schema()));
-    builders.push_back(std::move(builder));
+/// A grouped SUM item's per-group values (in the estimates' key order) —
+/// shared by the materializing and streaming paths.
+void AppendGroupValues(const SelectItem& item, const std::string& group_by,
+                       const std::vector<GroupEstimate>& estimates,
+                       ApproxResult* result) {
+  for (const GroupEstimate& ge : estimates) {
+    ApproxValue value;
+    value.label = "SUM(" + item.expr->ToString() + ")";
+    value.group = group_by + "=" + ge.key.ToString();
+    value.value = ge.estimate;
+    value.stddev = ge.stddev;
+    value.lo = ge.interval.lo;
+    value.hi = ge.interval.hi;
+    result->values.push_back(std::move(value));
   }
-  ApproxResult result;
-  // Adapter so the fused pipeline gathers once here, at the sink, and fans
-  // the gathered batch to every item's builder.
-  class FanoutSink final : public BatchSink {
-   public:
-    FanoutSink(std::vector<SampleViewBuilder>* builders, int64_t* rows)
-        : builders_(builders), rows_(rows) {}
-    Status Consume(const ColumnBatch& batch) override {
-      *rows_ += batch.num_rows();
-      for (SampleViewBuilder& builder : *builders_) {
-        GUS_RETURN_NOT_OK(builder.Consume(batch));
-      }
-      return Status::OK();
-    }
-
-   private:
-    std::vector<SampleViewBuilder>* builders_;
-    int64_t* rows_;
-  };
-  FanoutSink fanout(&builders, &result.sample_rows);
-  GUS_RETURN_NOT_OK(PumpToSink(pipeline.get(), &fanout));
-  for (size_t i = 0; i < planned.items.size(); ++i) {
-    GUS_ASSIGN_OR_RETURN(ApproxValue value,
-                         EstimateItem(planned.items[i], soa.top,
-                                      builders[i].view(), options));
-    result.values.push_back(std::move(value));
-  }
-  return result;
 }
 
-/// \brief Per-morsel fan-out sink: one SampleViewBuilder per select item
+/// \brief Per-item fan-out sink: one SampleViewBuilder per select item
 /// (ungrouped) or one GroupedSumBuilder per item (grouped), plus the row
-/// count; merges element-wise in morsel order.
+/// count; merges element-wise in partition order.
+///
+/// The one sink behind every streaming engine: kColumnar pumps its
+/// pipeline into one, kMorselParallel folds one per morsel, and the
+/// kSharded / kServed gathers ship each shard's item states on the wire and
+/// Absorb them into an empty one.
 class ItemFanoutSink final : public MergeableBatchSink {
  public:
   static Result<std::unique_ptr<ItemFanoutSink>> Make(
       const BatchLayout& layout, const std::vector<SelectItem>& items,
       const LineageSchema& schema, const std::string& group_by) {
-    auto sink = std::unique_ptr<ItemFanoutSink>(new ItemFanoutSink());
+    auto sink = std::make_unique<ItemFanoutSink>(!group_by.empty());
     for (const SelectItem& item : items) {
       if (group_by.empty()) {
         GUS_ASSIGN_OR_RETURN(SampleViewBuilder builder,
@@ -338,6 +308,22 @@ class ItemFanoutSink final : public MergeableBatchSink {
     }
     return sink;
   }
+
+  /// Hands every morsel or shard its own sink; holds its inputs by value,
+  /// so a shard attempt abandoned at its deadline may outlive the query.
+  static MorselSinkFactory Factory(const PlannedQuery& planned,
+                                   const SoaResult& soa) {
+    return [items = planned.items, schema = soa.top.schema(),
+            group_by = planned.group_by](const BatchLayout& layout)
+               -> Result<std::unique_ptr<MergeableBatchSink>> {
+      GUS_ASSIGN_OR_RETURN(std::unique_ptr<ItemFanoutSink> fanout,
+                           Make(layout, items, schema, group_by));
+      return std::unique_ptr<MergeableBatchSink>(std::move(fanout));
+    };
+  }
+
+  /// An empty sink; without Make's bindings it only Absorbs item states.
+  explicit ItemFanoutSink(bool grouped) : grouped_(grouped) {}
 
   Status Consume(const ColumnBatch& batch) override {
     sample_rows_ += batch.num_rows();
@@ -374,52 +360,100 @@ class ItemFanoutSink final : public MergeableBatchSink {
     return Status::OK();
   }
 
+  /// The wire tag of the item states: VBLD ungrouped, GRUP grouped.
+  WireTag item_tag() const {
+    return grouped_ ? WireTag::kGroupedSum : WireTag::kViewBuilder;
+  }
+  size_t num_items() const {
+    return grouped_ ? groups_.size() : views_.size();
+  }
+
+  /// Every item's serialized state, in item order.
+  std::vector<std::pair<WireTag, std::string>> SerializeItems() const {
+    std::vector<std::pair<WireTag, std::string>> sections;
+    for (const SampleViewBuilder& builder : views_) {
+      sections.emplace_back(WireTag::kViewBuilder, builder.SerializeState());
+    }
+    for (const GroupedSumBuilder& builder : groups_) {
+      sections.emplace_back(WireTag::kGroupedSum, builder.SerializeState());
+    }
+    return sections;
+  }
+
+  /// Folds serialized state `payload` into item `item`: the first state
+  /// an item receives becomes it, later ones merge in after it.
+  Status Absorb(size_t item, std::string_view payload) {
+    return grouped_ ? AbsorbInto(&groups_, item, payload)
+                    : AbsorbInto(&views_, item, payload);
+  }
+
+  void add_sample_rows(int64_t rows) { sample_rows_ += rows; }
   int64_t sample_rows() const { return sample_rows_; }
-  std::vector<SampleViewBuilder>* views() { return &views_; }
-  std::vector<GroupedSumBuilder>* groups() { return &groups_; }
+  const std::vector<SampleViewBuilder>& views() const { return views_; }
+  const std::vector<GroupedSumBuilder>& groups() const { return groups_; }
 
  private:
-  ItemFanoutSink() = default;
+  template <typename Builder>
+  static Status AbsorbInto(std::vector<Builder>* builders, size_t item,
+                           std::string_view payload) {
+    GUS_ASSIGN_OR_RETURN(Builder builder, Builder::DeserializeState(payload));
+    if (item >= builders->size()) {
+      builders->push_back(std::move(builder));
+      return Status::OK();
+    }
+    return (*builders)[item].Merge(std::move(builder));
+  }
 
+  bool grouped_;
   int64_t sample_rows_ = 0;
   std::vector<SampleViewBuilder> views_;
   std::vector<GroupedSumBuilder> groups_;
 };
 
-/// The estimate tail shared by the morsel-parallel and sharded paths:
-/// per-item estimation over the merged builders (views when ungrouped,
-/// group tables otherwise), exactly one of which is populated.
-Result<ApproxResult> EstimateFromBuilders(
-    const PlannedQuery& planned, const SoaResult& soa,
-    const SboxOptions& options, int64_t sample_rows,
-    std::vector<SampleViewBuilder>* views,
-    std::vector<GroupedSumBuilder>* groups) {
+/// The estimate tail of every streaming engine: per-item estimation over
+/// the fan-out sink's builders (views when ungrouped, group tables
+/// otherwise).
+Result<ApproxResult> EstimateFromBuilders(const PlannedQuery& planned,
+                                          const SoaResult& soa,
+                                          const SboxOptions& options,
+                                          const ItemFanoutSink& items) {
   ApproxResult result;
-  result.sample_rows = sample_rows;
+  result.sample_rows = items.sample_rows();
   for (size_t i = 0; i < planned.items.size(); ++i) {
     if (planned.group_by.empty()) {
       GUS_ASSIGN_OR_RETURN(ApproxValue value,
                            EstimateItem(planned.items[i], soa.top,
-                                        (*views)[i].view(), options));
+                                        items.views()[i].view(), options));
       result.values.push_back(std::move(value));
     } else {
       GUS_ASSIGN_OR_RETURN(
           auto estimates,
-          (*groups)[i].Finish(soa.top, options.confidence_level,
-                              options.bound_kind));
-      for (const GroupEstimate& ge : estimates) {
-        ApproxValue value;
-        value.label = "SUM(" + planned.items[i].expr->ToString() + ")";
-        value.group = planned.group_by + "=" + ge.key.ToString();
-        value.value = ge.estimate;
-        value.stddev = ge.stddev;
-        value.lo = ge.interval.lo;
-        value.hi = ge.interval.hi;
-        result.values.push_back(std::move(value));
-      }
+          items.groups()[i].Finish(soa.top, options.confidence_level,
+                                   options.bound_kind));
+      AppendGroupValues(planned.items[i], planned.group_by, estimates,
+                        &result);
     }
   }
   return result;
+}
+
+/// Columnar path, grouped or not: one pipeline pass pumps the batch stream
+/// into one fan-out sink; the result is never materialized.
+Result<ApproxResult> RunColumnar(const PlannedQuery& planned,
+                                 const SoaResult& soa, const Catalog& catalog,
+                                 Rng* rng, const SboxOptions& options,
+                                 int64_t batch_rows) {
+  ColumnarCatalog columnar(&catalog);
+  GUS_ASSIGN_OR_RETURN(
+      std::unique_ptr<BatchSource> pipeline,
+      CompileBatchPipeline(planned.plan, &columnar, rng, ExecMode::kSampled,
+                           batch_rows));
+  GUS_ASSIGN_OR_RETURN(std::unique_ptr<ItemFanoutSink> fanout,
+                       ItemFanoutSink::Make(*pipeline->layout(), planned.items,
+                                            soa.top.schema(),
+                                            planned.group_by));
+  GUS_RETURN_NOT_OK(PumpToSink(pipeline.get(), fanout.get()));
+  return EstimateFromBuilders(planned, soa, options, *fanout);
 }
 
 /// Morsel-parallel path, grouped or not: one parallel pass fans every
@@ -433,153 +467,62 @@ Result<ApproxResult> RunMorselParallel(const PlannedQuery& planned,
   std::unique_ptr<MergeableBatchSink> sink;
   GUS_RETURN_NOT_OK(ParallelExecutePlanToSink(
       planned.plan, &columnar, rng, ExecMode::kSampled, exec,
-      [&](const BatchLayout& layout)
-          -> Result<std::unique_ptr<MergeableBatchSink>> {
-        GUS_ASSIGN_OR_RETURN(std::unique_ptr<ItemFanoutSink> fanout,
-                             ItemFanoutSink::Make(layout, planned.items,
-                                                  soa.top.schema(),
-                                                  planned.group_by));
-        return std::unique_ptr<MergeableBatchSink>(std::move(fanout));
-      },
-      &sink));
-  auto* fanout = static_cast<ItemFanoutSink*>(sink.get());
-  return EstimateFromBuilders(planned, soa, options, fanout->sample_rows(),
-                              fanout->views(), fanout->groups());
+      ItemFanoutSink::Factory(planned, soa), &sink));
+  return EstimateFromBuilders(planned, soa, options,
+                              *static_cast<ItemFanoutSink*>(sink.get()));
 }
 
-/// \brief The scatter/gather core shared by kSharded and kServed:
-/// scatter the query over num_shards shared-nothing workers, each
-/// serializing its per-item builder states into an est/wire bundle, then
-/// gather — deserialize and merge in shard order — leaving the merged
-/// builders (and row count) with the caller.
+/// \brief The scatter/gather behind kSharded and kServed: every shard runs
+/// under the one in-process shard supervisor (dist/coordinator.h) — with
+/// the retries, deadlines and shard counters of the SBox gathers — and
+/// serializes its per-item builder states into a wire bundle, which
+/// FinishItemShardGather merges in shard order (the global unit order the
+/// morsel engine merges in).
 ///
 /// The per-shard states round-trip through the real wire format and a
 /// ShardTransport even in this single-process form, so the cross-node
 /// contract is exercised on every kSharded query, not only in tests.
-Status RunShardedCore(const PlannedQuery& planned, const SoaResult& soa,
-                      const Catalog& catalog, uint64_t seed,
-                      const ExecOptions& exec,
-                      std::vector<SampleViewBuilder>* out_views,
-                      std::vector<GroupedSumBuilder>* out_groups,
-                      int64_t* out_sample_rows) {
-  ColumnarCatalog columnar(&catalog);
-  LocalTransport transport;
+Result<std::unique_ptr<ItemFanoutSink>> GatherShardedItems(
+    const PlannedQuery& planned, const SoaResult& soa, const Catalog& catalog,
+    uint64_t seed, const ExecOptions& exec) {
+  // Shared with attempts abandoned at a deadline (see
+  // JoinAbandonedShardAttempts).
+  auto columnar = std::make_shared<ColumnarCatalog>(&catalog);
+  const PlanPtr plan = planned.plan;
   const int num_shards = exec.num_shards;
-
-  // Scatter: every worker recomputes the deterministic shard plan and
-  // executes only its contiguous unit range.
-  for (int k = 0; k < num_shards; ++k) {
-    std::unique_ptr<MergeableBatchSink> sink;
-    ShardMeta meta;
-    std::vector<ResolvedPivotSampler> samplers;
-    GUS_RETURN_NOT_OK(RunShardToSink(
-        planned.plan, &columnar, seed, ExecMode::kSampled, exec, k,
-        num_shards,
-        [&](const BatchLayout& layout)
-            -> Result<std::unique_ptr<MergeableBatchSink>> {
-          GUS_ASSIGN_OR_RETURN(std::unique_ptr<ItemFanoutSink> fanout,
-                               ItemFanoutSink::Make(layout, planned.items,
-                                                    soa.top.schema(),
-                                                    planned.group_by));
-          return std::unique_ptr<MergeableBatchSink>(std::move(fanout));
-        },
-        &sink, &meta, &samplers));
-    auto* fanout = static_cast<ItemFanoutSink*>(sink.get());
-    meta.rows = fanout->sample_rows();
-    std::vector<std::pair<WireTag, std::string>> item_sections;
-    item_sections.reserve(planned.items.size());
-    if (planned.group_by.empty()) {
-      for (const SampleViewBuilder& builder : *fanout->views()) {
-        item_sections.emplace_back(WireTag::kViewBuilder,
-                                   builder.SerializeState());
-      }
-    } else {
-      for (const GroupedSumBuilder& builder : *fanout->groups()) {
-        item_sections.emplace_back(WireTag::kGroupedSum,
-                                   builder.SerializeState());
-      }
-    }
-    GUS_RETURN_NOT_OK(
-        transport.Send(k, BuildShardBundle(meta, samplers, item_sections)));
-  }
-
-  // Gather: deserialize and fold shard states in ascending shard order
-  // (the same global unit order the morsel engine merges in).
-  std::vector<ShardMeta> metas;
-  metas.reserve(num_shards);
-  std::vector<std::string> sampler_payloads;
-  sampler_payloads.reserve(num_shards);
-  std::vector<SampleViewBuilder> views;
-  std::vector<GroupedSumBuilder> groups;
-  int64_t sample_rows = 0;
-  std::string rng_fingerprint;
-  const WireTag item_tag = planned.group_by.empty() ? WireTag::kViewBuilder
-                                                    : WireTag::kGroupedSum;
-  for (int k = 0; k < num_shards; ++k) {
-    std::string bundle;
-    GUS_ASSIGN_OR_RETURN(
-        std::vector<WireSectionView> sections,
-        ReceiveShardSections(&transport, k, &metas, &rng_fingerprint,
-                             &sampler_payloads, &bundle));
-    sample_rows += metas.back().rows;
-    size_t matching = 0;
-    for (const WireSectionView& section : sections) {
-      if (section.tag == item_tag) ++matching;
-    }
-    if (matching != planned.items.size()) {
-      return Status::InvalidArgument(
-          "shard " + std::to_string(k) + " bundle carries " +
-          std::to_string(matching) + " item states, expected " +
-          std::to_string(planned.items.size()));
-    }
-    size_t item = 0;
-    for (const WireSectionView& section : sections) {
-      if (section.tag != item_tag) continue;
-      if (planned.group_by.empty()) {
-        GUS_ASSIGN_OR_RETURN(
-            SampleViewBuilder builder,
-            SampleViewBuilder::DeserializeState(section.payload));
-        if (k == 0) {
-          views.push_back(std::move(builder));
-        } else {
-          GUS_RETURN_NOT_OK(views[item].Merge(std::move(builder)));
-        }
-      } else {
-        GUS_ASSIGN_OR_RETURN(
-            GroupedSumBuilder builder,
-            GroupedSumBuilder::DeserializeState(section.payload));
-        if (k == 0) {
-          groups.push_back(std::move(builder));
-        } else {
-          GUS_RETURN_NOT_OK(groups[item].Merge(std::move(builder)));
-        }
-      }
-      ++item;
-    }
-  }
-  GUS_RETURN_NOT_OK(ValidateShardMetas(metas));
-  GUS_RETURN_NOT_OK(ValidateShardSamplerStates(sampler_payloads));
-  *out_views = std::move(views);
-  *out_groups = std::move(groups);
-  *out_sample_rows = sample_rows;
-  return Status::OK();
+  GUS_ASSIGN_OR_RETURN(
+      std::vector<ShardOutcome> outcomes,
+      SuperviseInProcessShards(
+          plan, columnar.get(), exec, num_shards, /*transport=*/nullptr,
+          [plan, columnar, seed, num_shards,
+           make_sink = ItemFanoutSink::Factory(planned, soa)](
+              int k, const ExecOptions& worker_exec,
+              uint64_t expected_fingerprint) -> Result<std::string> {
+            std::unique_ptr<MergeableBatchSink> sink;
+            ShardMeta meta;
+            std::vector<ResolvedPivotSampler> samplers;
+            GUS_RETURN_NOT_OK(RunShardToSink(
+                plan, columnar.get(), seed, ExecMode::kSampled, worker_exec,
+                k, num_shards, make_sink, &sink, &meta, &samplers,
+                expected_fingerprint));
+            const auto& fanout = static_cast<const ItemFanoutSink&>(*sink);
+            meta.rows = fanout.sample_rows();
+            return BuildShardBundle(meta, samplers, fanout.SerializeItems());
+          }));
+  auto merged = std::make_unique<ItemFanoutSink>(!planned.group_by.empty());
+  GUS_ASSIGN_OR_RETURN(
+      const int64_t sample_rows,
+      FinishItemShardGather(
+          outcomes, merged->item_tag(), planned.items.size(),
+          [&merged](size_t item, std::string_view payload) {
+            return merged->Absorb(item, payload);
+          },
+          exec.stats));
+  merged->add_sample_rows(sample_rows);
+  return merged;
 }
 
-/// Sharded path (ExecEngine::kSharded): the core plus per-item estimation.
-Result<ApproxResult> RunSharded(const PlannedQuery& planned,
-                                const SoaResult& soa, const Catalog& catalog,
-                                uint64_t seed, const SboxOptions& options,
-                                const ExecOptions& exec) {
-  std::vector<SampleViewBuilder> views;
-  std::vector<GroupedSumBuilder> groups;
-  int64_t sample_rows = 0;
-  GUS_RETURN_NOT_OK(RunShardedCore(planned, soa, catalog, seed, exec, &views,
-                                   &groups, &sample_rows));
-  return EstimateFromBuilders(planned, soa, options, sample_rows, &views,
-                              &groups);
-}
-
-/// \brief Served path (ExecEngine::kServed): the sharded core fronted by
+/// \brief Served path (ExecEngine::kServed): GatherShardedItems fronted by
 /// the process-wide approximate-view cache.
 ///
 /// The cache entry is a checksummed wire bundle holding the *merged*
@@ -624,8 +567,6 @@ Result<ApproxResult> RunServed(const PlannedQuery& planned,
     key.scale_bits = bits;
   }
 
-  const WireTag item_tag = planned.group_by.empty() ? WireTag::kViewBuilder
-                                                    : WireTag::kGroupedSum;
   std::optional<std::string> cached = cache->Lookup(key);
   if (cached.has_value()) {
     if (exec.stats != nullptr) ++exec.stats->cache_hits;
@@ -639,55 +580,35 @@ Result<ApproxResult> RunServed(const PlannedQuery& planned,
     int64_t sample_rows = 0;
     GUS_RETURN_NOT_OK(r.ReadI64(&sample_rows));
     GUS_RETURN_NOT_OK(r.ExpectEnd());
-    std::vector<SampleViewBuilder> views;
-    std::vector<GroupedSumBuilder> groups;
+    ItemFanoutSink items(!planned.group_by.empty());
+    items.add_sample_rows(sample_rows);
     for (const WireSectionView& section : sections) {
-      if (section.tag != item_tag) continue;
-      if (planned.group_by.empty()) {
-        GUS_ASSIGN_OR_RETURN(
-            SampleViewBuilder builder,
-            SampleViewBuilder::DeserializeState(section.payload));
-        views.push_back(std::move(builder));
-      } else {
-        GUS_ASSIGN_OR_RETURN(
-            GroupedSumBuilder builder,
-            GroupedSumBuilder::DeserializeState(section.payload));
-        groups.push_back(std::move(builder));
-      }
+      if (section.tag != items.item_tag()) continue;
+      GUS_RETURN_NOT_OK(items.Absorb(items.num_items(), section.payload));
     }
-    const size_t cached_items =
-        planned.group_by.empty() ? views.size() : groups.size();
-    if (cached_items != planned.items.size()) {
+    if (items.num_items() != planned.items.size()) {
       return Status::InvalidArgument(
-          "view-cache entry carries " + std::to_string(cached_items) +
+          "view-cache entry carries " + std::to_string(items.num_items()) +
           " item states, expected " + std::to_string(planned.items.size()) +
           "; refusing to serve");
     }
-    return EstimateFromBuilders(planned, soa, options, sample_rows, &views,
-                                &groups);
+    return EstimateFromBuilders(planned, soa, options, items);
   }
 
-  std::vector<SampleViewBuilder> views;
-  std::vector<GroupedSumBuilder> groups;
-  int64_t sample_rows = 0;
-  GUS_RETURN_NOT_OK(RunShardedCore(planned, soa, catalog, seed, exec, &views,
-                                   &groups, &sample_rows));
+  GUS_ASSIGN_OR_RETURN(std::unique_ptr<ItemFanoutSink> items,
+                       GatherShardedItems(planned, soa, catalog, seed, exec));
   if (exec.stats != nullptr) ++exec.stats->cache_misses;
   WireBundleWriter bundle;
   {
     WireWriter meta;
-    meta.PutI64(sample_rows);
+    meta.PutI64(items->sample_rows());
     bundle.AddSection(WireTag::kMeta, meta.Take());
   }
-  for (const SampleViewBuilder& builder : views) {
-    bundle.AddSection(item_tag, builder.SerializeState());
-  }
-  for (const GroupedSumBuilder& builder : groups) {
-    bundle.AddSection(item_tag, builder.SerializeState());
+  for (auto& [tag, payload] : items->SerializeItems()) {
+    bundle.AddSection(tag, std::move(payload));
   }
   cache->Insert(key, bundle.Finish());
-  return EstimateFromBuilders(planned, soa, options, sample_rows, &views,
-                              &groups);
+  return EstimateFromBuilders(planned, soa, options, *items);
 }
 
 }  // namespace
@@ -715,15 +636,18 @@ Result<ApproxResult> RunApproxQuery(const std::string& sql,
     return RunServed(planned, soa, catalog, sql, seed, options, exec);
   }
   if (exec.engine == ExecEngine::kSharded) {
-    return RunSharded(planned, soa, catalog, seed, options, exec);
+    GUS_ASSIGN_OR_RETURN(
+        std::unique_ptr<ItemFanoutSink> items,
+        GatherShardedItems(planned, soa, catalog, seed, exec));
+    return EstimateFromBuilders(planned, soa, options, *items);
   }
   if (exec.engine == ExecEngine::kMorselParallel) {
     return RunMorselParallel(planned, soa, catalog, &rng, options, exec);
   }
-  if (exec.engine == ExecEngine::kColumnar && planned.group_by.empty()) {
-    return RunUngroupedStreaming(planned, soa, catalog, &rng, options,
-                                 exec.batch_rows);
+  if (exec.engine == ExecEngine::kColumnar) {
+    return RunColumnar(planned, soa, catalog, &rng, options, exec.batch_rows);
   }
+  // kRowAtATime, the reference oracle: materialize, then estimate.
   GUS_ASSIGN_OR_RETURN(
       Relation sample,
       ExecutePlan(planned.plan, catalog, &rng, ExecMode::kSampled, exec));
@@ -737,16 +661,7 @@ Result<ApproxResult> RunApproxQuery(const std::string& sql,
           auto groups,
           GroupedSumEstimate(soa.top, sample, item.expr, planned.group_by,
                              options.confidence_level, options.bound_kind));
-      for (const GroupEstimate& ge : groups) {
-        ApproxValue value;
-        value.label = "SUM(" + item.expr->ToString() + ")";
-        value.group = planned.group_by + "=" + ge.key.ToString();
-        value.value = ge.estimate;
-        value.stddev = ge.stddev;
-        value.lo = ge.interval.lo;
-        value.hi = ge.interval.hi;
-        result.values.push_back(std::move(value));
-      }
+      AppendGroupValues(item, planned.group_by, groups, &result);
     }
     return result;
   }

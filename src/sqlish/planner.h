@@ -60,10 +60,11 @@ struct ApproxResult {
 /// \brief Parses, plans, executes and estimates in one call.
 ///
 /// `seed` drives the samplers; `options` control interval kind/level and
-/// Section 7 sub-sampling. With ExecEngine::kColumnar, ungrouped queries
-/// run on the batch pipeline and stream (lineage, f) straight into the
-/// per-item estimators — the result relation is never materialized; the
-/// row and columnar engines return identical results for identical seeds.
+/// Section 7 sub-sampling. With ExecEngine::kColumnar, grouped and
+/// ungrouped queries run on the batch pipeline and stream (lineage, f)
+/// straight into the per-item estimators — the result relation is never
+/// materialized; the row and columnar engines return bit-identical
+/// results for identical seeds.
 Result<ApproxResult> RunApproxQuery(const std::string& sql,
                                     const Catalog& catalog, uint64_t seed,
                                     const SboxOptions& options = {},
@@ -74,6 +75,11 @@ Result<ApproxResult> RunApproxQuery(const std::string& sql,
 /// ExecEngine::kSharded scatters it over exec.num_shards shared-nothing
 /// workers whose per-item builder states round-trip through the binary
 /// wire format (est/wire.h, docs/WIRE_FORMAT.md) before the gather merge.
+/// The shards run under the SBox gathers' shard supervisor
+/// (dist/coordinator.h): retried per exec.retry, counted in exec.stats. A
+/// fatal or exhausted shard fails the query with its own error;
+/// exec.allow_partial does not apply. With exec.retry.deadline_ms set,
+/// call JoinAbandonedShardAttempts before destroying `catalog`.
 ///
 /// Ungrouped queries fan the batch stream into per-item SampleViewBuilders
 /// per partition; grouped queries into per-item GroupedSumBuilders; both
@@ -82,7 +88,7 @@ Result<ApproxResult> RunApproxQuery(const std::string& sql,
 /// for kSharded, across num_shards values (shards are contiguous ranges
 /// of the same global morsel sequence; see src/dist/shard.h).
 ///
-/// ExecEngine::kServed is kSharded fronted by the process-wide
+/// ExecEngine::kServed is that kSharded gather fronted by the process-wide
 /// approximate-view cache (serve/view_cache.h): a repeated (sql +
 /// estimator options, catalog content, seed, morsel geometry) serves the
 /// bit-identical result from cached merged builder state without

@@ -305,6 +305,93 @@ TEST(DistTest, GatherRejectsDivergentBaseData) {
   EXPECT_NE(std::string::npos, st.message().find("divergent base data"));
 }
 
+/// One SQL select item's shard sink: the ungrouped per-item state (VBLD)
+/// sqlish kSharded ships for each select item.
+class ViewItemSink final : public MergeableBatchSink {
+ public:
+  explicit ViewItemSink(SampleViewBuilder builder)
+      : builder_(std::move(builder)) {}
+  Status Consume(const ColumnBatch& batch) override {
+    return builder_.Consume(batch);
+  }
+  Status MergeFrom(BatchSink* other) override {
+    return builder_.Merge(
+        std::move(static_cast<ViewItemSink*>(other)->builder_));
+  }
+  const SampleViewBuilder& builder() const { return builder_; }
+
+ private:
+  SampleViewBuilder builder_;
+};
+
+TEST(DistTest, ItemGatherRejectsDivergentBaseData) {
+  // The SQL per-item gather: two shards whose catalogs differ by one value
+  // deliver VBLD bundles; the finish step refuses them as InvalidArgument
+  // (fatal, never retried) before merging a single item state.
+  Catalog catalog_a = MakeTinyJoin(40, 3).MakeCatalog();
+  Catalog catalog_b = MakeTinyJoin(40, 3).MakeCatalog();
+  {
+    Relation& d = catalog_b.at("D");
+    Relation patched(d.schema(), d.lineage_schema());
+    for (int64_t i = 0; i < d.num_rows(); ++i) {
+      Row row = d.row(i);
+      if (i == 0) row[1] = Value(row[1].ToDouble() + 1.0);
+      patched.AppendRow(row, d.lineage(i));
+    }
+    catalog_b.at("D") = std::move(patched);
+  }
+  PlanPtr plan = PlanNode::Join(
+      PlanNode::Sample(SamplingSpec::Bernoulli(0.5), PlanNode::Scan("F")),
+      PlanNode::Scan("D"), "fk", "pk");
+  ASSERT_OK_AND_ASSIGN(SoaResult soa, SoaTransform(plan));
+  ExprPtr f = Mul(Col("v"), Col("w"));
+  ExecOptions exec;
+  exec.morsel_rows = 16;
+
+  ColumnarCatalog columnar_a(&catalog_a);
+  ColumnarCatalog columnar_b(&catalog_b);
+  std::vector<ShardOutcome> outcomes(2);
+  for (int k = 0; k < 2; ++k) {
+    std::unique_ptr<MergeableBatchSink> sink;
+    ShardMeta meta;
+    std::vector<ResolvedPivotSampler> samplers;
+    ASSERT_OK(RunShardToSink(
+        plan, k == 0 ? &columnar_a : &columnar_b, 7, ExecMode::kSampled, exec,
+        k, 2,
+        [&](const BatchLayout& layout)
+            -> Result<std::unique_ptr<MergeableBatchSink>> {
+          GUS_ASSIGN_OR_RETURN(
+              SampleViewBuilder builder,
+              SampleViewBuilder::Make(layout, f, soa.top.schema()));
+          return std::unique_ptr<MergeableBatchSink>(
+              new ViewItemSink(std::move(builder)));
+        },
+        &sink, &meta, &samplers));
+    const auto& item = static_cast<const ViewItemSink&>(*sink);
+    meta.rows = item.builder().view().num_rows();
+    outcomes[k].status = Status::OK();
+    outcomes[k].attempts = 1;
+    outcomes[k].bundle = BuildShardBundle(
+        meta, samplers,
+        {{WireTag::kViewBuilder, item.builder().SerializeState()}});
+  }
+  ExecStats stats;
+  int merged = 0;
+  const Status st =
+      FinishItemShardGather(
+          outcomes, WireTag::kViewBuilder, 1,
+          [&merged](size_t, std::string_view) {
+            ++merged;
+            return Status::OK();
+          },
+          &stats)
+          .status();
+  EXPECT_STATUS_CODE(kInvalidArgument, st);
+  EXPECT_NE(std::string::npos, st.message().find("divergent base data"));
+  EXPECT_EQ(0, merged);
+  EXPECT_EQ(2, stats.shard_attempts);
+}
+
 TEST(DistTest, SamplerStatePayloadRoundTripsAndValidates) {
   std::vector<ResolvedPivotSampler> samplers(2);
   samplers[0].method = 1;

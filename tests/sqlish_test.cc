@@ -6,10 +6,12 @@
 #include <cmath>
 
 #include "data/tpch_gen.h"
+#include "plan/exec_stats.h"
 #include "plan/soa_transform.h"
 #include "sqlish/planner.h"
 #include "sqlish/tokenizer.h"
 #include "test_util.h"
+#include "util/fault_inject.h"
 
 namespace gus {
 namespace sqlish {
@@ -246,6 +248,52 @@ TEST_F(PlannerTest, UnsampledQueryIsExact) {
       RunApproxQuery("SELECT COUNT(*) FROM o", catalog_, 1));
   EXPECT_DOUBLE_EQ(300.0, result.values[0].value);
   EXPECT_NEAR(0.0, result.values[0].stddev, 1e-9);
+}
+
+TEST_F(PlannerTest, ShardedQueryRetriesAFailedShardToIdenticalBits) {
+  // SQL shards run under the shard supervisor: shard 1's first attempt
+  // fails retryably, is re-dispatched, and re-executes its unit range
+  // from the same seed — so the answer is bit-identical to a fault-free
+  // run and the counters show exactly one extra attempt.
+  for (const char* sql :
+       {"SELECT SUM(l_discount * o_totalprice), COUNT(*) "
+        "FROM l TABLESAMPLE (40 PERCENT), o "
+        "WHERE l_orderkey = o_orderkey",
+        "SELECT SUM(l_quantity) "
+        "FROM l TABLESAMPLE (50 PERCENT), o "
+        "WHERE l_orderkey = o_orderkey GROUP BY o_custkey"}) {
+    SCOPED_TRACE(sql);
+    ExecOptions exec;
+    exec.engine = ExecEngine::kSharded;
+    exec.num_shards = 3;
+    exec.morsel_rows = 64;
+    ASSERT_OK_AND_ASSIGN(ApproxResult want,
+                         RunApproxQuery(sql, catalog_, 41, {}, exec));
+
+    ExecStats stats;
+    exec.stats = &stats;
+    Result<ApproxResult> got = Status::Internal("not run");
+    {
+      ScopedFaultPlan faults("worker.execute@1=fail");
+      got = RunApproxQuery(sql, catalog_, 41, {}, exec);
+    }
+    ASSERT_OK(got.status());
+    EXPECT_EQ(exec.num_shards + 1, stats.shard_attempts);
+    EXPECT_EQ(1, stats.shard_retries);
+    EXPECT_EQ(0, stats.shards_lost);
+    const ApproxResult& retried = got.ValueOrDie();
+    ASSERT_EQ(want.values.size(), retried.values.size());
+    EXPECT_EQ(want.sample_rows, retried.sample_rows);
+    for (size_t i = 0; i < want.values.size(); ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_EQ(want.values[i].label, retried.values[i].label);
+      EXPECT_EQ(want.values[i].group, retried.values[i].group);
+      EXPECT_EQ(want.values[i].value, retried.values[i].value);
+      EXPECT_EQ(want.values[i].stddev, retried.values[i].stddev);
+      EXPECT_EQ(want.values[i].lo, retried.values[i].lo);
+      EXPECT_EQ(want.values[i].hi, retried.values[i].hi);
+    }
+  }
 }
 
 }  // namespace

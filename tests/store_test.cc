@@ -452,7 +452,9 @@ TEST(PruningParityTest, PrunedRunsAreBitIdenticalAcrossEnginesAndShards) {
                                    stored_exec));
           ExpectReportsBitIdentical(baseline, report);
           EXPECT_GT(stats.segments_total, 0);
-          if (!prune) EXPECT_EQ(0, stats.segments_skipped);
+          if (!prune) {
+            EXPECT_EQ(0, stats.segments_skipped);
+          }
         }
       }
 

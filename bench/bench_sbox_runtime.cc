@@ -1065,6 +1065,28 @@ void PrintSegmentSkipping() {
                      selectivity, cfg.label, est_diff);
         std::abort();
       }
+      // Segment accounting on a cold cache (one thread, one segment per
+      // unit): pruning on, every segment is skipped or faulted exactly
+      // once; pruning off, nothing is skipped and only the segments a leaf
+      // reads fault (the keep slice reads those holding a kept row).
+      if (!cfg.warm) {
+        const bool identity_holds =
+            cfg.prune ? stats.segments_skipped + stats.segments_faulted ==
+                            stats.segments_total
+                      : stats.segments_skipped == 0 &&
+                            stats.segments_faulted <= stats.segments_total;
+        if (!identity_holds) {
+          std::fprintf(stderr,
+                       "[bench] FATAL: E8 segment accounting broken "
+                       "(selectivity %.2f, %s: total %lld, skipped %lld, "
+                       "faulted %lld)\n",
+                       selectivity, cfg.label,
+                       static_cast<long long>(stats.segments_total),
+                       static_cast<long long>(stats.segments_skipped),
+                       static_cast<long long>(stats.segments_faulted));
+          std::abort();
+        }
+      }
       const double skip_fraction =
           stats.segments_total > 0
               ? static_cast<double>(stats.segments_skipped) /

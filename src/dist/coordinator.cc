@@ -143,13 +143,10 @@ Status WarmCatalogForPlan(const PlanPtr& plan, ColumnarCatalog* catalog) {
   std::function<Status(const PlanPtr&)> walk =
       [&](const PlanPtr& node) -> Status {
     if (node->op() == PlanOp::kScan) {
-      // Materializing a segment-backed relation here would defeat
-      // out-of-core execution; only in-memory relations need their lazy
-      // caches pre-written.
-      GUS_ASSIGN_OR_RETURN(const StoredRelation* stored,
-                           catalog->Stored(node->relation()));
-      if (stored != nullptr) return Status::OK();
-      return catalog->Get(node->relation()).status();
+      // Resolving a scan pre-writes an in-memory relation's lazy caches
+      // and materializes nothing for a segment-backed one (that would
+      // defeat out-of-core execution).
+      return ResolveScanInput(catalog, node->relation()).status();
     }
     for (int c = 0; c < node->num_children(); ++c) {
       GUS_RETURN_NOT_OK(walk(c == 0 ? node->left() : node->right()));

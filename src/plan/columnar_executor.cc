@@ -10,7 +10,8 @@
 #include "kernels/sampling_kernels.h"
 #include "plan/vector_eval.h"
 #include "sampling/samplers.h"
-#include "store/segment_source.h"
+#include "store/segment_cache.h"
+#include "store/segment_store.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -78,6 +79,40 @@ Result<int64_t> ColumnarCatalog::RowCountOf(const std::string& name) {
 Result<LayoutPtr> ColumnarCatalog::LayoutOf(const std::string& name) {
   GUS_ASSIGN_OR_RETURN(const ColumnarRelation* rel, Get(name));
   return rel->layout_ptr();
+}
+
+Status ScanInput::Seek(int64_t row, RowRun* run) const {
+  if (row >= run->begin && row < run->end) return Status::OK();
+  if (store_ == nullptr) {
+    // Aliasing constructor with no owner: the catalog owns the batch.
+    run->batch = std::shared_ptr<const ColumnBatch>(
+        std::shared_ptr<const ColumnBatch>(), &rel_->data());
+    run->begin = 0;
+    run->end = num_rows_;
+    return Status::OK();
+  }
+  const int64_t s = store_->SegmentOfRow(row);
+  GUS_ASSIGN_OR_RETURN(run->batch, cache_->Fault(*store_, s));
+  const SegmentInfo& info = store_->segment(s);
+  run->begin = info.row_begin;
+  run->end = info.row_begin + info.row_count;
+  return Status::OK();
+}
+
+Result<ScanInput> ResolveScanInput(ColumnarCatalog* catalog,
+                                   const std::string& name) {
+  ScanInput input;
+  GUS_ASSIGN_OR_RETURN(input.store_, catalog->Stored(name));
+  if (input.store_ != nullptr) {
+    input.cache_ = catalog->segment_cache();
+    input.layout_ = input.store_->layout_ptr();
+    input.num_rows_ = input.store_->num_rows();
+  } else {
+    GUS_ASSIGN_OR_RETURN(input.rel_, catalog->Get(name));
+    input.layout_ = input.rel_->layout_ptr();
+    input.num_rows_ = input.rel_->num_rows();
+  }
+  return input;
 }
 
 void PrepareBatch(const LayoutPtr& layout, ColumnBatch* out) {
@@ -158,32 +193,36 @@ Result<LayoutPtr> ConcatBatchLayouts(const BatchLayout& left,
 
 namespace {
 
-/// Zero-copy scan: emits range views straight over the resident columnar
-/// relation — no per-batch slice copies.
-class ScanSource final : public BatchSource {
+/// Zero-copy scan: range views straight over the input's row runs — no
+/// per-batch slice copies. Views clip at run ends, which every downstream
+/// consumer tolerates: the row stream, not its chunking, is what operators
+/// and estimator folds see.
+class ScanSliceSource final : public BatchSource {
  public:
-  ScanSource(const ColumnarRelation* rel, int64_t batch_rows, int64_t begin,
-             int64_t len)
-      : BatchSource(rel->layout_ptr()),
-        rel_(rel),
+  ScanSliceSource(ScanInput input, int64_t batch_rows, int64_t begin,
+                  int64_t len)
+      : BatchSource(input.layout()),
+        input_(std::move(input)),
         batch_rows_(batch_rows),
         pos_(begin),
-        end_(len < 0 ? rel->num_rows()
-                     : std::min(begin + len, rel->num_rows())) {}
+        end_(len < 0 ? input_.num_rows()
+                     : std::min(begin + len, input_.num_rows())) {}
 
   Result<bool> NextView(SelView* out) override {
     if (pos_ >= end_) return false;
-    const int64_t len = std::min(batch_rows_, end_ - pos_);
-    *out = SelView::Range(&rel_->data(), pos_, len);
+    GUS_RETURN_NOT_OK(input_.Seek(pos_, &run_));
+    const int64_t len = std::min(batch_rows_, std::min(end_, run_.end) - pos_);
+    *out = SelView::Range(run_.batch.get(), pos_ - run_.begin, len);
     pos_ += len;
     return true;
   }
 
  private:
-  const ColumnarRelation* rel_;
+  ScanInput input_;
   int64_t batch_rows_;
   int64_t pos_;
   int64_t end_;
+  RowRun run_;
 };
 
 /// Fused select: composes the child view's selection with the predicate's
@@ -647,11 +686,11 @@ class UnionSource final : public BatchSource {
 
 }  // namespace
 
-std::unique_ptr<BatchSource> MakeScanSource(const ColumnarRelation* rel,
-                                            int64_t batch_rows, int64_t begin,
-                                            int64_t len) {
+std::unique_ptr<BatchSource> MakeScanSliceSource(ScanInput input,
+                                                 int64_t batch_rows,
+                                                 int64_t begin, int64_t len) {
   return std::unique_ptr<BatchSource>(
-      new ScanSource(rel, batch_rows, begin, len));
+      new ScanSliceSource(std::move(input), batch_rows, begin, len));
 }
 
 std::unique_ptr<BatchSource> MakeBlockRekeySource(
@@ -753,17 +792,10 @@ Result<std::unique_ptr<BatchSource>> CompileBatchPipeline(
   }
   switch (plan->op()) {
     case PlanOp::kScan: {
-      // Segment-backed catalogs stream the scan through the pinned cache
-      // (one resident segment at a time) instead of materializing.
-      GUS_ASSIGN_OR_RETURN(const StoredRelation* stored,
-                           catalog->Stored(plan->relation()));
-      if (stored != nullptr) {
-        return MakeStoredScanSource(stored, catalog->segment_cache(),
-                                    batch_rows);
-      }
-      GUS_ASSIGN_OR_RETURN(const ColumnarRelation* rel,
-                           catalog->Get(plan->relation()));
-      return MakeScanSource(rel, batch_rows);
+      // A segment-backed relation streams one pinned segment at a time.
+      GUS_ASSIGN_OR_RETURN(ScanInput input,
+                           ResolveScanInput(catalog, plan->relation()));
+      return MakeScanSliceSource(std::move(input), batch_rows);
     }
     case PlanOp::kSample: {
       GUS_ASSIGN_OR_RETURN(

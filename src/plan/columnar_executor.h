@@ -2,8 +2,9 @@
 //
 // The plan compiles into a pull-based pipeline of batch operators:
 //
-//   scan            zero-copy range views over the (cached) columnar base
-//                   relation
+//   scan            zero-copy range views over the base relation's row
+//                   runs (ScanInput: one run for a resident relation, one
+//                   pinned segment per run for a segment-backed one)
 //   select          vectorized predicate over the incoming view's rows ->
 //                   composed selection vector (only the predicate's column
 //                   footprint is ever gathered)
@@ -72,7 +73,9 @@ class StoredRelation;  // store/segment_store.h
 /// storage unchanged: SegmentCatalog (store/segment_catalog.h) overrides it
 /// to serve mmap-ed on-disk segments, exposing Stored()/segment_cache() so
 /// scans can fault individual segments — and skip provably useless ones —
-/// instead of materializing whole tables through Get().
+/// instead of materializing whole tables through Get(). Scan leaves never
+/// call these directly: they read rows through ScanInput, and
+/// ResolveScanInput makes the resident-vs-stored choice.
 class ColumnarCatalog {
  public:
   explicit ColumnarCatalog(const Catalog* catalog) : catalog_(catalog) {}
@@ -81,8 +84,8 @@ class ColumnarCatalog {
   /// \brief The fully materialized columnar form of base relation `name`.
   ///
   /// This is the compatibility surface: pipeline breakers that need a whole
-  /// side resident (join builds, row-engine interop) call it. Streaming
-  /// scans prefer Stored() when it returns non-null.
+  /// side resident (join builds, row-engine interop) call it. Scans go
+  /// through ResolveScanInput instead, which prefers Stored().
   virtual Result<const ColumnarRelation*> Get(const std::string& name);
 
   /// \brief Content fingerprint of base relation `name` (computed once,
@@ -99,8 +102,8 @@ class ColumnarCatalog {
   /// \brief The on-disk segment form of `name`, or null for purely
   /// in-memory catalogs (the default).
   ///
-  /// Non-null means scans may stream the relation segment-at-a-time
-  /// through segment_cache() instead of calling Get().
+  /// Non-null means ResolveScanInput streams the relation's scans
+  /// segment-at-a-time through segment_cache() instead of calling Get().
   virtual Result<const StoredRelation*> Stored(const std::string& name) {
     (void)name;
     return static_cast<const StoredRelation*>(nullptr);
@@ -128,6 +131,55 @@ class ColumnarCatalog {
   std::map<std::string, std::shared_ptr<const ColumnarRelation>> cache_;
   std::map<std::string, uint64_t> fingerprints_;
 };
+
+/// \brief Rows [begin, end) of a base relation, held by one batch as its
+/// rows [0, end - begin).
+struct RowRun {
+  /// A faulted segment stays alive while a leaf holds its run; a resident
+  /// relation's run borrows the catalog-owned batch (non-owning alias).
+  std::shared_ptr<const ColumnBatch> batch;
+  int64_t begin = 0;
+  int64_t end = 0;  ///< begin == end: no run yet
+};
+
+/// \brief How scan leaves reach a base relation's rows, whatever holds them.
+///
+/// A resident relation is one run over its whole data(); a segment-backed
+/// relation is one run per segment, faulted through the catalog's
+/// SegmentCache on demand. The leaf operators (scan slice, keep slice,
+/// block sample) are written once against Seek and never ask which backing
+/// they read. Immutable once resolved, so morsel workers share one
+/// instance concurrently (SegmentCache::Fault is thread-safe).
+class ScanInput {
+ public:
+  int64_t num_rows() const { return num_rows_; }
+  const LayoutPtr& layout() const { return layout_; }
+
+  /// The segment store behind the relation, or null when it is resident
+  /// (split geometry, the pruner and the ExecStats segment counters read
+  /// it).
+  const StoredRelation* store() const { return store_; }
+
+  /// Points `run` at the run holding global row `row`
+  /// (0 <= row < num_rows()); a no-op when `run` already covers it.
+  Status Seek(int64_t row, RowRun* run) const;
+
+ private:
+  friend Result<ScanInput> ResolveScanInput(ColumnarCatalog* catalog,
+                                            const std::string& name);
+
+  const ColumnarRelation* rel_ = nullptr;  // non-null: resident
+  const StoredRelation* store_ = nullptr;  // non-null: segment-backed
+  SegmentCache* cache_ = nullptr;          // faults store_'s segments
+  LayoutPtr layout_;
+  int64_t num_rows_ = 0;
+};
+
+/// \brief Resolves base relation `name` for scanning: its segment store
+/// when catalog->Stored(name) has one, else its resident form from
+/// catalog->Get(name). The one place the resident-vs-stored choice is made.
+Result<ScanInput> ResolveScanInput(ColumnarCatalog* catalog,
+                                   const std::string& name);
 
 /// \brief Pull iterator over a stream of column batches.
 ///
@@ -178,11 +230,12 @@ class BatchSource {
 // (plan/parallel_executor.cc), which composes per-partition pipelines from
 // the same physical operators.
 
-/// Streams rows [begin, begin + len) of `rel` (len < 0 means "to the end").
-std::unique_ptr<BatchSource> MakeScanSource(const ColumnarRelation* rel,
-                                            int64_t batch_rows,
-                                            int64_t begin = 0,
-                                            int64_t len = -1);
+/// Streams rows [begin, begin + len) of `input` (len < 0 means "to the
+/// end") as range views, at most `batch_rows` long and clipped at run ends.
+std::unique_ptr<BatchSource> MakeScanSliceSource(ScanInput input,
+                                                 int64_t batch_rows,
+                                                 int64_t begin = 0,
+                                                 int64_t len = -1);
 
 /// Vectorized select over `child`; binds `predicate` against the child
 /// layout.

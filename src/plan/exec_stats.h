@@ -90,10 +90,15 @@ struct ExecStats {
   /// Segment decodes performed during this execution (cache-miss faults,
   /// including materializations of non-pivot relations).
   int64_t segments_faulted = 0;
-  /// Page bytes decoded from disk during this execution. With a cold cache,
-  /// one thread and a single-relation plan,
-  ///   segments_skipped + segments_faulted == segments_total
-  /// and store_bytes_read is exactly the faulted segments' page bytes.
+  /// Page bytes decoded from disk during this execution: exactly the
+  /// faulted segments' page bytes on a cold cache.
+  ///
+  /// With a cold cache, one thread, a single-relation plan and one segment
+  /// per unit (morsel_rows == segment_rows):
+  ///   * pruning on:  segments_skipped + segments_faulted == segments_total
+  ///   * pruning off: segments_skipped == 0, and only the segments a leaf
+  ///     reads fault — a keep slice reads just those holding a kept row,
+  ///     so segments_faulted may be below segments_total.
   int64_t store_bytes_read = 0;
 
   // ---- Approximate-view cache (serve/view_cache.h; filled by the

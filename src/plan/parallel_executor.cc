@@ -18,7 +18,6 @@
 #include "sampling/samplers.h"
 #include "store/pruner.h"
 #include "store/segment_cache.h"
-#include "store/segment_source.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -415,17 +414,40 @@ class SharedProductSource final : public BatchSource {
   bool done_ = false;
 };
 
-/// Zero-copy stream of a pre-resolved keep-list slice: selection views
-/// straight over the resident pivot relation (the fixed-size samplers'
-/// per-morsel form — the global keep-set is shared, each morsel walks its
-/// [lo, lo+len) sub-range).
-class SelectionListSource final : public BatchSource {
+/// \brief The longest prefix of the sorted global row ids [ids, ids + n)
+/// that one run holds, as a selection view over that run's batch (`run`
+/// seeks to the run holding ids[0]). A run that begins at row 0 has local
+/// indices equal to global ids, so the view borrows `ids`; any other run
+/// rebases them into `scratch`.
+Result<SelView> RunSelection(const ScanInput& input, const int64_t* ids,
+                             int64_t n, RowRun* run,
+                             std::vector<int64_t>* scratch) {
+  GUS_RETURN_NOT_OK(input.Seek(ids[0], run));
+  SelView v;
+  v.data = run->batch.get();
+  v.sel = ids;
+  v.sel_len = std::lower_bound(ids, ids + n, run->end) - ids;
+  if (run->begin != 0) {
+    scratch->resize(static_cast<size_t>(v.sel_len));
+    for (int64_t i = 0; i < v.sel_len; ++i) {
+      (*scratch)[i] = ids[i] - run->begin;
+    }
+    v.sel = scratch->data();
+  }
+  return v;
+}
+
+/// \brief A fixed-size sampler's per-morsel form: the rows named by
+/// keep[offset, offset + len) (global row ids, ascending) as selection
+/// views, one run at a time. The global keep-set is shared; each morsel
+/// walks its own sub-range.
+class KeepSliceSource final : public BatchSource {
  public:
-  SelectionListSource(const ColumnarRelation* rel,
-                      std::shared_ptr<const std::vector<int64_t>> keep,
-                      int64_t offset, int64_t len, int64_t batch_rows)
-      : BatchSource(rel->layout_ptr()),
-        rel_(rel),
+  KeepSliceSource(ScanInput input,
+                  std::shared_ptr<const std::vector<int64_t>> keep,
+                  int64_t offset, int64_t len, int64_t batch_rows)
+      : BatchSource(input.layout()),
+        input_(std::move(input)),
         keep_(std::move(keep)),
         pos_(offset),
         end_(offset + len),
@@ -433,35 +455,35 @@ class SelectionListSource final : public BatchSource {
 
   Result<bool> NextView(SelView* out) override {
     if (pos_ >= end_) return false;
-    const int64_t len = std::min(batch_rows_, end_ - pos_);
-    SelView v;
-    v.data = &rel_->data();
-    v.sel = keep_->data() + pos_;
-    v.sel_len = len;
-    *out = v;
-    pos_ += len;
+    GUS_ASSIGN_OR_RETURN(
+        *out, RunSelection(input_, keep_->data() + pos_,
+                           std::min(batch_rows_, end_ - pos_), &run_, &sel_));
+    pos_ += out->sel_len;
     return true;
   }
 
  private:
-  const ColumnarRelation* rel_;
+  ScanInput input_;
   std::shared_ptr<const std::vector<int64_t>> keep_;
   int64_t pos_;
   int64_t end_;
   int64_t batch_rows_;
+  RowRun run_;
+  std::vector<int64_t> sel_;  // run-local indices when the run is rebased
 };
 
 /// Sampled-mode block sampling over a morsel slice: per-block keep
 /// decisions are pure functions of (seed, block id), kept rows gather with
 /// their lineage re-keyed to the block id — bit-identical to the serial
-/// engines' DecideSampling path on the whole scan.
+/// engines' DecideSampling path on the whole scan, whatever the run
+/// geometry (a kept block may straddle runs).
 class BlockSampleSource final : public BatchSource {
  public:
-  BlockSampleSource(const ColumnarRelation* rel, int64_t begin, int64_t end,
+  BlockSampleSource(ScanInput input, int64_t begin, int64_t end,
                     uint64_t seed, double p, int64_t block_size,
                     int64_t batch_rows)
-      : BatchSource(rel->layout_ptr()),
-        rel_(rel),
+      : BatchSource(input.layout()),
+        input_(std::move(input)),
         pos_(begin),
         end_(end),
         seed_(seed),
@@ -482,10 +504,17 @@ class BlockSampleSource final : public BatchSource {
       pos_ = block_end;
     }
     // The lineage re-key mutates rows, so this path gathers into an owned
-    // batch (same discipline as the serial breaker's re-key path).
+    // batch (same discipline as the serial breaker's re-key path), one run
+    // at a time; GatherFrom appends, so runs concatenate in row order.
     PrepareBatch(layout_, &scratch_);
-    scratch_.GatherFrom(rel_->data(), sel_.data(),
-                        static_cast<int64_t>(sel_.size()));
+    const int64_t n = static_cast<int64_t>(sel_.size());
+    for (int64_t k = 0; k < n;) {
+      GUS_ASSIGN_OR_RETURN(const SelView run_rows,
+                           RunSelection(input_, sel_.data() + k, n - k, &run_,
+                                        &local_sel_));
+      scratch_.GatherFrom(*run_rows.data, run_rows.sel, run_rows.sel_len);
+      k += run_rows.sel_len;
+    }
     auto& lineage = *scratch_.mutable_lineage();
     for (size_t k = 0; k < sel_.size(); ++k) {
       lineage[k] = static_cast<uint64_t>(sel_[k] / block_size_);
@@ -495,14 +524,16 @@ class BlockSampleSource final : public BatchSource {
   }
 
  private:
-  const ColumnarRelation* rel_;
+  ScanInput input_;
   int64_t pos_;
   int64_t end_;
   uint64_t seed_;
   double p_;
   int64_t block_size_;
   int64_t batch_rows_;
-  std::vector<int64_t> sel_;
+  RowRun run_;
+  std::vector<int64_t> sel_;        // kept global row ids this pull
+  std::vector<int64_t> local_sel_;  // run-local indices when rebased
   ColumnBatch scratch_;
 };
 
@@ -598,22 +629,19 @@ int64_t MorselCount(int64_t pivot_rows, int64_t morsel_rows) {
   return (pivot_rows + morsel_rows - 1) / morsel_rows;
 }
 
-/// \brief The pivot's backing storage plus the numbers the split geometry
-/// reads from it.
+/// \brief The pivot's resolved scan input plus the numbers the split
+/// geometry reads from it.
 ///
 /// Shared by AnalyzeMorselSplit and PrepareMorselProgram — the dist/
 /// layer's correctness requires the planned and executed unit sequences
-/// to coincide, so the stored-vs-materialized decision has exactly one
-/// implementation. Segment-backed pivots additionally align morsels to
-/// whole segments (LCM with the block alignment) so a prunable segment
-/// maps to whole execution units and a skipped unit never faults its
-/// segments, and they size morsels from mean on-disk row bytes — what a
-/// morsel actually faults in — instead of the in-memory estimate.
+/// to coincide, so the geometry has exactly one implementation.
+/// Segment-backed pivots additionally align morsels to whole segments (LCM
+/// with the block alignment) so a prunable segment maps to whole execution
+/// units and a skipped unit never faults its segments, and they size
+/// morsels from mean on-disk row bytes — what a morsel actually faults in
+/// — instead of the in-memory estimate.
 struct PivotBacking {
-  const StoredRelation* store = nullptr;  // non-null: segment-backed
-  const ColumnarRelation* rel = nullptr;  // non-null: materialized
-  int64_t rows = 0;
-  LayoutPtr layout;
+  ScanInput input;
   int64_t row_bytes = 0;
   int64_t align = 1;
 };
@@ -623,21 +651,17 @@ Result<PivotBacking> ResolvePivotBacking(const PlanPtr& plan,
                                          ColumnarCatalog* catalog) {
   PivotBacking b;
   b.align = BlockAlignFor(plan, pivot);
-  GUS_ASSIGN_OR_RETURN(b.store, catalog->Stored(pivot));
-  if (b.store != nullptr) {
-    b.rows = b.store->num_rows();
-    b.layout = b.store->layout_ptr();
-    b.row_bytes = b.store->OnDiskRowBytes();
-    constexpr int64_t kMaxAlign = int64_t{1} << 40;
-    const int64_t seg = b.store->segment_rows();
-    const int64_t g = std::gcd(b.align, seg);
-    if (b.align / g <= kMaxAlign / seg) b.align = b.align / g * seg;
-  } else {
-    GUS_ASSIGN_OR_RETURN(b.rel, catalog->Get(pivot));
-    b.rows = b.rel->num_rows();
-    b.layout = b.rel->layout_ptr();
-    b.row_bytes = RowBytes(b.rel->layout());
+  GUS_ASSIGN_OR_RETURN(b.input, ResolveScanInput(catalog, pivot));
+  const StoredRelation* store = b.input.store();
+  if (store == nullptr) {
+    b.row_bytes = RowBytes(*b.input.layout());
+    return b;
   }
+  b.row_bytes = store->OnDiskRowBytes();
+  constexpr int64_t kMaxAlign = int64_t{1} << 40;
+  const int64_t seg = store->segment_rows();
+  const int64_t g = std::gcd(b.align, seg);
+  if (b.align / g <= kMaxAlign / seg) b.align = b.align / g * seg;
   return b;
 }
 
@@ -646,12 +670,8 @@ Result<PivotBacking> ResolvePivotBacking(const PlanPtr& plan,
 /// \brief The prepared morsel execution: shared state built once, then one
 /// pipeline instantiation per morsel.
 struct MorselProgram {
-  const ColumnarRelation* pivot_rel = nullptr;   // materialized pivot
-  const StoredRelation* pivot_store = nullptr;   // segment-backed pivot
-  SegmentCache* store_cache = nullptr;           // non-null iff pivot_store
+  ScanInput pivot;
   std::string pivot_name;
-  int64_t pivot_rows = 0;
-  LayoutPtr pivot_layout;
   ProgramPtr root;
   LayoutPtr out_layout;
   int64_t morsel_rows = kDefaultMorselRows;
@@ -663,7 +683,7 @@ struct MorselProgram {
   std::vector<char> unit_skip;
 
   int64_t num_morsels() const {
-    return MorselCount(pivot_rows, morsel_rows);
+    return MorselCount(pivot.num_rows(), morsel_rows);
   }
 
   Result<std::unique_ptr<BatchSource>> MakeMorselPipeline(int64_t m,
@@ -692,7 +712,7 @@ Result<ProgramPtr> CompileNode(const PlanPtr& plan, ColumnarCatalog* catalog,
       }
       auto node = std::make_unique<MorselProgramNode>();
       node->kind = MorselProgramNode::Kind::kScanSlice;
-      node->layout = prog->pivot_layout;
+      node->layout = prog->pivot.layout();
       return node;
     }
     case PlanOp::kSelect: {
@@ -742,7 +762,7 @@ Result<ProgramPtr> CompileNode(const PlanPtr& plan, ColumnarCatalog* catalog,
           // Adjacent to the pivot scan (classification guarantees it):
           // resolve the exact global keep-set now, from one seed draw —
           // the same draw DecideSampling makes in the serial engines.
-          const int64_t population = prog->pivot_rows;
+          const int64_t population = prog->pivot.num_rows();
           if (spec.population != population) {
             return Status::InvalidArgument(
                 spec.method == SamplingMethod::kWithoutReplacement
@@ -904,11 +924,7 @@ Result<std::unique_ptr<BatchSource>> InstantiateNode(
     int64_t len, Rng* rng) {
   switch (n.kind) {
     case MorselProgramNode::Kind::kScanSlice:
-      if (prog.pivot_store != nullptr) {
-        return MakeStoredScanSource(prog.pivot_store, prog.store_cache,
-                                    prog.batch_rows, begin, len);
-      }
-      return MakeScanSource(prog.pivot_rel, prog.batch_rows, begin, len);
+      return MakeScanSliceSource(prog.pivot, prog.batch_rows, begin, len);
     case MorselProgramNode::Kind::kKeepSlice: {
       // The kept rows inside this slice: keep is globally sorted, so the
       // slice's sub-range is found with two binary searches.
@@ -918,24 +934,13 @@ Result<std::unique_ptr<BatchSource>> InstantiateNode(
       const int64_t hi =
           std::lower_bound(keep.begin(), keep.end(), begin + len) -
           keep.begin();
-      if (prog.pivot_store != nullptr) {
-        return std::unique_ptr<BatchSource>(new StoredKeepSliceSource(
-            prog.pivot_store, prog.store_cache, n.keep, lo, hi - lo,
-            prog.batch_rows));
-      }
-      return std::unique_ptr<BatchSource>(new SelectionListSource(
-          prog.pivot_rel, n.keep, lo, hi - lo, prog.batch_rows));
+      return std::unique_ptr<BatchSource>(new KeepSliceSource(
+          prog.pivot, n.keep, lo, hi - lo, prog.batch_rows));
     }
     case MorselProgramNode::Kind::kBlockSample:
-      if (prog.pivot_store != nullptr) {
-        return std::unique_ptr<BatchSource>(new StoredBlockSampleSource(
-            prog.pivot_store, prog.store_cache, begin, begin + len,
-            n.sampler_seed, n.p, n.block_size, prog.batch_rows));
-      }
-      return std::unique_ptr<BatchSource>(
-          new BlockSampleSource(prog.pivot_rel, begin, begin + len,
-                                n.sampler_seed, n.p, n.block_size,
-                                prog.batch_rows));
+      return std::unique_ptr<BatchSource>(new BlockSampleSource(
+          prog.pivot, begin, begin + len, n.sampler_seed, n.p, n.block_size,
+          prog.batch_rows));
     case MorselProgramNode::Kind::kBlockRekey: {
       GUS_ASSIGN_OR_RETURN(std::unique_ptr<BatchSource> child,
                            InstantiateNode(*n.child, prog, begin, len, rng));
@@ -984,7 +989,7 @@ Result<std::unique_ptr<BatchSource>> InstantiateNode(
 Result<std::unique_ptr<BatchSource>> MorselProgram::MakeMorselPipeline(
     int64_t m, Rng* rng) const {
   const int64_t begin = m * morsel_rows;
-  const int64_t len = std::min(morsel_rows, pivot_rows - begin);
+  const int64_t len = std::min(morsel_rows, pivot.num_rows() - begin);
   return InstantiateNode(*root, *this, begin, len, rng);
 }
 
@@ -1011,7 +1016,7 @@ void CollectPruneAlts(const MorselProgramNode& n, const MorselProgram& prog,
   switch (n.kind) {
     case MorselProgramNode::Kind::kScanSlice: {
       AltBuild base;
-      const int ncols = prog.pivot_layout->schema.num_columns();
+      const int ncols = prog.pivot.layout()->schema.num_columns();
       base.colmap.resize(static_cast<size_t>(ncols));
       for (int c = 0; c < ncols; ++c) base.colmap[static_cast<size_t>(c)] = c;
       out->push_back(std::move(base));
@@ -1097,8 +1102,8 @@ PrunePlan BuildPrunePlan(const MorselProgram& prog) {
   return plan;
 }
 
-/// \brief Builds the shared morsel-program state: resolves the pivot
-/// backing (segment store or materialized relation), executes every
+/// \brief Builds the shared morsel-program state: resolves the pivot's
+/// scan input (segment store or resident relation), executes every
 /// non-pivot subtree serially with `rng`, binds predicates, resolves
 /// fixed-size sampler keep-sets, pre-builds join hash tables
 /// (partition-parallel), and — for segment-backed pivots — runs the
@@ -1114,27 +1119,22 @@ Result<MorselProgram> PrepareMorselProgram(const PlanPtr& plan,
   prog.pivot_name = pivot;
   GUS_ASSIGN_OR_RETURN(PivotBacking backing,
                        ResolvePivotBacking(plan, pivot, catalog));
-  prog.pivot_rel = backing.rel;
-  prog.pivot_store = backing.store;
-  prog.store_cache =
-      backing.store != nullptr ? catalog->segment_cache() : nullptr;
-  prog.pivot_rows = backing.rows;
-  prog.pivot_layout = backing.layout;
+  prog.pivot = std::move(backing.input);
   prog.morsel_rows =
-      ResolveMorselRows(prog.pivot_rows, backing.row_bytes,
+      ResolveMorselRows(prog.pivot.num_rows(), backing.row_bytes,
                         PlanCostWeight(plan), options, backing.align);
   GUS_ASSIGN_OR_RETURN(prog.root,
                        CompileNode(plan, catalog, rng, mode, options, &prog));
   AssignStreamOk(prog.root.get());
   prog.out_layout = prog.root->layout;
-  if (prog.pivot_store != nullptr && options.prune_segments) {
+  const StoredRelation* store = prog.pivot.store();
+  if (store != nullptr && options.prune_segments) {
     const PrunePlan prune = BuildPrunePlan(prog);
-    const std::vector<char> excluded =
-        ComputeSegmentExclusion(*prog.pivot_store, prune);
+    const std::vector<char> excluded = ComputeSegmentExclusion(*store, prune);
     if (std::find(excluded.begin(), excluded.end(), char{1}) !=
         excluded.end()) {
-      prog.unit_skip = ComputeUnitSkipMask(*prog.pivot_store, excluded,
-                                           prog.morsel_rows);
+      prog.unit_skip =
+          ComputeUnitSkipMask(*store, excluded, prog.morsel_rows);
     }
   }
   return prog;
@@ -1356,7 +1356,7 @@ Result<MorselSplit> AnalyzeMorselSplit(const PlanPtr& plan,
                        ResolvePivotBacking(plan, split.pivot_relation,
                                            catalog));
   split.partitionable = true;
-  split.pivot_rows = backing.rows;
+  split.pivot_rows = backing.input.num_rows();
   split.block_align = backing.align;
   split.morsel_rows =
       ResolveMorselRows(split.pivot_rows, backing.row_bytes,
@@ -1474,7 +1474,7 @@ Status ParallelExecuteUnitRangeToSink(
   const int64_t out_row_bytes =
       stats != nullptr ? RowBytes(*program.out_layout) : 0;
   if (stats != nullptr) {
-    stats->pivot_rows = program.pivot_rows;
+    stats->pivot_rows = program.pivot.num_rows();
     stats->morsels = range_units;
     stats->morsel_rows = program.morsel_rows;
     stats->workers = workers;
@@ -1638,12 +1638,12 @@ Status ParallelExecuteUnitRangeToSink(
     stats->pool_wakeups = lease.wakeups_during();
     stats->pool_threads_spawned = lease.spawned_during();
     snap_store_stats();
-    if (program.pivot_store != nullptr) {
+    if (const StoredRelation* store = program.pivot.store()) {
       stats->segments_total = SegmentsInUnitRange(
-          *program.pivot_store, program.morsel_rows, unit_begin, unit_end);
+          *store, program.morsel_rows, unit_begin, unit_end);
       stats->segments_skipped = SkippedSegmentsInUnitRange(
-          *program.pivot_store, program.unit_skip, program.morsel_rows,
-          unit_begin, unit_end);
+          *store, program.unit_skip, program.morsel_rows, unit_begin,
+          unit_end);
     }
     stats->total_ms = MsBetween(t_start, StatsClock::now());
     emit_profile();

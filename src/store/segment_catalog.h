@@ -5,7 +5,8 @@
 //
 //   * kColumnar / kMorselParallel / kSharded take a ColumnarCatalog* —
 //     scans stream segment-at-a-time through Stored() + the pinned cache
-//     (and the SegmentPruner skips segments first; store/pruner.h), while
+//     (ResolveScanInput, plan/columnar_executor.h; the SegmentPruner skips
+//     segments first, store/pruner.h), while
 //     pipeline breakers that need a whole side resident (join builds)
 //     materialize through Get() as before.
 //   * kRowAtATime takes a row Catalog — MaterializeRowCatalog() converts
@@ -14,8 +15,8 @@
 // Fingerprints come straight from the file headers (stamped at write time
 // with the identical ContentFingerprint chain), so the shard and serving
 // protocols see exactly the values an in-memory catalog would compute —
-// an on-disk catalog and its in-memory twin are indistinguishable on the
-// wire.
+// an on-disk catalog and the in-memory catalog over the same rows are
+// indistinguishable on the wire.
 //
 // Thread safety: Get()/Fingerprint()/Stored() are safe to call
 // concurrently (in-process shard workers share one catalog); the stored

@@ -667,9 +667,10 @@ TEST(ParallelExecutorTest, MonteCarloUnbiasedAtEveryThreadCount) {
 }
 
 TEST(ParallelExecutorTest, StoreCountersObeyAccountingInvariant) {
-  // Cold cache, one thread, a single segment-backed relation: every
-  // segment of the pivot is either skipped by the pruner or faulted in
-  // exactly once — segments_skipped + segments_faulted == segments_total.
+  // Cold cache, one thread, a single segment-backed relation, one segment
+  // per unit, pruning on: every segment of the pivot is either skipped by
+  // the pruner or faulted in exactly once —
+  // segments_skipped + segments_faulted == segments_total.
   Catalog catalog;
   catalog["R"] = gus::testing::MakeSingleTable(512);
   const std::string dir =
@@ -698,6 +699,33 @@ TEST(ParallelExecutorTest, StoreCountersObeyAccountingInvariant) {
   EXPECT_EQ(stats.segments_total,
             stats.segments_skipped + stats.segments_faulted);
   EXPECT_GT(stats.store_bytes_read, 0);
+
+  // A WOR keep slice reads only the segments holding a kept row. Pruning
+  // off: nothing is skipped and only those segments fault. Pruning on:
+  // exactly the others are skipped, so the same segments fault and the
+  // identity above holds.
+  PlanPtr wor = PlanNode::Sample(SamplingSpec::WithoutReplacement(6, 512),
+                                 PlanNode::Scan("R"));
+  ExecStats off;
+  ExecStats on;
+  for (const bool prune : {false, true}) {
+    SCOPED_TRACE("prune=" + std::to_string(prune));
+    stored_catalog->segment_cache()->Clear();  // cold
+    ExecOptions wor_exec = exec;
+    wor_exec.prune_segments = prune;
+    wor_exec.stats = prune ? &on : &off;
+    Rng wor_rng(5);
+    ASSERT_OK_AND_ASSIGN(ColumnarRelation sample,
+                         ExecutePlanMorsel(wor, stored_catalog.get(), &wor_rng,
+                                           ExecMode::kSampled, wor_exec));
+    EXPECT_EQ(6, sample.num_rows());
+  }
+  EXPECT_EQ(16, off.segments_total);
+  EXPECT_EQ(0, off.segments_skipped);
+  EXPECT_LT(off.segments_faulted, off.segments_total);
+  EXPECT_EQ(off.segments_faulted, on.segments_faulted);
+  EXPECT_GT(on.segments_skipped, 0);
+  EXPECT_EQ(on.segments_total, on.segments_skipped + on.segments_faulted);
 }
 
 }  // namespace

@@ -384,6 +384,13 @@ std::vector<ParityCase> ParityCases(int64_t lineitem_rows) {
            Ge(Col("l_orderkey"), Lit(int64_t{250})),
            PlanNode::Sample(SamplingSpec::BlockBernoulli(0.4, 16),
                             PlanNode::Scan("l")))});
+  // 48 does not divide the 64-row segments the parity test writes:
+  // morsels align to lcm = 192 rows, so kept blocks straddle segment
+  // boundaries inside a morsel and gather from two segments.
+  cases.push_back(
+      {"block_straddles_segments",
+       PlanNode::Sample(SamplingSpec::BlockBernoulli(0.4, 48),
+                        PlanNode::Scan("l"))});
   cases.push_back(
       {"join_selective",
        PlanNode::Join(
@@ -433,6 +440,27 @@ TEST(PruningParityTest, PrunedRunsAreBitIdenticalAcrossEnginesAndShards) {
           SboxReport baseline,
           EstimatePlanParallel(pc.plan, &mem_catalog, &rng_mem, f, soa.top,
                                sbox, ExecMode::kSampled, exec));
+
+      // The serial compiler over stored segments: batch_rows = 48 does
+      // not divide segment_rows, so its scan views clip mid-segment.
+      {
+        constexpr int64_t kSerialBatchRows = 48;
+        Rng rng_serial_mem(seed);
+        ASSERT_OK_AND_ASSIGN(
+            SboxReport serial_mem,
+            EstimatePlanStreaming(pc.plan, &mem_catalog, &rng_serial_mem, f,
+                                  soa.top, sbox, ExecMode::kSampled,
+                                  kSerialBatchRows));
+        ASSERT_OK_AND_ASSIGN(auto stored_catalog, SegmentCatalog::Open(dir));
+        Rng rng_serial_stored(seed);
+        ASSERT_OK_AND_ASSIGN(
+            SboxReport serial_stored,
+            EstimatePlanStreaming(pc.plan, stored_catalog.get(),
+                                  &rng_serial_stored, f, soa.top, sbox,
+                                  ExecMode::kSampled, kSerialBatchRows));
+        SCOPED_TRACE("serial streaming");
+        ExpectReportsBitIdentical(serial_mem, serial_stored);
+      }
 
       for (const int threads : {1, 4}) {
         for (const bool prune : {false, true}) {

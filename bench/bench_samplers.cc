@@ -55,6 +55,22 @@ void BM_WorFisherYates(benchmark::State& state) {
 }
 BENCHMARK(BM_WorFisherYates);
 
+/// The seed-decoupled WOR keep-set behind plan execution: 1M rows, n = 10k
+/// (a 1% sample), at 1 and 4 threads on the shared pool. Index selection
+/// only — no tuple copies — so this is the layer's own number.
+void BM_DecoupledWor(benchmark::State& state) {
+  constexpr int64_t kWorRows = 1000000;
+  constexpr int64_t kWorKeep = 10000;
+  const int threads = static_cast<int>(state.range(0));
+  uint64_t seed = 14;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        DecoupledWorKeepIndices(kWorRows, kWorKeep, seed++, threads));
+  }
+  state.SetItemsProcessed(state.iterations() * kWorRows);
+}
+BENCHMARK(BM_DecoupledWor)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
 void BM_Reservoir(benchmark::State& state) {
   Relation table = MakeTable(kRows);
   Rng rng(11);

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "kernels/simd/simd_dispatch.h"
 #include "util/hash.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace gus {
 
@@ -14,6 +16,13 @@ namespace {
 /// Positions never reach this; used to park the cursor "past any stream"
 /// when a drawn skip is astronomically large, without risking overflow.
 constexpr int64_t kFarAway = int64_t{1} << 62;
+
+/// Rows per filter call: bounds the kernel's scratch output to the stack.
+constexpr int64_t kWorFilterBlock = 1024;
+
+/// Fewest rows a worker of the parallel WOR filter takes; below it the
+/// pool handoff costs more than the rows (~3 ns each on one core).
+constexpr int64_t kWorRowsPerWorker = int64_t{1} << 15;
 
 }  // namespace
 
@@ -110,42 +119,6 @@ bool BlockDecisionCache::Decide(uint64_t block, double p, Rng* rng) {
   return it->second;
 }
 
-void MergeableReservoir::Offer(uint64_t priority, int64_t row) {
-  if (n_ <= 0) return;
-  const Candidate cand{priority, row};
-  if (static_cast<int64_t>(heap_.size()) < n_) {
-    heap_.push_back(cand);
-    std::push_heap(heap_.begin(), heap_.end());
-    return;
-  }
-  if (cand < heap_.front()) {
-    std::pop_heap(heap_.begin(), heap_.end());
-    heap_.back() = cand;
-    std::push_heap(heap_.begin(), heap_.end());
-  }
-}
-
-void MergeableReservoir::OfferRange(uint64_t seed, int64_t row_begin,
-                                    int64_t row_end) {
-  for (int64_t row = row_begin; row < row_end; ++row) {
-    Offer(WorPriority(seed, static_cast<uint64_t>(row)), row);
-  }
-}
-
-void MergeableReservoir::MergeFrom(const MergeableReservoir& other) {
-  for (const Candidate& cand : other.heap_) {
-    Offer(cand.first, cand.second);
-  }
-}
-
-std::vector<int64_t> MergeableReservoir::SortedRows() const {
-  std::vector<int64_t> rows;
-  rows.reserve(heap_.size());
-  for (const Candidate& cand : heap_) rows.push_back(cand.second);
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
 void BlockDecisionCache::Reset() {
   // Epoch bump invalidates every dense decision in O(1). The epoch field
   // is 31 bits; on wraparound, fall back to one full clear.
@@ -155,6 +128,96 @@ void BlockDecisionCache::Reset() {
     epoch_ = 1;
   }
   sparse_.clear();
+}
+
+int64_t WorCandidateTarget(int64_t n) {
+  return n + static_cast<int64_t>(4.0 * std::sqrt(static_cast<double>(n))) +
+         16;
+}
+
+uint64_t WorPriorityThreshold(int64_t num_rows, int64_t target) {
+  if (target >= num_rows) return ~uint64_t{0};
+  // target < num_rows, so the quotient fits in 64 bits.
+  return static_cast<uint64_t>((static_cast<__uint128_t>(target) << 64) /
+                               static_cast<uint64_t>(num_rows));
+}
+
+void AppendWorCandidates(uint64_t seed, uint64_t tau, int64_t begin,
+                         int64_t end, std::vector<WorCandidate>* out) {
+  uint64_t prio[kWorFilterBlock];
+  int64_t rows[kWorFilterBlock];
+  for (int64_t b = begin; b < end; b += kWorFilterBlock) {
+    const int64_t len = std::min(kWorFilterBlock, end - b);
+    const int64_t kept = simd::WorPriorityFilter(seed, tau, b, len, prio, rows);
+    for (int64_t i = 0; i < kept; ++i) out->emplace_back(prio[i], rows[i]);
+  }
+}
+
+std::vector<int64_t> SmallestCandidateRows(
+    const std::vector<WorCandidate>& cands, int64_t n) {
+  GUS_CHECK(n <= static_cast<int64_t>(cands.size()));
+  std::vector<int64_t> rows;
+  if (n <= 0) return rows;
+  std::vector<WorCandidate> order = cands;
+  std::nth_element(order.begin(), order.begin() + (n - 1), order.end());
+  const WorCandidate cutoff = order[static_cast<size_t>(n - 1)];
+  rows.reserve(static_cast<size_t>(n));
+  for (const WorCandidate& c : cands) {
+    if (c <= cutoff) rows.push_back(c.second);
+  }
+  return rows;
+}
+
+std::vector<int64_t> WorSmallestPriorityRows(int64_t num_rows, int64_t n,
+                                             uint64_t seed, int num_threads,
+                                             int64_t candidate_target) {
+  GUS_DCHECK(n >= 0 && n <= num_rows);
+  if (n <= 0) return {};
+  if (n >= num_rows) {
+    std::vector<int64_t> all(static_cast<size_t>(num_rows));
+    std::iota(all.begin(), all.end(), int64_t{0});
+    return all;
+  }
+  // Nested calls (inside a pool task) stay serial: a transient pool per
+  // call would spawn threads on every query.
+  const int workers =
+      ThreadPool::InPoolTask()
+          ? 1
+          : static_cast<int>(std::clamp<int64_t>(
+                num_rows / kWorRowsPerWorker, 1, std::max(1, num_threads)));
+  std::vector<std::vector<WorCandidate>> parts(static_cast<size_t>(workers));
+  int64_t target = std::max<int64_t>(candidate_target, 1);
+  while (true) {
+    const uint64_t tau = WorPriorityThreshold(num_rows, target);
+    // Range w is the w-th num_rows / workers slice; ranges write disjoint
+    // parts, concatenated below in range order (so still row order).
+    const auto filter_range = [&](int64_t w) {
+      const int64_t begin = num_rows * w / workers;
+      const int64_t end = num_rows * (w + 1) / workers;
+      std::vector<WorCandidate>& part = parts[static_cast<size_t>(w)];
+      part.clear();
+      part.reserve(static_cast<size_t>(
+          std::min(end - begin, target / workers + 64)));
+      AppendWorCandidates(seed, tau, begin, end, &part);
+    };
+    if (workers == 1) {
+      filter_range(0);
+    } else {
+      PoolLease pool(workers);
+      pool->ParallelFor(workers, filter_range);
+    }
+    int64_t found = 0;
+    for (const auto& part : parts) found += static_cast<int64_t>(part.size());
+    if (found >= n) break;
+    // Fewer than n keys under tau (probability ~Phi(-4) at the default
+    // target): widen and rescan. Terminates: target >= num_rows keeps all.
+    target = target > num_rows / 2 ? num_rows : 2 * target;
+  }
+  std::vector<WorCandidate> cands = std::move(parts[0]);
+  for (size_t w = 1; w < parts.size(); ++w) {
+    cands.insert(cands.end(), parts[w].begin(), parts[w].end());
+  }
+  return SmallestCandidateRows(cands, n);
 }
 
 }  // namespace gus

@@ -30,13 +30,22 @@
 // decision is then a pure function of (seed, unit index) via
 // Rng::ForkStream. Because no state flows between units, any partition of
 // the rows into morsels or shards computes the identical keys, and a
-// fixed-size WOR draw reduces to "the n smallest priority keys" — exactly
-// computable from bounded per-partition candidate sets (MergeableReservoir)
-// folded in any grouping.
+// fixed-size WOR draw reduces to "the n smallest (priority, row) pairs".
+//
+// That selection runs as a threshold filter, not a heap. The keys are
+// i.i.d. uniform 64-bit values, so a threshold tau sized for ~n + 4 sqrt(n)
+// + 16 survivors keeps at least n rows except with probability ~Phi(-4).
+// Whenever at least n keys are <= tau, the n smallest pairs are all among
+// the survivors (any pair above tau is larger than each of those n), so
+// one nth_element over the survivors is exact; the rare short pass
+// rescans with a doubled target. The filter is a pure per-row predicate,
+// so row ranges filter independently — on any number of threads — and
+// their survivors concatenate into the same candidate set.
 
 #ifndef GUS_KERNELS_SAMPLING_KERNELS_H_
 #define GUS_KERNELS_SAMPLING_KERNELS_H_
 
+#include <bit>
 #include <cstdint>
 #include <unordered_map>
 #include <utility>
@@ -122,7 +131,23 @@ class BlockDecisionCache {
 
 // ---- Seed-decoupled fixed-size sampling kernels ----------------------------
 
-/// \brief Priority key of row `row` under sampler stream `seed`.
+/// \brief WorPriority with the seed's own mix hoisted out:
+/// `mixed_seed` is Mix64(seed).
+///
+/// Rng::ForkStream(seed, row) seeds xoshiro from
+/// s = Mix64(HashCombine(Mix64(seed), Mix64(row))), and its first Next()
+/// reads only state word 1, which Rng::Seed sets to Mix64(s + 2 gamma)
+/// (gamma = 0x9e3779b97f4a7c15, the SplitMix64 increment). The first draw
+/// is therefore Rotl(Mix64(s + 2 gamma) * 5, 7) * 9: 4 Mix64 per row
+/// instead of the 8 that building the whole generator state costs.
+inline uint64_t WorPriorityMixed(uint64_t mixed_seed, uint64_t row) {
+  const uint64_t s = Mix64(HashCombine(mixed_seed, Mix64(row)));
+  const uint64_t s1 = Mix64(s + 2 * 0x9e3779b97f4a7c15ULL);
+  return std::rotl(s1 * 5, 7) * 9;
+}
+
+/// \brief Priority key of row `row` under sampler stream `seed`: exactly
+/// Rng::ForkStream(seed, row).Next(), in the closed form above.
 ///
 /// Pure function of its arguments — every engine, thread, and shard computes
 /// the identical key for a row, so "keep the n smallest (priority, row)
@@ -130,7 +155,7 @@ class BlockDecisionCache {
 /// the keys are i.i.d. uniform 64-bit values, and the rows carrying the n
 /// smallest keys form a uniformly distributed size-n subset.
 inline uint64_t WorPriority(uint64_t seed, uint64_t row) {
-  return Rng::ForkStream(seed, row).Next();
+  return WorPriorityMixed(Mix64(seed), row);
 }
 
 /// \brief Bernoulli(p) keep decision for block `block` under stream `seed`.
@@ -152,42 +177,46 @@ inline int64_t WrDrawTarget(uint64_t seed, int64_t draw, int64_t population) {
       r.UniformInt(static_cast<uint64_t>(population)));
 }
 
-/// \brief Bounded candidate state for an exact distributed top-n
-/// (smallest-priority) selection — the mergeable reservoir behind
-/// fixed-size WOR/reservoir sampling.
+/// A fixed-size WOR candidate: (WorPriority(seed, row), row). Pairs order
+/// lexicographically, so ties on the key break on the row index.
+using WorCandidate = std::pair<uint64_t, int64_t>;
+
+/// Initial candidate target of the threshold filter: n + 4 sqrt(n) + 16,
+/// i.e. ~4 standard deviations above n survivors.
+int64_t WorCandidateTarget(int64_t n);
+
+/// \brief Threshold tau under which ~`target` of `num_rows` uniform keys
+/// fall: floor(target * 2^64 / num_rows), or UINT64_MAX (every row) when
+/// target >= num_rows.
+uint64_t WorPriorityThreshold(int64_t num_rows, int64_t target);
+
+/// \brief Appends the candidates of rows [begin, end) whose priority under
+/// `seed` is <= tau, in ascending row order (simd::WorPriorityFilter).
+void AppendWorCandidates(uint64_t seed, uint64_t tau, int64_t begin,
+                         int64_t end, std::vector<WorCandidate>* out);
+
+/// \brief Rows of the n smallest candidates, ascending.
 ///
-/// Each partition offers its rows' (priority, row) pairs and retains at
-/// most n candidates; folding the per-partition states (in morsel order,
-/// though the result is grouping-independent) yields exactly the global
-/// n smallest pairs, because a row outside a partition's local top-n can
-/// never be in the global top-n. Ties break on the row index, so the
-/// selection is total even under (astronomically unlikely) equal keys.
-class MergeableReservoir {
- public:
-  explicit MergeableReservoir(int64_t n) : n_(n) {}
+/// `cands` must hold at least n pairs in ascending row order (as
+/// AppendWorCandidates writes them, range after range): one nth_element
+/// finds the n-th smallest pair, and a pass in candidate order keeps
+/// every pair at or below it, so the output needs no sort.
+std::vector<int64_t> SmallestCandidateRows(
+    const std::vector<WorCandidate>& cands, int64_t n);
 
-  int64_t capacity() const { return n_; }
-  int64_t size() const { return static_cast<int64_t>(heap_.size()); }
-
-  /// Offers one candidate.
-  void Offer(uint64_t priority, int64_t row);
-
-  /// Offers rows [row_begin, row_end) with WorPriority(seed, row) keys.
-  void OfferRange(uint64_t seed, int64_t row_begin, int64_t row_end);
-
-  /// Folds another partition's candidates into this state (exact).
-  void MergeFrom(const MergeableReservoir& other);
-
-  /// The kept rows, ascending (input order — samplers are filters).
-  std::vector<int64_t> SortedRows() const;
-
- private:
-  using Candidate = std::pair<uint64_t, int64_t>;  // (priority, row)
-
-  int64_t n_;
-  /// Max-heap on (priority, row): top() is the weakest kept candidate.
-  std::vector<Candidate> heap_;
-};
+/// \brief Rows holding the n smallest (WorPriority(seed, row), row) pairs
+/// over [0, num_rows), ascending. Requires 0 <= n <= num_rows.
+///
+/// Threshold filter sized for `candidate_target` survivors, doubled and
+/// rescanned while fewer than n survive. `num_threads` > 1 splits the
+/// filter into per-worker row ranges on the shared pool above a size
+/// floor; a call from inside a pool task runs serially rather than lease
+/// a private pool. The result is the same at every thread count, tier and
+/// target. Production passes WorCandidateTarget(n); a smaller target only
+/// forces the rescan path.
+std::vector<int64_t> WorSmallestPriorityRows(int64_t num_rows, int64_t n,
+                                             uint64_t seed, int num_threads,
+                                             int64_t candidate_target);
 
 }  // namespace gus
 

@@ -391,6 +391,55 @@ int64_t LineageKeepGatherAvx2(uint64_t seed, uint64_t threshold,
   return w;
 }
 
+/// Emulated-multiply form of the AVX-512 kernel: blocks of 4 rows, kBlocks
+/// at a time stage by stage. The unsigned compare flips the sign bit into
+/// a signed one. Full 4-lane stores are safe for the same reason as in
+/// CompressStore4.
+int64_t WorPriorityFilterAvx2(uint64_t seed, uint64_t tau, int64_t begin,
+                              int64_t len, uint64_t* prio_out,
+                              int64_t* row_out) {
+  constexpr int kBlocks = 4;
+  const uint64_t m = Mix64(seed);
+  const __m256i mixed_seed = _mm256_set1_epi64x(static_cast<long long>(m));
+  const __m256i combine_k = _mm256_set1_epi64x(
+      static_cast<long long>(0x9e3779b97f4a7c15ULL + (m << 6) + (m >> 2)));
+  const __m256i two_gamma =
+      _mm256_set1_epi64x(static_cast<long long>(2 * 0x9e3779b97f4a7c15ULL));
+  const __m256i sign = _mm256_set1_epi64x(INT64_MIN);
+  const __m256i vtau_s =
+      _mm256_xor_si256(_mm256_set1_epi64x(static_cast<long long>(tau)), sign);
+  const __m256i four = _mm256_set1_epi64x(4);
+  __m256i next_rows = Iota4(begin);
+  int64_t w = 0, i = 0;
+  for (; i + 4 * kBlocks <= len; i += 4 * kBlocks) {
+    __m256i rows[kBlocks], h[kBlocks];
+    for (int b = 0; b < kBlocks; ++b) {
+      rows[b] = next_rows;
+      next_rows = _mm256_add_epi64(next_rows, four);
+      h[b] = _mm256_add_epi64(Mix64x4(rows[b]), combine_k);
+    }
+    for (int b = 0; b < kBlocks; ++b) {
+      h[b] = Mix64x4(_mm256_xor_si256(mixed_seed, h[b]));
+    }
+    for (int b = 0; b < kBlocks; ++b) h[b] = Mix64x4(h[b]);
+    for (int b = 0; b < kBlocks; ++b) {
+      h[b] = Mix64x4(_mm256_add_epi64(h[b], two_gamma));
+    }
+    for (int b = 0; b < kBlocks; ++b) {
+      __m256i x = _mm256_add_epi64(_mm256_slli_epi64(h[b], 2), h[b]);
+      x = _mm256_or_si256(_mm256_slli_epi64(x, 7), _mm256_srli_epi64(x, 57));
+      x = _mm256_add_epi64(_mm256_slli_epi64(x, 3), x);
+      // keep = !(x > tau), unsigned.
+      const __m256i gt = _mm256_cmpgt_epi64(_mm256_xor_si256(x, sign), vtau_s);
+      const int keep = ~_mm256_movemask_pd(_mm256_castsi256_pd(gt)) & 0xF;
+      CompressStore4(reinterpret_cast<int64_t*>(prio_out), w, x, keep);
+      w = CompressStore4(row_out, w, rows[b], keep);
+    }
+  }
+  return w + ScalarWorPriorityFilter(seed, tau, begin + i, len - i,
+                                     prio_out + w, row_out + w);
+}
+
 void GatherI64Avx2(const int64_t* src, const int64_t* idx, int64_t n,
                    int64_t* dst) {
   int64_t i = 0;
@@ -455,6 +504,7 @@ const SimdOps kAvx2Ops = {
     &CompactPairsU32Avx2,
     &LineageKeepDenseAvx2,
     &LineageKeepGatherAvx2,
+    &WorPriorityFilterAvx2,
     &GatherI64Avx2,
     &GatherF64Avx2,
     &GatherU32Avx2,

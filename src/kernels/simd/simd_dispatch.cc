@@ -30,6 +30,7 @@ const SimdOps kScalarOps = {
     &ScalarCompactPairs<uint32_t>,
     &ScalarLineageKeepDense,
     &ScalarLineageKeepGather,
+    &ScalarWorPriorityFilter,
     &ScalarGather<int64_t>,
     &ScalarGather<double>,
     &ScalarGather<uint32_t>,
@@ -233,6 +234,12 @@ int64_t LineageKeepGather(uint64_t seed, uint64_t threshold,
                           const int64_t* sel, int64_t len, int64_t* out) {
   return Active().lineage_keep_gather(seed, threshold, lineage, stride, dim,
                                       sel, len, out);
+}
+
+int64_t WorPriorityFilter(uint64_t seed, uint64_t tau, int64_t begin,
+                          int64_t len, uint64_t* prio_out, int64_t* row_out) {
+  return Active().wor_priority_filter(seed, tau, begin, len, prio_out,
+                                      row_out);
 }
 
 void GatherI64(const int64_t* src, const int64_t* idx, int64_t n,

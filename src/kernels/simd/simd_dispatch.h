@@ -151,6 +151,15 @@ int64_t LineageKeepGather(uint64_t seed, uint64_t threshold,
                           const uint64_t* lineage, int64_t stride, int64_t dim,
                           const int64_t* sel, int64_t len, int64_t* out);
 
+// ---- Fixed-size WOR priority filter ------------------------------------------
+
+/// \brief Fused priority + threshold filter: for each row r in
+/// [begin, begin + len) with p = WorPriority(seed, r) <= tau, writes p to
+/// prio_out[w] and r to row_out[w], in row order; returns w. Both outputs
+/// need room for len entries; begin + len must not exceed INT64_MAX.
+int64_t WorPriorityFilter(uint64_t seed, uint64_t tau, int64_t begin,
+                          int64_t len, uint64_t* prio_out, int64_t* row_out);
+
 // ---- Typed gathers and converts (batch join emit / group-by feeds) ----------
 
 void GatherI64(const int64_t* src, const int64_t* idx, int64_t n,

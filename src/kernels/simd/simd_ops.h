@@ -12,6 +12,7 @@
 
 #include <cstdint>
 
+#include "kernels/sampling_kernels.h"
 #include "kernels/simd/simd_dispatch.h"
 #include "util/hash.h"
 
@@ -47,6 +48,8 @@ struct SimdOps {
                                 int64_t, int64_t, int64_t*);
   int64_t (*lineage_keep_gather)(uint64_t, uint64_t, const uint64_t*, int64_t,
                                  int64_t, const int64_t*, int64_t, int64_t*);
+  int64_t (*wor_priority_filter)(uint64_t, uint64_t, int64_t, int64_t,
+                                 uint64_t*, int64_t*);
   void (*gather_i64)(const int64_t*, const int64_t*, int64_t, int64_t*);
   void (*gather_f64)(const double*, const int64_t*, int64_t, double*);
   void (*gather_u32)(const uint32_t*, const int64_t*, int64_t, uint32_t*);
@@ -187,6 +190,24 @@ inline int64_t ScalarLineageKeepGather(uint64_t seed, uint64_t threshold,
     const int64_t r = sel[k];
     out[w] = r;
     w += ScalarLineageKeeps(seed, threshold, lineage[r * stride + dim]);
+  }
+  return w;
+}
+
+/// Keys come from the closed form in kernels/sampling_kernels.h, with the
+/// seed's mix hoisted out of the loop. Branch-free append.
+inline int64_t ScalarWorPriorityFilter(uint64_t seed, uint64_t tau,
+                                       int64_t begin, int64_t len,
+                                       uint64_t* prio_out, int64_t* row_out) {
+  const uint64_t mixed_seed = Mix64(seed);
+  int64_t w = 0;
+  for (int64_t i = 0; i < len; ++i) {
+    const int64_t row = begin + i;
+    const uint64_t prio =
+        WorPriorityMixed(mixed_seed, static_cast<uint64_t>(row));
+    prio_out[w] = prio;
+    row_out[w] = row;
+    w += prio <= tau;
   }
   return w;
 }

@@ -17,7 +17,8 @@ std::string ExecStats::ToString(const std::string& label) const {
   if (!label.empty()) out << " " << label;
   out << (serial_fallback ? " (serial fallback)" : "") << "\n";
   out << "  total      " << total_ms << " ms\n";
-  out << "  prepare    " << prepare_ms << " ms\n";
+  out << "  prepare    " << prepare_ms << " ms  (sampler "
+      << prepare_sampler_ms << " ms inside)\n";
   out << "  parallel   " << parallel_ms << " ms  (sink fold " << sink_fold_ms
       << " ms inside)\n";
   out << "  gather     " << gather_ms << " ms\n";

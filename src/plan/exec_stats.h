@@ -37,6 +37,10 @@ struct ExecStats {
   /// Serial prepare: pivot analysis, non-pivot subtree execution, sampler
   /// resolution, shared join-side builds.
   double prepare_ms = 0.0;
+  /// Part of prepare_ms: resolving fixed-size (WOR / WR) keep-sets, both
+  /// pivot samplers and the breakers of non-pivot subtrees. Zero on the
+  /// serial fallback, whose samplers run inside the pump.
+  double prepare_sampler_ms = 0.0;
   /// The morsel loop: scan/sample/probe/emit across all workers, wall time.
   double parallel_ms = 0.0;
   /// Time spent folding per-morsel sinks in ascending morsel order

@@ -775,7 +775,8 @@ Result<ProgramPtr> CompileNode(const PlanPtr& plan, ColumnarCatalog* catalog,
           std::vector<int64_t> keep;
           if (spec.method == SamplingMethod::kWithoutReplacement) {
             GUS_ASSIGN_OR_RETURN(
-                keep, DecoupledWorKeepIndices(population, spec.n, seed));
+                keep, DecoupledWorKeepIndices(population, spec.n, seed,
+                                              options.num_threads));
           } else {
             GUS_ASSIGN_OR_RETURN(keep, DecoupledWrDistinctKeepIndices(
                                            population, spec.n, seed));
@@ -1442,9 +1443,14 @@ Status ParallelExecuteUnitRangeToSink(
 
   GUS_ASSIGN_OR_RETURN(const std::string pivot,
                        ChoosePivotRelation(cands, catalog));
-  GUS_ASSIGN_OR_RETURN(
-      MorselProgram program,
-      PrepareMorselProgram(plan, pivot, catalog, rng, mode, options));
+  double sampler_ms = 0.0;
+  Result<MorselProgram> prepared = [&] {
+    const KeepSetTimeScope sampler_time(stats != nullptr ? &sampler_ms
+                                                         : nullptr);
+    return PrepareMorselProgram(plan, pivot, catalog, rng, mode, options);
+  }();
+  GUS_ASSIGN_OR_RETURN(MorselProgram program, std::move(prepared));
+  if (stats != nullptr) stats->prepare_sampler_ms = sampler_ms;
   if (samplers_out != nullptr) *samplers_out = program.samplers;
   // One draw seeds every morsel stream; consumed after the serial prepare
   // phase (non-pivot subtrees + pivot sampler seeds) so the whole

@@ -18,8 +18,9 @@
 //   * lineage-seeded Bernoulli — Rng-free pure function of (seed, lineage);
 //   * fixed-size WOR / WR-distinct samplers directly above the pivot scan —
 //     seed-decoupled: the sampler consumes one Rng value during the serial
-//     prepare phase and the exact global keep-set (a mergeable-reservoir
-//     top-n, resp. the n draw targets) is a pure function of (seed, row),
+//     prepare phase and the exact global keep-set (a threshold-filtered
+//     top-n over per-worker row ranges, resp. the n draw targets) is a
+//     pure function of (seed, row),
 //     so every morsel filters its slice against the same global sample and
 //     the draw is bit-identical to the serial engines';
 //   * block sampling directly above the pivot scan — per-block decisions

@@ -1,6 +1,7 @@
 #include "sampling/samplers.h"
 
 #include <algorithm>
+#include <chrono>
 #include <numeric>
 #include <unordered_set>
 #include <vector>
@@ -16,6 +17,29 @@ namespace {
 Relation EmptyLike(const Relation& input) {
   return Relation(input.schema(), input.lineage_schema());
 }
+
+/// Accumulator of the innermost live KeepSetTimeScope on this thread.
+thread_local double* keep_set_ms = nullptr;
+
+/// Adds its lifetime to the live KeepSetTimeScope, if any.
+class KeepSetTimer {
+ public:
+  KeepSetTimer()
+      : sink_(keep_set_ms),
+        start_(sink_ != nullptr ? Clock::now() : Clock::time_point()) {}
+  ~KeepSetTimer() {
+    if (sink_ != nullptr) {
+      *sink_ += std::chrono::duration<double, std::milli>(Clock::now() -
+                                                          start_)
+                    .count();
+    }
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  double* sink_;
+  Clock::time_point start_;
+};
 
 Relation TakeRows(const Relation& input, const std::vector<int64_t>& indexes) {
   Relation out = EmptyLike(input);
@@ -128,15 +152,21 @@ Result<std::vector<int64_t>> LineageBernoulliKeepIndices(
   return keep;
 }
 
+KeepSetTimeScope::KeepSetTimeScope(double* ms) : prev_(keep_set_ms) {
+  keep_set_ms = ms;
+}
+
+KeepSetTimeScope::~KeepSetTimeScope() { keep_set_ms = prev_; }
+
 Result<std::vector<int64_t>> DecoupledWorKeepIndices(int64_t num_rows,
-                                                     int64_t n,
-                                                     uint64_t seed) {
+                                                     int64_t n, uint64_t seed,
+                                                     int num_threads) {
   if (n < 0 || n > num_rows) {
     return Status::InvalidArgument("WOR sample size must be in [0, N]");
   }
-  MergeableReservoir reservoir(n);
-  reservoir.OfferRange(seed, 0, num_rows);
-  return reservoir.SortedRows();
+  const KeepSetTimer timer;
+  return WorSmallestPriorityRows(num_rows, n, seed, num_threads,
+                                 WorCandidateTarget(n));
 }
 
 Result<std::vector<int64_t>> DecoupledWrDistinctKeepIndices(int64_t num_rows,
@@ -144,6 +174,7 @@ Result<std::vector<int64_t>> DecoupledWrDistinctKeepIndices(int64_t num_rows,
                                                             uint64_t seed) {
   if (n < 0) return Status::InvalidArgument("sample size must be >= 0");
   if (num_rows == 0) return std::vector<int64_t>{};
+  const KeepSetTimer timer;
   std::vector<int64_t> idx;
   idx.reserve(static_cast<size_t>(n));
   for (int64_t draw = 0; draw < n; ++draw) {

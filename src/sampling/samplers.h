@@ -70,17 +70,21 @@ Result<std::vector<int64_t>> LineageBernoulliKeepIndices(
 // and the keep-set is then a pure function of (seed, input shape) built
 // from per-row keys (kernels/sampling_kernels.h). All four engines — row,
 // columnar, morsel-parallel, sharded — therefore draw bit-identical
-// fixed-size samples from identical seeds, and the morsel engine can
-// evaluate any row range independently and fold bounded per-morsel
-// candidate states into the exact global result.
+// fixed-size samples from identical seeds, and any row range can be
+// evaluated independently: a WOR keep-set is the union of per-range
+// threshold-filter survivors cut to the n smallest.
 
 /// \brief Exact uniform WOR(n) as the n smallest WorPriority(seed, row)
 /// keys; kept indexes ascending.
 ///
-/// Equals folding per-range MergeableReservoir states over any partition
-/// of [0, num_rows).
+/// Runs as a threshold filter plus one nth_element over its survivors
+/// (WorSmallestPriorityRows in kernels/sampling_kernels.h). The filter is a
+/// per-row predicate, so `num_threads` > 1 splits [0, num_rows) into
+/// per-worker ranges on the shared pool; the keep-set is the same for any
+/// thread count and any partition of the rows.
 Result<std::vector<int64_t>> DecoupledWorKeepIndices(int64_t num_rows,
-                                                     int64_t n, uint64_t seed);
+                                                     int64_t n, uint64_t seed,
+                                                     int num_threads = 1);
 
 /// \brief n with-replacement draws WrDrawTarget(seed, d), duplicates
 /// discarded; kept indexes ascending.
@@ -95,6 +99,26 @@ Result<std::vector<int64_t>> DecoupledWrDistinctKeepIndices(int64_t num_rows,
 /// DecoupledBlockKeep(seed, block, p); `block_of` reads a row's block id.
 Result<std::vector<int64_t>> DecoupledBlockKeepIndices(
     int64_t num_rows, double p, const LineageIdFn& block_of, uint64_t seed);
+
+/// \brief While alive, adds the wall time this thread spends resolving
+/// fixed-size keep-sets (DecoupledWorKeepIndices,
+/// DecoupledWrDistinctKeepIndices) to `*ms`.
+///
+/// The morsel engine opens one around its prepare phase to fill
+/// ExecStats::prepare_sampler_ms: pivot samplers and the breakers of
+/// non-pivot subtrees both resolve on the preparing thread. Scopes nest;
+/// a null `ms` pauses accounting.
+class KeepSetTimeScope {
+ public:
+  explicit KeepSetTimeScope(double* ms);
+  ~KeepSetTimeScope();
+
+  KeepSetTimeScope(const KeepSetTimeScope&) = delete;
+  KeepSetTimeScope& operator=(const KeepSetTimeScope&) = delete;
+
+ private:
+  double* prev_;
+};
 
 /// \brief The outcome of dispatching a SamplingSpec on an input shape.
 struct SamplingDecision {

@@ -1,18 +1,23 @@
 // Hot-path kernel tests: the flat open-addressing JoinHashTable
 // (duplicates, forced hash collisions, the loud-failure build check, empty
-// builds) and the geometric-skip Bernoulli kernel (span-partition
+// builds), the geometric-skip Bernoulli kernel (span-partition
 // invariance, Binomial(N, p) mean/variance, O(pN) draw count, identical
-// keep-sets across engines).
+// keep-sets across engines) and the fixed-size WOR keep-set kernel
+// (closed-form priorities, threshold filter and rescan against a
+// brute-force oracle on every tier and thread count).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "kernels/join_hash_table.h"
 #include "kernels/key_hash.h"
 #include "kernels/sampling_kernels.h"
+#include "kernels/simd/simd_dispatch.h"
 #include "plan/columnar_executor.h"
 #include "plan/executor.h"
 #include "plan/parallel_executor.h"
@@ -403,34 +408,167 @@ TEST(FilterEqualKeyPairsTest, TypedCompactionMatchesKeyEqualsAt) {
   EXPECT_EQ((std::vector<int64_t>{0, 1}), pb);
 }
 
-TEST(MergeableReservoirTest, ChunkedFoldMatchesDirectTopN) {
-  // Offering rows chunk by chunk (any chunking) and folding the bounded
-  // per-chunk states must reproduce the direct global top-n exactly.
-  const uint64_t seed = 0xfeedULL;
-  const int64_t n_rows = 10000, n = 64;
-  MergeableReservoir direct(n);
-  direct.OfferRange(seed, 0, n_rows);
-  const std::vector<int64_t> expected = direct.SortedRows();
-  ASSERT_EQ(n, static_cast<int64_t>(expected.size()));
-  for (const int64_t chunk : {1L, 7L, 128L, 4096L}) {
-    SCOPED_TRACE(chunk);
-    MergeableReservoir folded(n);
-    for (int64_t begin = 0; begin < n_rows; begin += chunk) {
-      MergeableReservoir part(n);
-      part.OfferRange(seed, begin, std::min(n_rows, begin + chunk));
-      EXPECT_LE(part.size(), n);  // bounded per-partition candidates
-      folded.MergeFrom(part);
+// -- Fixed-size WOR keep-sets: closed-form priorities + threshold filter -----
+
+const std::vector<simd::SimdTier>& AllTiers() {
+  static const std::vector<simd::SimdTier> kTiers = {
+      simd::SimdTier::kScalar, simd::SimdTier::kAvx2,
+      simd::SimdTier::kAvx512};
+  return kTiers;
+}
+
+/// Runs `body` once under every tier the host can run, then restores the
+/// startup tier.
+template <typename Body>
+void ForEachRunnableTier(const Body& body) {
+  for (const simd::SimdTier tier : AllTiers()) {
+    if (simd::SetSimdTierForTesting(tier) != tier) continue;
+    SCOPED_TRACE(simd::SimdTierName(tier));
+    body();
+  }
+  simd::ResetSimdTierForTesting();
+}
+
+/// The definition itself: sort every (Rng::ForkStream(seed, row).Next(),
+/// row) pair and keep the rows of the first n, ascending.
+std::vector<int64_t> BruteForceWorKeep(int64_t num_rows, int64_t n,
+                                       uint64_t seed) {
+  std::vector<WorCandidate> keyed;
+  keyed.reserve(static_cast<size_t>(num_rows));
+  for (int64_t row = 0; row < num_rows; ++row) {
+    keyed.emplace_back(
+        Rng::ForkStream(seed, static_cast<uint64_t>(row)).Next(), row);
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<int64_t> rows;
+  for (int64_t i = 0; i < n; ++i) rows.push_back(keyed[i].second);
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(WorPriorityTest, ClosedFormMatchesForkStreamOnEveryTier) {
+  const uint64_t seeds[] = {0, 1, ~uint64_t{0}, 0x243f6a8885a308d3ULL};
+  const int64_t near_max = std::numeric_limits<int64_t>::max();
+  // (begin, len): lengths off the 8-lane (and 32-row) blocks, and rows up
+  // to INT64_MAX - 1.
+  const std::pair<int64_t, int64_t> spans[] = {
+      {0, 0},   {0, 1},     {0, 7},   {5, 8},
+      {3, 33},  {100, 1001}, {near_max - 77, 77}, {near_max - 40, 40}};
+  ForEachRunnableTier([&] {
+    for (const uint64_t seed : seeds) {
+      for (const auto& [begin, len] : spans) {
+        SCOPED_TRACE(::testing::Message() << seed << " @" << begin << "+"
+                                          << len);
+        std::vector<uint64_t> prio(static_cast<size_t>(len) + 1);
+        std::vector<int64_t> rows(static_cast<size_t>(len) + 1);
+        // tau = UINT64_MAX keeps every row: the output is the key stream.
+        ASSERT_EQ(len, simd::WorPriorityFilter(seed, ~uint64_t{0}, begin, len,
+                                               prio.data(), rows.data()));
+        for (int64_t i = 0; i < len; ++i) {
+          const auto row = static_cast<uint64_t>(begin + i);
+          const uint64_t want = Rng::ForkStream(seed, row).Next();
+          ASSERT_EQ(want, prio[i]) << "row " << row;
+          ASSERT_EQ(begin + i, rows[i]);
+          ASSERT_EQ(want, WorPriority(seed, row));
+        }
+      }
     }
-    EXPECT_EQ(expected, folded.SortedRows());
+  });
+}
+
+TEST(WorPriorityTest, FilterKeepsExactlyTheKeysAtOrBelowTau) {
+  const uint64_t seed = 0x5eedULL;
+  const int64_t begin = 12345, len = 4099;
+  for (const uint64_t tau : {uint64_t{0}, ~uint64_t{0} / 10,
+                             ~uint64_t{0} / 2, ~uint64_t{0} - 1}) {
+    SCOPED_TRACE(tau);
+    std::vector<uint64_t> want_prio;
+    std::vector<int64_t> want_rows;
+    for (int64_t r = begin; r < begin + len; ++r) {
+      const uint64_t p = Rng::ForkStream(seed, static_cast<uint64_t>(r)).Next();
+      if (p <= tau) {
+        want_prio.push_back(p);
+        want_rows.push_back(r);
+      }
+    }
+    ForEachRunnableTier([&] {
+      std::vector<uint64_t> prio(len);
+      std::vector<int64_t> rows(len);
+      const int64_t kept = simd::WorPriorityFilter(seed, tau, begin, len,
+                                                   prio.data(), rows.data());
+      prio.resize(static_cast<size_t>(kept));
+      rows.resize(static_cast<size_t>(kept));
+      EXPECT_EQ(want_prio, prio);
+      EXPECT_EQ(want_rows, rows);
+    });
   }
 }
 
-TEST(MergeableReservoirTest, DecoupledWorCoreMatchesReservoir) {
+TEST(WorKeepSetTest, MatchesBruteForceOracleAtEveryThreadCountAndTier) {
+  const std::pair<int64_t, int64_t> cases[] = {
+      {0, 0},       {1, 1},      {5000, 1},        {1000, 1000},
+      {10000, 64},  {1000000, 10000}};
+  const uint64_t seed = 0xc0ffeeULL;
+  for (const auto& [num_rows, n] : cases) {
+    SCOPED_TRACE(::testing::Message() << num_rows << "/" << n);
+    const std::vector<int64_t> want = BruteForceWorKeep(num_rows, n, seed);
+    ForEachRunnableTier([&] {
+      for (const int threads : {1, 2, 3, 4}) {
+        SCOPED_TRACE(threads);
+        ASSERT_OK_AND_ASSIGN(
+            std::vector<int64_t> keep,
+            DecoupledWorKeepIndices(num_rows, n, seed, threads));
+        EXPECT_EQ(want, keep);
+      }
+    });
+  }
+}
+
+TEST(WorKeepSetTest, RescanPathIsExact) {
+  // A candidate target below n leaves too few survivors under the first
+  // threshold, so the kernel must widen and rescan — a path the default
+  // target reaches with probability ~Phi(-4).
+  const std::pair<int64_t, int64_t> cases[] = {{10000, 64}, {200000, 500}};
+  for (const auto& [num_rows, n] : cases) {
+    const std::vector<int64_t> want = BruteForceWorKeep(num_rows, n, 17);
+    for (const int64_t target : {int64_t{0}, int64_t{1}, n / 2, n - 1}) {
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(::testing::Message() << num_rows << "/" << n << " t"
+                                          << target << " x" << threads);
+        EXPECT_EQ(want, WorSmallestPriorityRows(num_rows, n, 17, threads,
+                                                target));
+      }
+    }
+  }
+}
+
+TEST(WorKeepSetTest, ChunkedCandidatesMatchDirectTopN) {
+  // Filtering rows chunk by chunk (any chunking) yields the same candidate
+  // list as one pass, and its n smallest are the direct global top-n.
+  const uint64_t seed = 0xfeedULL;
+  const int64_t n_rows = 10000, n = 64;
+  const std::vector<int64_t> expected = BruteForceWorKeep(n_rows, n, seed);
+  ASSERT_EQ(n, static_cast<int64_t>(expected.size()));
+  const uint64_t tau = WorPriorityThreshold(n_rows, WorCandidateTarget(n));
+  std::vector<WorCandidate> direct;
+  AppendWorCandidates(seed, tau, 0, n_rows, &direct);
+  ASSERT_GE(static_cast<int64_t>(direct.size()), n);
+  for (const int64_t chunk : {1L, 7L, 128L, 4096L}) {
+    SCOPED_TRACE(chunk);
+    std::vector<WorCandidate> folded;
+    for (int64_t begin = 0; begin < n_rows; begin += chunk) {
+      AppendWorCandidates(seed, tau, begin, std::min(n_rows, begin + chunk),
+                          &folded);
+    }
+    EXPECT_EQ(direct, folded);
+    EXPECT_EQ(expected, SmallestCandidateRows(folded, n));
+  }
+}
+
+TEST(WorKeepSetTest, DecoupledWorCoreMatchesOracle) {
   ASSERT_OK_AND_ASSIGN(std::vector<int64_t> keep,
                        DecoupledWorKeepIndices(500, 50, 99));
-  MergeableReservoir reservoir(50);
-  reservoir.OfferRange(99, 0, 500);
-  EXPECT_EQ(reservoir.SortedRows(), keep);
+  EXPECT_EQ(BruteForceWorKeep(500, 50, 99), keep);
   EXPECT_EQ(50u, keep.size());
   EXPECT_TRUE(std::is_sorted(keep.begin(), keep.end()));
   EXPECT_TRUE(std::adjacent_find(keep.begin(), keep.end()) == keep.end());

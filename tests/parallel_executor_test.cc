@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/translate.h"
@@ -513,6 +514,63 @@ TEST(ParallelExecutorTest, ExecStatsProfileAccountsForTheRun) {
   EXPECT_EQ(stats.morsels, stats.sinks_created + stats.sinks_recycled);
   EXPECT_EQ(result.num_rows(), stats.rows_emitted);
   EXPECT_GT(stats.bytes_moved, 0);
+}
+
+TEST(ParallelExecutorTest, ExecStatsCountsKeepSetTimeInsidePrepare) {
+  Catalog catalog = MakeTinyJoin(40, 3).MakeCatalog();  // F: 120, D: 40
+  // A WOR on the pivot scan, a WOR on the other (non-pivot) join side,
+  // and no fixed-size sampler at all.
+  const PlanPtr pivot_wor = PlanNode::Join(
+      PlanNode::Sample(SamplingSpec::WithoutReplacement(50, 120),
+                       PlanNode::Scan("F")),
+      PlanNode::Scan("D"), "fk", "pk");
+  const PlanPtr other_side_wor = PlanNode::Join(
+      PlanNode::Sample(SamplingSpec::Bernoulli(0.5), PlanNode::Scan("F")),
+      PlanNode::Sample(SamplingSpec::WithoutReplacement(20, 40),
+                       PlanNode::Scan("D")),
+      "fk", "pk");
+  const std::pair<PlanPtr, bool> cases[] = {
+      {pivot_wor, true}, {other_side_wor, true}, {BernoulliJoinPlan(), false}};
+  for (const auto& [plan, has_fixed_size] : cases) {
+    SCOPED_TRACE(has_fixed_size);
+    ExecOptions exec = MorselOptions(4);
+    ExecStats stats;
+    exec.stats = &stats;
+    Rng rng(56);
+    ASSERT_OK(
+        ExecutePlan(plan, catalog, &rng, ExecMode::kSampled, exec).status());
+    EXPECT_FALSE(stats.serial_fallback);
+    EXPECT_GE(stats.prepare_sampler_ms, 0.0);
+    EXPECT_LE(stats.prepare_sampler_ms, stats.prepare_ms);
+    if (has_fixed_size) {
+      EXPECT_GT(stats.prepare_sampler_ms, 0.0);
+    } else {
+      EXPECT_EQ(0.0, stats.prepare_sampler_ms);
+    }
+  }
+}
+
+TEST(ParallelExecutorTest, LargeWorPivotMatchesRowEngineAtEveryThreadCount) {
+  // Above the kernel's per-worker floor the pivot's keep-set is filtered
+  // on several pool workers; the rows must not change.
+  Catalog catalog;
+  catalog["R"] = gus::testing::MakeSingleTable(100000);
+  const PlanPtr plan = PlanNode::Sample(
+      SamplingSpec::WithoutReplacement(700, 100000), PlanNode::Scan("R"));
+  Rng row_rng(58);
+  ASSERT_OK_AND_ASSIGN(
+      Relation row_result,
+      ExecutePlan(plan, catalog, &row_rng, ExecMode::kSampled));
+  ASSERT_EQ(700, row_result.num_rows());
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    Rng rng(58);
+    ASSERT_OK_AND_ASSIGN(
+        Relation morsel,
+        ExecutePlan(plan, catalog, &rng, ExecMode::kSampled,
+                    MorselOptions(threads, 4096)));
+    ExpectIdenticalRelations(row_result, morsel);
+  }
 }
 
 TEST(ParallelExecutorTest, SinkArenaRecyclingKeepsEstimatesBitIdentical) {

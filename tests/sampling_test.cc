@@ -286,6 +286,25 @@ TEST(DecoupledCoreTest, WrDistinctInclusionMatchesTheory) {
   }
 }
 
+TEST(DecoupledCoreTest, WorKeepSetIsThreadCountInvariant) {
+  // Above the per-worker floor the threshold filter splits the rows
+  // across shared-pool workers; the keep-set must not depend on how many.
+  Rng rng(54);
+  for (int trial = 0; trial < 3; ++trial) {
+    const uint64_t seed = rng.Next();
+    ASSERT_OK_AND_ASSIGN(std::vector<int64_t> one,
+                         DecoupledWorKeepIndices(300000, 3000, seed, 1));
+    ASSERT_EQ(3000u, one.size());
+    for (const int threads : {2, 3, 4, 8}) {
+      SCOPED_TRACE(threads);
+      ASSERT_OK_AND_ASSIGN(
+          std::vector<int64_t> many,
+          DecoupledWorKeepIndices(300000, 3000, seed, threads));
+      EXPECT_EQ(one, many);
+    }
+  }
+}
+
 TEST(DecoupledCoreTest, PureFunctionsOfSeed) {
   // Same seed, same keep-set — across calls and regardless of who
   // evaluates them (the property that lets morsels and shards recompute

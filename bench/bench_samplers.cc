@@ -1,10 +1,15 @@
 // A3 — Ablation: physical sampler throughput (tuples/second) for every
-// sampling operator in the library.
+// sampling operator in the library, plus the page checksum a segment
+// fault pays before its sampled tuples can be read.
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "bench/bench_util.h"
 #include "sampling/samplers.h"
+#include "util/checksum.h"
+#include "util/hash.h"
 #include "util/random.h"
 
 namespace gus {
@@ -70,6 +75,26 @@ void BM_DecoupledWor(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kWorRows);
 }
 BENCHMARK(BM_DecoupledWor)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+/// The byte checksum a segment fault verifies before decoding (about
+/// 2 MiB of pages per segment on the seg_scan workload): arg 0 is
+/// Checksum64, arg 1 the bytewise FNV-1a HashBytes it replaced. The
+/// buffer starts at an odd offset, as an mmap'd page may.
+void BM_PageChecksum(benchmark::State& state) {
+  constexpr size_t kBytes = size_t{2} << 20;
+  std::vector<unsigned char> buf(kBytes + 1);
+  Rng rng(15);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.Next());
+  const unsigned char* page = buf.data() + 1;
+  const bool fnv = state.range(0) == 1;
+  state.SetLabel(fnv ? "HashBytes" : "Checksum64");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fnv ? HashBytes(kFnv1aOffset, page, kBytes)
+                                 : Checksum64(page, kBytes));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(kBytes));
+}
+BENCHMARK(BM_PageChecksum)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_Reservoir(benchmark::State& state) {
   Relation table = MakeTable(kRows);

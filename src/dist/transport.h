@@ -11,8 +11,10 @@
 //     any std::iostream, so the same bytes travel over a pipe unchanged.
 //
 // Frame layout (little-endian): "GUSF" | u64 payload_len | payload |
-// u64 fnv1a64(payload). Truncation and corruption both fail loudly on
-// read; nothing is ever silently skipped.
+// u64 Checksum64(payload) (util/checksum.h). Truncation and corruption
+// both fail loudly on read; nothing is ever silently skipped. Frames
+// carry no version field: both ends must come from one build (the GUSB
+// bundle inside a frame is versioned on its own).
 
 #ifndef GUS_DIST_TRANSPORT_H_
 #define GUS_DIST_TRANSPORT_H_

@@ -10,9 +10,6 @@ namespace {
 
 constexpr char kBundleMagic[4] = {'G', 'U', 'S', 'B'};
 
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
 /// Cap on any single decoded element count. The point is not a format
 /// limit but loud failure on corrupted length fields before they turn
 /// into multi-gigabyte allocations.
@@ -33,15 +30,6 @@ bool WireTagKnown(uint32_t tag) {
       return true;
   }
   return false;
-}
-
-uint64_t WireChecksum(std::string_view bytes) {
-  uint64_t h = kFnvOffset;
-  for (char c : bytes) {
-    h ^= static_cast<uint8_t>(c);
-    h *= kFnvPrime;
-  }
-  return h;
 }
 
 void WireWriter::PutDouble(double v) {
@@ -159,17 +147,10 @@ Result<std::vector<WireSectionView>> ParseWireBundle(std::string_view buffer) {
     return Status::InvalidArgument(
         "not a GUS wire bundle (missing GUSB magic)");
   }
-  // Checksum covers everything before the trailing digest; verify before
-  // trusting any length field.
+  // The version is a fixed-offset field, so it is checked before the
+  // checksum: a peer on another format version reports a version error,
+  // not a corruption error (its checksum may differ too).
   const std::string_view body = buffer.substr(0, buffer.size() - 8);
-  WireReader tail_reader(buffer.substr(buffer.size() - 8));
-  uint64_t stored = 0;
-  GUS_RETURN_NOT_OK(tail_reader.ReadU64(&stored));
-  const uint64_t computed = WireChecksum(body);
-  if (stored != computed) {
-    return Status::InvalidArgument("wire bundle checksum mismatch (corrupt)");
-  }
-
   WireReader r(body.substr(sizeof(kBundleMagic)));
   uint32_t version = 0, count = 0;
   GUS_RETURN_NOT_OK(r.ReadU32(&version));
@@ -178,6 +159,15 @@ Result<std::vector<WireSectionView>> ParseWireBundle(std::string_view buffer) {
         "unsupported wire bundle version " + std::to_string(version) +
         " (this build reads version " + std::to_string(kWireVersion) + ")");
   }
+  // Checksum covers everything before the trailing digest; verify before
+  // trusting any length field.
+  WireReader tail_reader(buffer.substr(buffer.size() - 8));
+  uint64_t stored = 0;
+  GUS_RETURN_NOT_OK(tail_reader.ReadU64(&stored));
+  if (stored != WireChecksum(body)) {
+    return Status::InvalidArgument("wire bundle checksum mismatch (corrupt)");
+  }
+
   GUS_RETURN_NOT_OK(r.ReadU32(&count));
   std::vector<uint32_t> tags;
   std::vector<uint64_t> lengths;

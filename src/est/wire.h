@@ -14,8 +14,10 @@
 //
 //   "GUSB" | u32 version | u32 section_count
 //   section_count × ( u32 tag | u64 payload_len | payload bytes )
-//   u64 fnv1a64(all preceding bytes)
+//   u64 Checksum64(all preceding bytes)        (util/checksum.h)
 //
+// Readers check the magic and the version before the checksum, so a peer
+// on another version reports a version error, not a corruption error.
 // Readers reject unknown versions AND unknown section tags loudly
 // (InvalidArgument) instead of skipping: partial state feeds statistical
 // merges, where silently dropping a section would bias results without any
@@ -31,6 +33,7 @@
 
 #include "algebra/gus_params.h"
 #include "est/sample_view.h"
+#include "util/checksum.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -42,7 +45,8 @@ namespace gus {
 /// purely additive): degraded gathers may attach a LIVE surviving-ranges
 /// section; v2.0 readers of this build accept it, older v2 readers reject
 /// it loudly rather than merging a partial bundle they cannot interpret.
-inline constexpr uint32_t kWireVersion = 2;
+/// v3: the trailing checksum is Checksum64 instead of bytewise FNV-1a.
+inline constexpr uint32_t kWireVersion = 3;
 
 /// Section tags (the ASCII of the name, read as a little-endian u32).
 enum class WireTag : uint32_t {
@@ -73,8 +77,10 @@ enum class WireTag : uint32_t {
 /// True for every tag this build understands (readers hard-fail otherwise).
 bool WireTagKnown(uint32_t tag);
 
-/// FNV-1a 64-bit digest — the container and frame checksums.
-uint64_t WireChecksum(std::string_view bytes);
+/// The container and frame checksum: Checksum64 (util/checksum.h).
+inline uint64_t WireChecksum(std::string_view bytes) {
+  return Checksum64(bytes.data(), bytes.size());
+}
 
 /// \brief Append-only little-endian encoder backing every payload.
 class WireWriter {

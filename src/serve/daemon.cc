@@ -10,6 +10,7 @@
 #include "plan/soa_transform.h"
 #include "stream/admission.h"
 #include "util/fault_inject.h"
+#include "util/hash.h"
 
 namespace gus {
 
@@ -25,7 +26,7 @@ uint64_t ServedQueryFingerprint(const ServedQuery& query) {
     w.PutI64(query.sbox.subsample->target_rows);
     w.PutU64(query.sbox.subsample->seed);
   }
-  return WireChecksum(w.buffer());
+  return HashBytes(kFnv1aOffset, w.buffer().data(), w.buffer().size());
 }
 
 WorkerDaemon::WorkerDaemon(Catalog catalog) : catalog_(std::move(catalog)) {}

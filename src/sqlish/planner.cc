@@ -20,6 +20,7 @@
 #include "plan/parallel_executor.h"
 #include "plan/soa_transform.h"
 #include "serve/view_cache.h"
+#include "util/hash.h"
 
 namespace gus {
 namespace sqlish {
@@ -551,7 +552,8 @@ Result<ApproxResult> RunServed(const PlannedQuery& planned,
       w.PutI64(options.subsample->target_rows);
       w.PutU64(options.subsample->seed);
     }
-    key.query_fingerprint = WireChecksum(w.buffer());
+    key.query_fingerprint =
+        HashBytes(kFnv1aOffset, w.buffer().data(), w.buffer().size());
   }
   {
     ColumnarCatalog columnar(&catalog);

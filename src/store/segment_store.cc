@@ -12,6 +12,7 @@
 #include <cstring>
 
 #include "kernels/page_codec.h"
+#include "util/checksum.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -20,7 +21,9 @@ namespace gus {
 namespace {
 
 constexpr uint32_t kMagic = 0x47455347u;  // "GSEG" little-endian
-constexpr uint32_t kVersion = 1;
+/// v2: segment checksums are Checksum64 (util/checksum.h) instead of
+/// bytewise FNV-1a; the layout is unchanged.
+constexpr uint32_t kVersion = 2;
 constexpr uint64_t kHeaderBytes = 96;
 
 Status RequireLittleEndian() {
@@ -356,12 +359,12 @@ Result<ColumnBatch> StoredRelation::DecodeSegment(int64_t s) const {
 
   // Verify before decoding: a flipped bit anywhere in the segment's pages
   // fails loudly instead of silently skewing an estimate.
-  uint64_t sum = kFnv1aOffset;
+  uint64_t sum = 0;
   for (const auto& page : seg.column_pages) {
-    sum = HashBytes(sum, base_ + page.first, page.second);
+    sum = Checksum64(base_ + page.first, page.second, sum);
   }
-  sum = HashBytes(sum, base_ + seg.lineage_page.first,
-                  seg.lineage_page.second);
+  sum = Checksum64(base_ + seg.lineage_page.first, seg.lineage_page.second,
+                   sum);
   if (sum != seg.checksum) {
     return Status::Internal("segment " + std::to_string(s) + " of '" +
                             name_ + "' failed its checksum (corrupt file?)");
@@ -513,7 +516,6 @@ Status SegmentFileWriter::FlushSegment() {
   seg.column_pages.resize(layout_->schema.num_columns());
 
   std::string pages;
-  uint64_t checksum = kFnv1aOffset;
   std::vector<uint32_t> code_scratch;
   for (int c = 0; c < layout_->schema.num_columns(); ++c) {
     const ColumnData& col = pending_.column(c);
@@ -568,12 +570,16 @@ Status SegmentFileWriter::FlushSegment() {
     }
     seg.column_pages[c] = {next_page_offset_ + page_at,
                            pages.size() - page_at};
+    seg.checksum = Checksum64(pages.data() + page_at, pages.size() - page_at,
+                              seg.checksum);
   }
   const size_t lineage_at = pages.size();
   EncodePage(pending_.lineage().data(),
              rows * layout_->lineage_arity(), &pages);
   seg.lineage_page = {next_page_offset_ + lineage_at,
                       pages.size() - lineage_at};
+  seg.checksum = Checksum64(pages.data() + lineage_at,
+                            pages.size() - lineage_at, seg.checksum);
   seg.lineage_range.resize(layout_->lineage_arity());
   for (int dim = 0; dim < layout_->lineage_arity(); ++dim) {
     uint64_t lo = pending_.lineage_at(0, dim), hi = lo;
@@ -584,8 +590,6 @@ Status SegmentFileWriter::FlushSegment() {
     }
     seg.lineage_range[dim] = {lo, hi};
   }
-  checksum = HashBytes(checksum, pages.data(), pages.size());
-  seg.checksum = checksum;
   seg.page_bytes = static_cast<int64_t>(pages.size());
 
   GUS_RETURN_NOT_OK(WriteAll(file_, pages.data(), pages.size()));

@@ -15,10 +15,14 @@
 //   | meta       relation name, schema, lineage schema, global     |
 //   |            string dictionary                                 |
 //   +--------------------------------------------------------------+
-//   | directory  per segment: row range, FNV checksum over its     |
+//   | directory  per segment: row range, Checksum64 over its       |
 //   |            pages, per-column page extents + zone map         |
 //   |            (min/max, null count), per-dim lineage id range   |
 //   +--------------------------------------------------------------+
+//
+// Version 2 (the only version this build reads) checksums pages with
+// util/checksum.h Checksum64; version 1 used bytewise FNV-1a and fails at
+// Open with "unsupported version 1".
 //
 // Segments are fixed-size row groups (`segment_rows` rows each, short
 // tail), so segment s covers rows [s*segment_rows, ...) and a scan knows
@@ -84,8 +88,9 @@ struct ColumnZone {
 struct SegmentInfo {
   int64_t row_begin = 0;
   int64_t row_count = 0;
-  /// FNV-1a over the segment's raw page bytes (columns in order, then
-  /// lineage); verified on every decode so corruption fails loudly.
+  /// Checksum64 chained over the segment's raw pages, columns in order
+  /// and then lineage (`sum = Checksum64(page, len, sum)` from 0);
+  /// verified on every decode so a flipped bit fails loudly.
   uint64_t checksum = 0;
   std::vector<ColumnZone> zones;  ///< per column
   /// Per-column (file offset, byte length) of the value page.

@@ -26,9 +26,11 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t v) {
 
 /// \brief Folds a byte span into a running FNV-1a 64-bit digest.
 ///
-/// Seed with kFnv1aOffset (or chain calls for multi-part content). Used
-/// for state digests and content fingerprints — one implementation so the
-/// constants never diverge between call sites.
+/// Seed with kFnv1aOffset (or chain calls for multi-part content). For
+/// fingerprints only (state digests, content and query fingerprints),
+/// whose values must stay stable; one implementation so the constants
+/// never diverge between call sites. Byte checksums of stored or sent
+/// data use Checksum64 (util/checksum.h), which is many times faster.
 inline constexpr uint64_t kFnv1aOffset = 14695981039346656037ULL;
 
 inline uint64_t HashBytes(uint64_t h, const void* data, unsigned long len) {

@@ -22,6 +22,8 @@
 #include "est/wire.h"
 #include "rel/column_batch.h"
 #include "test_util.h"
+#include "util/checksum.h"
+#include "util/hash.h"
 #include "util/random.h"
 
 namespace gus {
@@ -233,13 +235,13 @@ TEST(WireTest, GoldenBundleHeaderMatchesSpec) {
   WireBundleWriter bundle;
   bundle.AddSection(WireTag::kSampleView, std::string("abc"));
   const std::string bytes = bundle.Finish();
-  // "GUSB" | version 2 | count 1 | tag "VIEW" | len 3 | "abc" | checksum.
+  // "GUSB" | version 3 | count 1 | tag "VIEW" | len 3 | "abc" | checksum.
   ASSERT_EQ(4 + 4 + 4 + 4 + 8 + 3 + 8, bytes.size());
   EXPECT_EQ('G', bytes[0]);
   EXPECT_EQ('U', bytes[1]);
   EXPECT_EQ('S', bytes[2]);
   EXPECT_EQ('B', bytes[3]);
-  EXPECT_EQ(2, static_cast<uint8_t>(bytes[4]));  // version 2, LE
+  EXPECT_EQ(3, static_cast<uint8_t>(bytes[4]));  // version 3, LE
   EXPECT_EQ(1, static_cast<uint8_t>(bytes[8]));  // section count 1
   EXPECT_EQ('V', bytes[12]);                     // tag reads as ASCII
   EXPECT_EQ('I', bytes[13]);
@@ -247,6 +249,11 @@ TEST(WireTest, GoldenBundleHeaderMatchesSpec) {
   EXPECT_EQ('W', bytes[15]);
   EXPECT_EQ(3, static_cast<uint8_t>(bytes[16]));  // payload length 3
   EXPECT_EQ("abc", bytes.substr(24, 3));
+  // The trailing u64 is Checksum64 of everything before it.
+  const uint64_t sum = Checksum64(bytes.data(), 27);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ((sum >> (8 * i)) & 0xFF, static_cast<uint8_t>(bytes[27 + i]));
+  }
   ASSERT_OK_AND_ASSIGN(std::vector<WireSectionView> sections,
                        ParseWireBundle(bytes));
   ASSERT_EQ(1u, sections.size());
@@ -544,6 +551,22 @@ TEST(WireTest, UnknownVersionRejectedCleanly) {
   const Status st = ParseWireBundle(bundle).status();
   EXPECT_STATUS_CODE(kInvalidArgument, st);
   EXPECT_NE(std::string::npos, st.message().find("version"));
+}
+
+TEST(WireTest, VersionTwoBundleIsAVersionErrorNotCorruption) {
+  // What a v2 writer emits: version 2 and a bytewise FNV-1a trailer. The
+  // reader checks the version first, so the skew is named as such.
+  std::string bundle = MakeValidBundle();
+  bundle[4] = 2;
+  const uint64_t fnv =
+      HashBytes(kFnv1aOffset, bundle.data(), bundle.size() - 8);
+  for (int i = 0; i < 8; ++i) {
+    bundle[bundle.size() - 8 + i] = static_cast<char>((fnv >> (8 * i)) & 0xFF);
+  }
+  const Status st = ParseWireBundle(bundle).status();
+  EXPECT_STATUS_CODE(kInvalidArgument, st);
+  EXPECT_NE(std::string::npos, st.message().find("version 2")) << st.ToString();
+  EXPECT_EQ(std::string::npos, st.message().find("checksum")) << st.ToString();
 }
 
 TEST(WireTest, UnknownSectionTagRejectedCleanly) {

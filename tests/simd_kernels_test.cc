@@ -286,7 +286,11 @@ TEST(SimdKernelsTest, ConvertI64ToF64Boundaries) {
                               std::numeric_limits<int64_t>::max() - 1,
                               std::numeric_limits<int64_t>::min(),
                               std::numeric_limits<int64_t>::min() + 1};
-  for (int64_t v : std::vector<int64_t>(src)) src.push_back(-v);
+  // Negate through uint64_t: -INT64_MIN overflows, while the wrapped
+  // negation maps min() to itself, which stays covered.
+  for (int64_t v : std::vector<int64_t>(src)) {
+    src.push_back(static_cast<int64_t>(uint64_t{0} - static_cast<uint64_t>(v)));
+  }
   Rng rng(3);
   for (int i = 0; i < 500; ++i) {
     src.push_back(static_cast<int64_t>(rng.Next()));

@@ -303,6 +303,105 @@ TEST(SegmentCacheTest, ChecksumCorruptionFailsLoudly) {
   EXPECT_FALSE(cache.Fault(*reopened, 0).ok());
 }
 
+/// Writes a 40-row relation (int64, float64 and string columns) as
+/// 13-row segments: every page length (104 or 52 bytes) leaves a tail
+/// after the checksum's 32-byte lane blocks.
+std::string WriteMixedTypeSegments(const std::string& tag) {
+  std::vector<Row> rows;
+  for (int i = 0; i < 40; ++i) {
+    rows.push_back(Row{Value(int64_t{1000 + i}), Value(0.25 * i),
+                       Value(std::string(1, static_cast<char>('a' + i % 7)))});
+  }
+  Relation rel = Relation::MakeBase(
+      "mixed",
+      Schema({{"k", ValueType::kInt64},
+              {"x", ValueType::kFloat64},
+              {"s", ValueType::kString}}),
+      std::move(rows));
+  ColumnarRelation crel = ColumnarRelation::FromRelation(rel).ValueOrDie();
+  const std::string dir = FreshDir(tag);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/mixed.gseg";
+  const Status st =
+      WriteRelationSegments("mixed", crel, path, /*segment_rows=*/13)
+          .status();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return path;
+}
+
+/// XORs `mask` into the byte at file offset `at`.
+void FlipFileByte(const std::string& path, uint64_t at, char mask) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good());
+  f.seekg(static_cast<std::streamoff>(at));
+  char byte = 0;
+  f.read(&byte, 1);
+  byte ^= mask;
+  f.seekp(static_cast<std::streamoff>(at));
+  f.write(&byte, 1);
+}
+
+TEST(SegmentCacheTest, BitFlipInAnyPageFailsItsSegmentOnly) {
+  const std::string clean = WriteMixedTypeSegments("bitflip");
+  ASSERT_OK_AND_ASSIGN(auto stored, StoredRelation::Open(clean));
+  ASSERT_EQ(4, stored->num_segments());
+  constexpr int64_t kSeg = 1;
+  const SegmentInfo& seg = stored->segment(kSeg);
+  ASSERT_EQ(104u, seg.column_pages[0].second);  // int64
+  ASSERT_EQ(104u, seg.column_pages[1].second);  // float64
+  ASSERT_EQ(52u, seg.column_pages[2].second);   // string codes
+  ASSERT_EQ(104u, seg.lineage_page.second);
+  const struct {
+    const char* what;
+    uint64_t at;
+    char mask;
+  } flips[] = {
+      {"int64 page", seg.column_pages[0].first + 5, 0x10},
+      {"float64 page", seg.column_pages[1].first + 40, 0x01},
+      {"string-code page", seg.column_pages[2].first + 17, 0x04},
+      {"lineage page", seg.lineage_page.first + 70, 0x40},
+      // Last bytes of pages whose length is not a multiple of 32: the
+      // int64 page ends in a leftover whole word, the string page in a
+      // zero-padded tail.
+      {"int64 page, last byte",
+       seg.column_pages[0].first + seg.column_pages[0].second - 1, 0x01},
+      {"string-code page, last byte",
+       seg.column_pages[2].first + seg.column_pages[2].second - 1, 0x01},
+  };
+  stored.reset();
+  for (const auto& flip : flips) {
+    SCOPED_TRACE(flip.what);
+    const std::string path = clean + ".flipped";
+    std::filesystem::copy_file(
+        clean, path, std::filesystem::copy_options::overwrite_existing);
+    FlipFileByte(path, flip.at, flip.mask);
+    ASSERT_OK_AND_ASSIGN(auto damaged, StoredRelation::Open(path));
+    const Status st = damaged->DecodeSegment(kSeg).status();
+    EXPECT_STATUS_CODE(kInternal, st);
+    EXPECT_NE(std::string::npos, st.message().find("failed its checksum"))
+        << st.ToString();
+    for (int64_t s = 0; s < damaged->num_segments(); ++s) {
+      if (s != kSeg) ASSERT_OK(damaged->DecodeSegment(s).status());
+    }
+  }
+}
+
+TEST(SegmentStoreTest, VersionOneFileFailsToOpen) {
+  const std::string path = WriteMixedTypeSegments("v1");
+  {
+    // The header's u32 version field follows the u32 magic.
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    const char v1[4] = {1, 0, 0, 0};
+    f.seekp(4);
+    f.write(v1, sizeof(v1));
+  }
+  const Status st = StoredRelation::Open(path).status();
+  EXPECT_STATUS_CODE(kInvalidArgument, st);
+  EXPECT_NE(std::string::npos, st.message().find("unsupported version 1"))
+      << st.ToString();
+}
+
 // ---------------------------------------------------------------------------
 // CSV ingestion
 

@@ -1,16 +1,18 @@
-// Unit tests for src/util: hashing, RNG, statistics, subset masks, Zipf,
-// table printing, Status/Result.
+// Unit tests for src/util: hashing, the byte checksum, RNG, statistics,
+// subset masks, Zipf, table printing, Status/Result.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <unordered_set>
 #include <vector>
 
 #include "util/bits.h"
+#include "util/checksum.h"
 #include "util/hash.h"
 #include "util/random.h"
 #include "util/stats.h"
@@ -105,6 +107,88 @@ TEST(HashTest, LineageUnitValueApproxUniform) {
     if (LineageUnitValue(42, id) < 0.5) ++in_lower_half;
   }
   EXPECT_NEAR(0.5, static_cast<double>(in_lower_half) / n, 0.02);
+}
+
+// ---------------------------------------------------------------- Checksum
+
+/// Bytes i*7+1: the fixed input of the pinned golden values.
+std::vector<unsigned char> GoldenChecksumInput(size_t len) {
+  std::vector<unsigned char> buf(len);
+  for (size_t i = 0; i < len; ++i) {
+    buf[i] = static_cast<unsigned char>(i * 7 + 1);
+  }
+  return buf;
+}
+
+TEST(ChecksumTest, GoldenValuesArePinned) {
+  // Pinned so an accidental change to the function (constants, lane
+  // order, tail or finalizer) fails loudly: stored segments and wire
+  // peers depend on the exact value. docs/WIRE_FORMAT.md specifies it.
+  // Lengths 0 (finalizer only), 7 (tail only), 31 (three leftover words
+  // plus a tail), 32 (one lane block), 33 (a block plus a tail).
+  const struct {
+    size_t len;
+    uint64_t want;
+  } cases[] = {{0, 0x1f1013cfc3db98e7ULL},  {7, 0x2aa1a03a4c650f73ULL},
+               {31, 0x43ac066e10221363ULL}, {32, 0x7054af587e25bdefULL},
+               {33, 0x0f105596ad90db18ULL}};
+  for (const auto& c : cases) {
+    const std::vector<unsigned char> buf = GoldenChecksumInput(c.len);
+    EXPECT_EQ(c.want, Checksum64(buf.data(), buf.size())) << "len " << c.len;
+  }
+  const std::vector<unsigned char> buf = GoldenChecksumInput(33);
+  EXPECT_EQ(0x080c4387a37ff565ULL, Checksum64(buf.data(), buf.size(), 12345));
+}
+
+TEST(ChecksumTest, EverySingleBitFlipIsDetected) {
+  // Lengths 0-131 run the lane loop (>= 32), every count of leftover
+  // words and every tail length.
+  Rng rng(19);
+  for (size_t len = 0; len <= 131; ++len) {
+    std::vector<unsigned char> buf(len);
+    for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.Next());
+    const uint64_t clean = Checksum64(buf.data(), len);
+    for (size_t i = 0; i < len; ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        buf[i] ^= static_cast<unsigned char>(1u << bit);
+        ASSERT_NE(clean, Checksum64(buf.data(), len))
+            << "len " << len << " byte " << i << " bit " << bit;
+        buf[i] ^= static_cast<unsigned char>(1u << bit);
+      }
+    }
+    // The seed is a bijection too, so chained page checksums stay exact.
+    for (int bit = 0; bit < 64; ++bit) {
+      ASSERT_NE(clean, Checksum64(buf.data(), len, uint64_t{1} << bit))
+          << "len " << len << " seed bit " << bit;
+    }
+  }
+}
+
+TEST(ChecksumTest, IndependentOfPointerAlignment) {
+  Rng rng(23);
+  std::vector<unsigned char> src(131);
+  for (unsigned char& b : src) b = static_cast<unsigned char>(rng.Next());
+  std::vector<unsigned char> shifted(src.size() + 8);
+  for (size_t len : {size_t{0}, size_t{1}, size_t{8}, size_t{31}, size_t{32},
+                     size_t{33}, size_t{131}}) {
+    const uint64_t want = Checksum64(src.data(), len);
+    for (size_t offset = 0; offset < 8; ++offset) {
+      std::memcpy(shifted.data() + offset, src.data(), len);
+      EXPECT_EQ(want, Checksum64(shifted.data() + offset, len))
+          << "len " << len << " offset " << offset;
+    }
+  }
+}
+
+TEST(ChecksumTest, LengthIsPartOfTheValue) {
+  // Zero padding of the tail must not let a shorter buffer collide with
+  // its zero-extended self.
+  const std::vector<unsigned char> zeros(33, 0);
+  std::unordered_set<uint64_t> seen;
+  for (size_t len = 0; len <= zeros.size(); ++len) {
+    seen.insert(Checksum64(zeros.data(), len));
+  }
+  EXPECT_EQ(zeros.size() + 1, seen.size());
 }
 
 // ---------------------------------------------------------------- Rng

@@ -1,14 +1,20 @@
 // Load shedding on a data stream (paper Section 8): a bursty stream exceeds
-// the system's per-window capacity; an adaptive Bernoulli shedder keeps the
-// retained volume near capacity while the GUS machinery attaches honest
-// confidence intervals to every window's aggregate — including a windowed
-// two-stream join, the multi-relation case prior work could not analyze.
+// the system's per-window capacity. A shedder is just a Bernoulli sampler,
+// so each window runs as the plan Sample(Bernoulli(1.0), Scan s) behind an
+// AdmissionController: the controller's scale shrinks the Bernoulli rate
+// to keep the retained volume near capacity, the SOA transform analyzes
+// the shrunken design, and the SBox attaches an honest confidence interval
+// to every window's aggregate — including a windowed two-stream join, the
+// multi-relation case prior work could not analyze.
 
 #include <cmath>
 #include <cstdio>
 
+#include "est/streaming.h"
+#include "plan/columnar_executor.h"
+#include "plan/soa_transform.h"
 #include "rel/operators.h"
-#include "stream/load_shedder.h"
+#include "stream/admission.h"
 #include "util/random.h"
 #include "util/table.h"
 
@@ -40,18 +46,46 @@ gus::Relation MakeWindow(int64_t arrivals, gus::Rng* rng,
       std::move(rows));
 }
 
+/// "y" when the interval covers `truth`. The tolerance absorbs last-ulp
+/// summation-order differences once a full window collapses the interval
+/// to a point.
+const char* Hit(const gus::SboxReport& est, double truth) {
+  return est.interval.Contains(truth) ||
+                 std::fabs(est.estimate - truth) < 1e-9 * std::fabs(truth)
+             ? "y"
+             : "n";
+}
+
+/// SUM(f) over `plan` on `catalog` with a confidence interval.
+gus::SboxReport Estimate(const gus::PlanPtr& plan,
+                         const gus::Catalog& catalog, const gus::ExprPtr& f,
+                         gus::Rng* rng) {
+  using namespace gus;
+  SoaResult soa = Unwrap(SoaTransform(plan));
+  ColumnarCatalog columnar(&catalog);
+  ExecOptions exec;
+  exec.engine = ExecEngine::kMorselParallel;
+  return Unwrap(EstimatePlanParallel(plan, &columnar, rng, f, soa.top,
+                                     SboxOptions{}, ExecMode::kSampled,
+                                     exec));
+}
+
 }  // namespace
 
 int main() {
   using namespace gus;
 
   Rng rng(31337);
-  ShedderConfig config;
-  config.capacity_per_window = 2000;
-  BernoulliLoadShedder shedder(config);
+  AdmissionConfig config;
+  config.capacity_rows = 2000;
+  config.min_scale = 0.001;
+  AdmissionController controller =
+      Unwrap(AdmissionController::Make(config));
+  const PlanPtr window_plan =
+      PlanNode::Sample(SamplingSpec::Bernoulli(1.0), PlanNode::Scan("s"));
 
   std::printf("Single stream: SUM(reading) per window, capacity %lld\n\n",
-              static_cast<long long>(config.capacity_per_window));
+              static_cast<long long>(config.capacity_rows));
   TablePrinter table({"window", "arrivals", "keep p", "kept", "true sum",
                       "estimate", "95% interval", "hit"});
   // A bursty arrival pattern: quiet, burst, decay.
@@ -59,23 +93,24 @@ int main() {
                                      6000, 2500, 1200, 20000, 4000};
   int window_id = 0;
   for (int64_t arrivals : kArrivalPattern) {
-    Relation window = MakeWindow(arrivals, &rng, "s");
-    const double p = shedder.keep_probability();
-    WindowEstimate est = Unwrap(
-        ShedAndEstimateWindow(window, p, Col("s_reading"), &rng));
-    double truth = 0.0;
-    for (int64_t i = 0; i < window.num_rows(); ++i) {
-      truth += window.row(i)[1].AsFloat64();
-    }
+    Catalog catalog;
+    catalog.emplace("s", MakeWindow(arrivals, &rng, "s"));
+    const double p = controller.scale();
+    PlanPtr plan = Unwrap(ScalePlanSamplingRates(window_plan, p));
+    SboxReport est = Estimate(plan, catalog, Col("s_reading"), &rng);
+    const double truth =
+        Unwrap(AggregateSum(catalog.at("s"), Col("s_reading")));
     char interval[64];
     std::snprintf(interval, sizeof(interval), "[%.0f, %.0f]",
                   est.interval.lo, est.interval.hi);
     table.AddRow({std::to_string(window_id++), std::to_string(arrivals),
-                  TablePrinter::Num(p, 3), std::to_string(est.kept_rows),
+                  TablePrinter::Num(p, 3), std::to_string(est.sample_rows),
                   TablePrinter::Num(truth, 6),
                   TablePrinter::Num(est.estimate, 6), interval,
-                  est.interval.Contains(truth) ? "y" : "n"});
-    shedder.ObserveWindow(arrivals);
+                  Hit(est, truth)});
+    // At scale 1.0 the window plan keeps every arrival: that is the load
+    // this window offered.
+    controller.ObserveQuery(arrivals);
   }
   std::printf("%s\n", table.ToString().c_str());
 
@@ -85,21 +120,25 @@ int main() {
       "both streams shedded independently (GUS join analysis).\n\n");
   TablePrinter join_table(
       {"window", "p_a", "p_b", "kept pairs", "true sum", "estimate", "hit"});
+  const PlanPtr join_plan = PlanNode::Join(
+      PlanNode::Sample(SamplingSpec::Bernoulli(0.3), PlanNode::Scan("a")),
+      PlanNode::Sample(SamplingSpec::Bernoulli(0.4), PlanNode::Scan("b")),
+      "a_sensor", "b_sensor");
+  const ExprPtr f = Mul(Col("a_reading"), Col("b_reading"));
   for (int w = 0; w < 6; ++w) {
-    Relation a = MakeWindow(4000, &rng, "a");
-    Relation b = MakeWindow(3000, &rng, "b");
-    WindowEstimate est = Unwrap(ShedAndEstimateJoinedWindows(
-        a, 0.3, b, 0.4, "a_sensor", "b_sensor",
-        Mul(Col("a_reading"), Col("b_reading")), &rng));
+    Catalog catalog;
+    catalog.emplace("a", MakeWindow(4000, &rng, "a"));
+    catalog.emplace("b", MakeWindow(3000, &rng, "b"));
+    SboxReport est = Estimate(join_plan, catalog, f, &rng);
     // Exact join sum for reference.
-    Relation joined = Unwrap(HashJoin(a, b, "a_sensor", "b_sensor"));
-    double truth = Unwrap(
-        AggregateSum(joined, Mul(Col("a_reading"), Col("b_reading"))));
+    Relation joined = Unwrap(
+        HashJoin(catalog.at("a"), catalog.at("b"), "a_sensor", "b_sensor"));
+    const double truth = Unwrap(AggregateSum(joined, f));
     join_table.AddRow({std::to_string(w), "0.3", "0.4",
-                       std::to_string(est.kept_rows),
+                       std::to_string(est.sample_rows),
                        TablePrinter::Num(truth, 6),
                        TablePrinter::Num(est.estimate, 6),
-                       est.interval.Contains(truth) ? "y" : "n"});
+                       Hit(est, truth)});
   }
   std::printf("%s", join_table.ToString().c_str());
   return 0;

@@ -1,14 +1,30 @@
 // Online aggregation: watch the estimate of a join aggregate converge with
 // a live confidence interval as tuples stream in — the ripple-join user
-// experience of the paper's related work, re-derived in a few lines from
-// the GUS algebra (prefixes of shuffled relations are WOR samples; the
-// joined design is their Prop-6 GUS join).
+// experience of the paper's related work, with no estimator of its own.
+//
+// The GUS view makes the analysis a two-line argument (paper Section 8):
+//
+//   * a prefix of a random permutation of R is exactly a WOR(k, N) sample;
+//   * prefixes of two independently shuffled relations joined together are
+//     WOR(k1, N1) ⋈ WOR(k2, N2), whose single top GUS is the GusJoin of the
+//     two WOR translations (Prop. 6).
+//
+// So each progress step below is just the plan
+//   Join(Sample(WOR(k_l, N_l), Scan l), Sample(WOR(k_o, N_o), Scan o))
+// run through the SOA transform and the SBox. The same seed draws the same
+// sampler streams at every step, and a WOR keep-set is the k smallest
+// priorities of one fixed random order, so the keep-sets of growing k are
+// nested: each row of the table extends the previous row's prefix, and at
+// k = N the answer is exact.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
 #include "data/tpch_gen.h"
-#include "online/ripple.h"
+#include "est/streaming.h"
+#include "plan/columnar_executor.h"
+#include "plan/soa_transform.h"
 #include "rel/operators.h"
 #include "util/table.h"
 
@@ -23,6 +39,14 @@ T Unwrap(gus::Result<T> r) {
   return std::move(r).ValueOrDie();
 }
 
+/// Tuples consumed from a shuffled relation of `rows` rows after a
+/// `frac` share of the stream (at least 2, so pairwise probabilities are
+/// positive).
+int64_t PrefixRows(double frac, int64_t rows) {
+  return std::clamp<int64_t>(std::llround(frac * static_cast<double>(rows)),
+                             2, rows);
+}
+
 }  // namespace
 
 int main() {
@@ -33,6 +57,10 @@ int main() {
   config.num_customers = 400;
   config.num_parts = 200;
   TpchData data = GenerateTpch(config);
+  Catalog catalog = data.MakeCatalog();
+  ColumnarCatalog columnar(&catalog);
+  const int64_t lineitems = data.lineitem.num_rows();
+  const int64_t orders = data.orders.num_rows();
 
   // Exact answer for reference (the user would not have this).
   Relation joined =
@@ -40,48 +68,42 @@ int main() {
   ExprPtr f = Mul(Col("l_discount"), Sub(Lit(1.0), Col("l_tax")));
   const double truth = Unwrap(AggregateSum(joined, f));
   std::printf("join: %lld lineitem x %lld orders, exact SUM = %.4f\n\n",
-              static_cast<long long>(data.lineitem.num_rows()),
-              static_cast<long long>(data.orders.num_rows()), truth);
+              static_cast<long long>(lineitems),
+              static_cast<long long>(orders), truth);
 
-  RippleEstimator est = Unwrap(RippleEstimator::Make(
-      data.lineitem, data.orders, "l_orderkey", "o_orderkey", f,
-      /*seed=*/7));
-
+  ExecOptions exec;
+  exec.engine = ExecEngine::kMorselParallel;
   TablePrinter table({"tuples seen", "result rows", "estimate",
                       "95% interval", "rel.width", "covers truth"});
-  const int64_t total =
-      data.lineitem.num_rows() + data.orders.num_rows();
-  int64_t steps_taken = 0;
   for (double frac : {0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0}) {
-    const auto target = static_cast<int64_t>(frac * total);
-    if (target > steps_taken) {
-      const Status st = est.StepMany(target - steps_taken);
-      if (!st.ok()) {
-        std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-        return 1;
-      }
-      steps_taken = target;
-    }
-    auto snap_r = est.Snapshot();
-    if (!snap_r.ok()) continue;  // too early for pairwise statistics
-    const RippleSnapshot snap = snap_r.ValueOrDie();
+    const int64_t k_l = PrefixRows(frac, lineitems);
+    const int64_t k_o = PrefixRows(frac, orders);
+    PlanPtr plan = PlanNode::Join(
+        PlanNode::Sample(SamplingSpec::WithoutReplacement(k_l, lineitems),
+                         PlanNode::Scan("l")),
+        PlanNode::Sample(SamplingSpec::WithoutReplacement(k_o, orders),
+                         PlanNode::Scan("o")),
+        "l_orderkey", "o_orderkey");
+    SoaResult soa = Unwrap(SoaTransform(plan));
+    Rng rng(/*seed=*/7);  // same streams every step: nested prefixes
+    SboxReport report = Unwrap(EstimatePlanParallel(
+        plan, &columnar, &rng, f, soa.top, SboxOptions{}, ExecMode::kSampled,
+        exec));
     char interval[64];
     std::snprintf(interval, sizeof(interval), "[%.1f, %.1f]",
-                  snap.interval.lo, snap.interval.hi);
+                  report.interval.lo, report.interval.hi);
     table.AddRow(
-        {std::to_string(snap.seen_left + snap.seen_right),
-         std::to_string(snap.result_rows), TablePrinter::Num(snap.estimate, 6),
-         interval,
-         TablePrinter::Num(snap.interval.width() /
-                               std::max(1.0, snap.estimate),
+        {std::to_string(k_l + k_o), std::to_string(report.sample_rows),
+         TablePrinter::Num(report.estimate, 6), interval,
+         TablePrinter::Num(report.interval.width() /
+                               std::max(1.0, report.estimate),
                            3),
          // Tolerance absorbs last-ulp accumulation-order differences once
          // the interval collapses to a point.
-         (snap.interval.Contains(truth) ||
-          std::fabs(snap.estimate - truth) < 1e-9 * std::fabs(truth))
+         (report.interval.Contains(truth) ||
+          std::fabs(report.estimate - truth) < 1e-9 * std::fabs(truth))
              ? "y"
              : "n"});
-    if (est.done()) break;
   }
   std::printf("%s\n", table.ToString().c_str());
   std::printf(

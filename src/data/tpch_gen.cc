@@ -35,7 +35,6 @@ void ParallelRows(int threads, int64_t n,
   }
   PoolLease pool(workers);
   pool->ParallelForChunked(n, /*chunk=*/1024, workers,
-                           ThreadPool::Placement::kDynamic,
                            [&](int, int64_t b, int64_t e) { fill(b, e); });
 }
 

@@ -889,13 +889,4 @@ Result<ColumnarRelation> ExecutePlanColumnar(const PlanPtr& plan,
   return DrainSource(pipeline.get());
 }
 
-Status ExecutePlanToSink(const PlanPtr& plan, ColumnarCatalog* catalog,
-                         Rng* rng, ExecMode mode, BatchSink* sink,
-                         int64_t batch_rows) {
-  GUS_ASSIGN_OR_RETURN(
-      std::unique_ptr<BatchSource> pipeline,
-      CompileBatchPipeline(plan, catalog, rng, mode, batch_rows));
-  return PumpToSink(pipeline.get(), sink);
-}
-
 }  // namespace gus

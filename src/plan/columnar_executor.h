@@ -26,9 +26,9 @@
 // the next breaker or at the sink (see BatchSource::NextView). The top of
 // the pipeline either materializes into a ColumnarRelation
 // (ExecutePlanColumnar) or pushes straight into a BatchSink
-// (ExecutePlanToSink) — the latter is how the estimators consume the
-// (lineage, f) stream without ever materializing the final relation
-// (est/streaming.h).
+// (CompileBatchPipeline + PumpToSink) — the latter is how the estimators
+// consume the (lineage, f) stream without ever materializing the final
+// relation (est/streaming.h).
 //
 // Engine parity: sampling decisions come from the shared kernels, the
 // pipeline drains sub-plans in the row engine's post-order (left fully
@@ -314,14 +314,6 @@ Result<std::unique_ptr<BatchSource>> CompileBatchPipeline(
 Result<ColumnarRelation> ExecutePlanColumnar(
     const PlanPtr& plan, ColumnarCatalog* catalog, Rng* rng,
     ExecMode mode = ExecMode::kSampled, int64_t batch_rows = kDefaultBatchRows);
-
-/// \brief Runs the pipeline, pushing every output batch into `sink`.
-///
-/// The result relation is never materialized; this is the streaming path
-/// the estimators build on.
-Status ExecutePlanToSink(const PlanPtr& plan, ColumnarCatalog* catalog,
-                         Rng* rng, ExecMode mode, BatchSink* sink,
-                         int64_t batch_rows = kDefaultBatchRows);
 
 }  // namespace gus
 

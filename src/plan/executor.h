@@ -80,21 +80,6 @@ enum class ExecEngine {
 
 struct ExecStats;  // plan/exec_stats.h
 
-/// \brief How kMorselParallel hands morsels to workers.
-///
-/// Pure scheduling: every morsel still runs with its index-keyed Rng
-/// stream and folds in ascending index order, so placement NEVER changes
-/// any row, estimate, or digest — only which worker's cache (and NUMA
-/// node, on multi-socket hosts) first touches each pivot slice.
-enum class MorselPlacement {
-  /// One global claim cursor; best load balance under skew.
-  kDynamic,
-  /// Contiguous per-worker morsel ranges (worker w gets the w-th slice of
-  /// the morsel sequence) with ring stealing once a range drains.
-  /// First-touch friendly: adjacent pivot slices stay on one worker.
-  kRangeBound,
-};
-
 /// Default rows per columnar pipeline batch.
 inline constexpr int64_t kDefaultBatchRows = 2048;
 
@@ -190,11 +175,6 @@ struct ExecOptions {
   /// so this knob trades per-shard work against shard count without
   /// touching the statistics.
   int num_shards = 1;
-  /// \brief Morsel-to-worker placement for kMorselParallel.
-  ///
-  /// A pure scheduling knob (see MorselPlacement): results are identical
-  /// for every value, pinned by the placement-parity tests.
-  MorselPlacement placement = MorselPlacement::kDynamic;
   /// \brief Optional execution profile output (not owned; may be null).
   ///
   /// When set, the parallel engines Reset() and fill it with per-phase

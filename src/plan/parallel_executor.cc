@@ -1301,7 +1301,6 @@ ColumnarRelation ConcatPartsToRelation(const LayoutPtr& layout,
     for (int64_t p = 0; p < num_parts; ++p) copy_part(p);
   } else {
     pool->ParallelForChunked(num_parts, /*chunk=*/1, workers,
-                             ThreadPool::Placement::kDynamic,
                              [&](int, int64_t b, int64_t e) {
                                for (int64_t p = b; p < e; ++p) copy_part(p);
                              });
@@ -1621,13 +1620,9 @@ Status ParallelExecuteUnitRangeToSink(
     }
   };
 
-  const ThreadPool::Placement placement =
-      options.placement == MorselPlacement::kRangeBound
-          ? ThreadPool::Placement::kRangeBound
-          : ThreadPool::Placement::kDynamic;
   PoolLease lease(workers);
   const StatsClock::time_point t_par = StatsClock::now();
-  lease->ParallelForChunked(range_units, /*chunk=*/1, workers, placement,
+  lease->ParallelForChunked(range_units, /*chunk=*/1, workers,
                             [&](int worker, int64_t b, int64_t e) {
                               for (int64_t i = b; i < e; ++i) {
                                 run_morsel(worker, unit_begin + i);

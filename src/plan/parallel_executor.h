@@ -49,10 +49,9 @@
 // repeated runs AND, with an explicit morsel_rows, across num_threads
 // values (auto sizing — morsel_rows = 0 — derives the split from the
 // thread count plus the pivot layout and plan cost weight, so it
-// reproduces only at a fixed num_threads). Placement (ExecOptions::
-// placement) and profiling (ExecOptions::stats / GUS_PROFILE) are pure
-// scheduling/observation knobs outside this identity: results are
-// identical for every value. Plans whose
+// reproduces only at a fixed num_threads). Profiling (ExecOptions::stats /
+// GUS_PROFILE) is a pure observation knob outside this identity: results
+// are identical with it on or off. Plans whose
 // only Rng consumers are seed-decoupled samplers (WOR / WR / block /
 // lineage-seeded) additionally reproduce the serial row engine's rows bit
 // for bit; plain Bernoulli keeps the same design but a different draw.

@@ -464,15 +464,4 @@ Status EvalExprBatchToDoubles(const ExprPtr& bound, const ColumnBatch& batch,
   return Status::OK();
 }
 
-Result<std::vector<double>> ColumnToDouble(const ColumnData& col) {
-  if (col.type == ValueType::kString) {
-    return Status::TypeError("numeric column required");
-  }
-  if (col.type == ValueType::kFloat64) return col.f64;
-  std::vector<double> out(col.i64.size());
-  simd::ConvertI64ToF64(col.i64.data(), static_cast<int64_t>(col.i64.size()),
-                        out.data());
-  return out;
-}
-
 }  // namespace gus

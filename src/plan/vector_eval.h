@@ -59,10 +59,6 @@ Status EvalExprBatchToDoubles(const ExprPtr& bound, const ColumnBatch& batch,
                               const char* type_error_message,
                               std::vector<double>* out);
 
-/// Widens a numeric column to double (bit-identical to Value::ToDouble per
-/// row); fails on string columns.
-Result<std::vector<double>> ColumnToDouble(const ColumnData& col);
-
 }  // namespace gus
 
 #endif  // GUS_PLAN_VECTOR_EVAL_H_

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "est/streaming.h"
-#include "plan/soa_transform.h"
+#include <string>
 
 namespace gus {
 
@@ -64,12 +62,43 @@ Result<PlanPtr> ScaleNode(const PlanPtr& node, double scale) {
 
 }  // namespace
 
-AdmissionController::AdmissionController(const AdmissionConfig& config)
-    : shedder_(ShedderConfig{config.capacity_rows, config.min_scale,
-                             config.max_scale, config.smoothing}) {}
+Result<AdmissionController> AdmissionController::Make(
+    const AdmissionConfig& config) {
+  if (config.capacity_rows < 1) {
+    return Status::InvalidArgument("AdmissionConfig::capacity_rows must be "
+                                   ">= 1");
+  }
+  if (!(config.min_scale > 0.0 && config.min_scale <= 1.0)) {
+    return Status::InvalidArgument(
+        "AdmissionConfig::min_scale must be in (0, 1]");
+  }
+  if (!(config.max_scale >= config.min_scale && config.max_scale <= 1.0)) {
+    return Status::InvalidArgument(
+        "AdmissionConfig::max_scale must be in [min_scale, 1]");
+  }
+  if (!(config.smoothing > 0.0 && config.smoothing <= 1.0)) {
+    return Status::InvalidArgument(
+        "AdmissionConfig::smoothing must be in (0, 1]");
+  }
+  return AdmissionController(config);
+}
 
 void AdmissionController::ObserveQuery(int64_t offered_rows) {
-  shedder_.ObserveWindow(offered_rows);
+  const auto observed = static_cast<double>(offered_rows);
+  if (!seeded_) {
+    smoothed_rows_ = observed;
+    seeded_ = true;
+  } else {
+    smoothed_rows_ = config_.smoothing * observed +
+                     (1.0 - config_.smoothing) * smoothed_rows_;
+  }
+  if (smoothed_rows_ <= 0.0) {
+    scale_ = config_.max_scale;
+    return;
+  }
+  const double target =
+      static_cast<double>(config_.capacity_rows) / smoothed_rows_;
+  scale_ = std::clamp(target, config_.min_scale, config_.max_scale);
 }
 
 Result<PlanPtr> ScalePlanSamplingRates(const PlanPtr& plan, double scale) {
@@ -82,23 +111,6 @@ Result<PlanPtr> ScalePlanSamplingRates(const PlanPtr& plan, double scale) {
   }
   if (scale == 1.0) return plan;
   return ScaleNode(plan, scale);
-}
-
-Result<AdmittedEstimate> AdmitAndEstimate(
-    const PlanPtr& plan, ColumnarCatalog* catalog, Rng* rng,
-    const ExprPtr& f_expr, const SboxOptions& options, ExecMode mode,
-    const ExecOptions& exec, double scale) {
-  GUS_ASSIGN_OR_RETURN(PlanPtr admitted, ScalePlanSamplingRates(plan, scale));
-  // The scaled plan is a different sampling design; its honest analysis
-  // comes from re-deriving the top GUS, never from patching the old one.
-  GUS_ASSIGN_OR_RETURN(SoaResult soa, SoaTransform(admitted));
-  AdmittedEstimate out;
-  out.scale = scale;
-  out.admitted_plan = admitted;
-  GUS_ASSIGN_OR_RETURN(
-      out.report, EstimatePlanParallel(admitted, catalog, rng, f_expr,
-                                       soa.top, options, mode, exec));
-  return out;
 }
 
 }  // namespace gus

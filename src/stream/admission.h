@@ -2,9 +2,10 @@
 // design* instead of the answer's honesty.
 //
 // Under overload, conventional systems silently drop work and return a
-// number whose error is unknowable. Here the load shedder's adaptive keep
-// probability (stream/load_shedder.h, paper Section 8) is reused as an
-// admission *scale*: before an overloaded query runs, every sampling
+// number whose error is unknowable. Paper Section 8 observes that a load
+// shedder is just a Bernoulli sampler, so it needs no analysis of its own.
+// Here the shedder's adaptive keep probability becomes an admission
+// *scale*: before an overloaded query runs, every sampling
 // operator's rate is multiplied down, the SOA transform re-derives the top
 // GUS for the shrunken design, and the SBox quantifies exactly what the
 // shrinkage cost — the estimate stays unbiased and the CI widens honestly.
@@ -17,13 +18,7 @@
 
 #include <cstdint>
 
-#include "est/sbox.h"
-#include "plan/columnar_executor.h"
-#include "plan/executor.h"
 #include "plan/plan_node.h"
-#include "rel/expression.h"
-#include "stream/load_shedder.h"
-#include "util/random.h"
 #include "util/status.h"
 
 namespace gus {
@@ -43,17 +38,19 @@ struct AdmissionConfig {
 
 /// \brief Adapts an admission scale from observed per-query sample loads.
 ///
-/// A thin policy layer over BernoulliLoadShedder: the shedder's adaptive
-/// keep probability *is* the admission scale, applied to query sampling
-/// rates (ScalePlanSamplingRates) rather than to an arriving tuple stream.
+/// An adaptive Bernoulli load shedder whose keep probability *is* the
+/// admission scale, applied to query sampling rates
+/// (ScalePlanSamplingRates) rather than to an arriving tuple stream.
 /// Not thread-safe; one controller per admission queue.
 class AdmissionController {
  public:
-  explicit AdmissionController(const AdmissionConfig& config);
+  /// Rejects capacity_rows < 1, min_scale outside (0, 1], max_scale
+  /// outside [min_scale, 1] and smoothing outside (0, 1].
+  static Result<AdmissionController> Make(const AdmissionConfig& config);
 
   /// Scale to apply to the next query's sampling rates, in
-  /// [min_scale, max_scale].
-  double scale() const { return shedder_.keep_probability(); }
+  /// [min_scale, max_scale]; max_scale until the first observation.
+  double scale() const { return scale_; }
 
   /// \brief Reports one query's *offered* load — the sample rows its
   /// design would admit at scale 1.0 (e.g. rows observed under a scaled
@@ -64,7 +61,13 @@ class AdmissionController {
   void ObserveQuery(int64_t offered_rows);
 
  private:
-  BernoulliLoadShedder shedder_;
+  explicit AdmissionController(const AdmissionConfig& config)
+      : config_(config), scale_(config.max_scale) {}
+
+  AdmissionConfig config_;
+  double smoothed_rows_ = 0.0;
+  bool seeded_ = false;
+  double scale_;
 };
 
 /// \brief Rebuilds `plan` with every sampling operator's rate multiplied
@@ -77,28 +80,6 @@ class AdmissionController {
 /// on it yields the GUS parameters that keep its estimate unbiased.
 /// scale == 1.0 returns `plan` unchanged (shared, not copied).
 Result<PlanPtr> ScalePlanSamplingRates(const PlanPtr& plan, double scale);
-
-/// \brief An admitted (possibly rate-shrunken) estimation run.
-struct AdmittedEstimate {
-  SboxReport report;
-  /// Scale that was applied to the sampling rates.
-  double scale = 1.0;
-  /// The plan as executed (== the input plan when scale == 1.0).
-  PlanPtr admitted_plan;
-};
-
-/// \brief Runs `plan` at admission scale `scale`: shrinks the sampling
-/// rates, re-derives the top GUS via SoaTransform, and estimates on the
-/// parallel streaming engine.
-///
-/// The report is exactly the shrunken design's honest analysis — unbiased
-/// estimate, CI widened by however much the admission control cost.
-/// Callers holding an AdmissionController pass controller.scale() here and
-/// ObserveQuery(report.sample_rows / scale) afterwards.
-Result<AdmittedEstimate> AdmitAndEstimate(
-    const PlanPtr& plan, ColumnarCatalog* catalog, Rng* rng,
-    const ExprPtr& f_expr, const SboxOptions& options, ExecMode mode,
-    const ExecOptions& exec, double scale);
 
 }  // namespace gus
 

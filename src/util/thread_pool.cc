@@ -64,11 +64,6 @@ void ThreadPool::Spawn(int count) {
         [this, worker_id, e = epoch_] { WorkerLoop(worker_id, e); });
     spawned_.fetch_add(1, std::memory_order_acq_rel);
   }
-  // Re-allocating under mu_ with no batch active: workers only touch
-  // range_next_ between a wake and the caller's completion wait, both of
-  // which bracket this lock.
-  const int slots = static_cast<int>(threads_.size()) + 1;
-  range_next_ = std::make_unique<std::atomic<int64_t>[]>(slots);
 }
 
 void ThreadPool::EnsureThreads(int num_threads) {
@@ -84,14 +79,14 @@ void ThreadPool::EnsureThreads(int num_threads) {
 
 void ThreadPool::ParallelFor(int64_t n,
                              const std::function<void(int64_t)>& fn) {
-  ParallelForChunked(n, /*chunk=*/1, num_threads(), Placement::kDynamic,
+  ParallelForChunked(n, /*chunk=*/1, num_threads(),
                      [&fn](int /*worker*/, int64_t begin, int64_t end) {
                        for (int64_t i = begin; i < end; ++i) fn(i);
                      });
 }
 
 void ThreadPool::ParallelForChunked(int64_t n, int64_t chunk, int max_workers,
-                                    Placement placement, const RangeFn& fn) {
+                                    const RangeFn& fn) {
   if (n <= 0) return;
   if (chunk < 1) chunk = 1;
   int workers = std::min(std::max(1, max_workers), num_threads());
@@ -116,24 +111,17 @@ void ThreadPool::ParallelForChunked(int64_t n, int64_t chunk, int max_workers,
     limit_ = n;
     chunk_ = chunk;
     active_workers_ = workers;
-    placement_ = placement;
     remaining_.store(n, std::memory_order_relaxed);
     cursor_.store(0, std::memory_order_relaxed);
-    if (placement == Placement::kRangeBound) {
-      for (int w = 0; w < workers; ++w) {
-        range_next_[w].store(RangeBegin(n, workers, w),
-                             std::memory_order_relaxed);
-      }
-    }
     ++epoch_;
   }
   work_cv_.notify_all();
 
-  RunClaimLoop(/*worker=*/0, fn, n, chunk, placement, workers);
+  RunClaimLoop(/*worker=*/0, fn, n, chunk);
 
   std::unique_lock<std::mutex> lock(mu_);
   // Wait for every index to complete AND every spawned worker to leave its
-  // claim loop — a straggler still probing the (drained) cursors must not
+  // claim loop — a straggler still probing the (drained) cursor must not
   // observe the next batch's reset state with this batch's fn.
   done_cv_.wait(lock, [this] {
     return remaining_.load(std::memory_order_acquire) == 0 &&
@@ -155,11 +143,9 @@ void ThreadPool::WorkerLoop(int worker_id, uint64_t seen_epoch) {
     const RangeFn* fn = fn_;
     const int64_t limit = limit_;
     const int64_t chunk = chunk_;
-    const Placement placement = placement_;
-    const int workers = active_workers_;
     ++workers_in_batch_;
     lock.unlock();
-    RunClaimLoop(worker_id, *fn, limit, chunk, placement, workers);
+    RunClaimLoop(worker_id, *fn, limit, chunk);
     lock.lock();
     --workers_in_batch_;
     if (workers_in_batch_ == 0 &&
@@ -170,36 +156,17 @@ void ThreadPool::WorkerLoop(int worker_id, uint64_t seen_epoch) {
 }
 
 void ThreadPool::RunClaimLoop(int worker, const RangeFn& fn, int64_t limit,
-                              int64_t chunk, Placement placement,
-                              int workers) {
+                              int64_t chunk) {
   // Mark the thread as inside one of this pool's tasks — covers both the
   // participating caller and spawned workers — so re-entrant ParallelFor
   // calls take the inline path instead of deadlocking on batch_mu_.
   CurrentPoolScope pool_scope(this);
-  if (placement == Placement::kDynamic || workers <= 1) {
-    while (true) {
-      const int64_t b = cursor_.fetch_add(chunk, std::memory_order_relaxed);
-      if (b >= limit) break;
-      const int64_t e = std::min(b + chunk, limit);
-      fn(worker, b, e);
-      FinishIndexes(e - b);
-    }
-    return;
-  }
-  // Range-bound: drain the own contiguous range front to back, then steal
-  // from the other ranges in ring order. Each range has its own cursor, so
-  // every index is still claimed exactly once.
-  for (int step = 0; step < workers; ++step) {
-    const int v = (worker + step) % workers;
-    const int64_t range_end = RangeBegin(limit, workers, v + 1);
-    while (true) {
-      const int64_t b =
-          range_next_[v].fetch_add(chunk, std::memory_order_relaxed);
-      if (b >= range_end) break;
-      const int64_t e = std::min(b + chunk, range_end);
-      fn(worker, b, e);
-      FinishIndexes(e - b);
-    }
+  while (true) {
+    const int64_t b = cursor_.fetch_add(chunk, std::memory_order_relaxed);
+    if (b >= limit) break;
+    const int64_t e = std::min(b + chunk, limit);
+    fn(worker, b, e);
+    FinishIndexes(e - b);
   }
 }
 

@@ -653,7 +653,7 @@ TEST(StreamingSboxTest, RetainedStateStaysBounded) {
   EXPECT_GT(report.sample_rows, 0);
 }
 
-TEST(ExecutePlanToSinkTest, NeverMaterializingCountMatches) {
+TEST(PumpToSinkTest, NeverMaterializingCountMatches) {
   // A trivial sink counting rows must see exactly the materialized total.
   Query1Setup setup = MakeQuery1Setup();
   struct CountingSink final : public BatchSink {
@@ -671,9 +671,11 @@ TEST(ExecutePlanToSinkTest, NeverMaterializingCountMatches) {
 
   ColumnarCatalog columnar(&setup.catalog);
   Rng col_rng(seed);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<BatchSource> pipeline,
+                       CompileBatchPipeline(setup.workload.plan, &columnar,
+                                            &col_rng, ExecMode::kSampled));
   CountingSink sink;
-  ASSERT_OK(ExecutePlanToSink(setup.workload.plan, &columnar, &col_rng,
-                              ExecMode::kSampled, &sink));
+  ASSERT_OK(PumpToSink(pipeline.get(), &sink));
   EXPECT_EQ(sample.num_rows(), sink.rows);
 }
 

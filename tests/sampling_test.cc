@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
+#include "est/streaming.h"
+#include "plan/columnar_executor.h"
+#include "plan/soa_transform.h"
+#include "rel/operators.h"
 #include "sampling/samplers.h"
 #include "test_util.h"
 #include "util/stats.h"
@@ -15,6 +20,7 @@ namespace gus {
 namespace {
 
 using ::gus::testing::MakeSingleTable;
+using ::gus::testing::MakeTinyJoin;
 
 TEST(SpecTest, ValidateRanges) {
   EXPECT_TRUE(SamplingSpec::Bernoulli(0.5).Validate().ok());
@@ -303,6 +309,67 @@ TEST(DecoupledCoreTest, WorKeepSetIsThreadCountInvariant) {
       EXPECT_EQ(one, many);
     }
   }
+}
+
+TEST(DecoupledCoreTest, WorKeepSetsAreNestedInSampleSize) {
+  // A WOR keep-set is the n smallest priorities of one fixed random order,
+  // so growing n only adds rows: every keep-set is a prefix of the same
+  // shuffle (the property online aggregation over WOR prefixes rests on).
+  // 150000 rows put the 4-thread filter above its per-worker split floor.
+  Rng rng(58);
+  for (const int64_t N : {int64_t{97}, int64_t{150000}}) {
+    const std::vector<int64_t> sizes = {1, 7, N / 4, N / 2, N - 1, N};
+    for (int trial = 0; trial < 3; ++trial) {
+      const uint64_t seed = rng.Next();
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE("N=" + std::to_string(N) +
+                     " threads=" + std::to_string(threads));
+        std::vector<int64_t> smaller;
+        for (const int64_t n : sizes) {
+          ASSERT_OK_AND_ASSIGN(std::vector<int64_t> keep,
+                               DecoupledWorKeepIndices(N, n, seed, threads));
+          ASSERT_EQ(static_cast<size_t>(n), keep.size());
+          EXPECT_TRUE(std::includes(keep.begin(), keep.end(),
+                                    smaller.begin(), smaller.end()))
+              << "keep-set of " << smaller.size() << " rows not inside "
+              << n;
+          smaller = std::move(keep);
+        }
+      }
+    }
+  }
+}
+
+TEST(DecoupledCoreTest, FullWorJoinIsExact) {
+  // WOR(N, N) on both sides of a join keeps everything: the estimate is
+  // the exact join sum and the variance vanishes.
+  auto data = MakeTinyJoin(/*num_dim=*/12, /*fanout=*/3);
+  ASSERT_OK_AND_ASSIGN(Relation joined,
+                       HashJoin(data.fact, data.dim, "fk", "pk"));
+  const ExprPtr f = Mul(Col("v"), Col("w"));
+  ASSERT_OK_AND_ASSIGN(const double truth, AggregateSum(joined, f));
+  PlanPtr plan = PlanNode::Join(
+      PlanNode::Sample(
+          SamplingSpec::WithoutReplacement(data.fact.num_rows(),
+                                           data.fact.num_rows()),
+          PlanNode::Scan("F")),
+      PlanNode::Sample(
+          SamplingSpec::WithoutReplacement(data.dim.num_rows(),
+                                           data.dim.num_rows()),
+          PlanNode::Scan("D")),
+      "fk", "pk");
+  ASSERT_OK_AND_ASSIGN(SoaResult soa, SoaTransform(plan));
+  Catalog catalog = data.MakeCatalog();
+  ColumnarCatalog columnar(&catalog);
+  ExecOptions exec;
+  exec.engine = ExecEngine::kMorselParallel;
+  Rng rng(7);
+  ASSERT_OK_AND_ASSIGN(
+      SboxReport report,
+      EstimatePlanParallel(plan, &columnar, &rng, f, soa.top, SboxOptions{},
+                           ExecMode::kSampled, exec));
+  EXPECT_NEAR(truth, report.estimate, 1e-12 * std::fabs(truth));
+  EXPECT_NEAR(0.0, report.variance, 1e-9 * report.estimate * report.estimate);
 }
 
 TEST(DecoupledCoreTest, PureFunctionsOfSeed) {

@@ -613,7 +613,8 @@ TEST(ServeTest, AttachedAdmissionControllerScalesAndObserves) {
   Fleet fleet = StartFleet(fx, 1, "admit");
   AdmissionConfig config;
   config.capacity_rows = 1'000'000;  // wildly over-provisioned: scale 1.0
-  AdmissionController admission(config);
+  ASSERT_OK_AND_ASSIGN(AdmissionController admission,
+                       AdmissionController::Make(config));
   SessionCoordinator coordinator(fleet.endpoints, &admission);
 
   // At scale 1.0 the design is untouched, so the served answer is still
@@ -627,7 +628,8 @@ TEST(ServeTest, AttachedAdmissionControllerScalesAndObserves) {
   // A tiny capacity shrinks the scale for subsequent queries.
   AdmissionConfig tight;
   tight.capacity_rows = 4;
-  AdmissionController squeezed(tight);
+  ASSERT_OK_AND_ASSIGN(AdmissionController squeezed,
+                       AdmissionController::Make(tight));
   SessionCoordinator throttled(fleet.endpoints, &squeezed);
   ASSERT_OK_AND_ASSIGN(ServedResult loaded,
                        throttled.Execute("q1", BaseRequest(83)));

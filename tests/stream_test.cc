@@ -1,139 +1,21 @@
-// Tests for the load-shedding module (Section 8 streaming application)
-// and its plan-level twin, admission control (stream/admission.h).
+// Tests for admission control (stream/admission.h): load shedding
+// (paper Section 8) applied to query sampling rates.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "est/streaming.h"
 #include "plan/columnar_executor.h"
-#include "rel/operators.h"
+#include "plan/soa_transform.h"
 #include "stream/admission.h"
-#include "stream/load_shedder.h"
 #include "test_util.h"
 #include "util/stats.h"
 
 namespace gus {
 namespace {
 
-using ::gus::testing::MakeSingleTable;
 using ::gus::testing::MakeTinyJoin;
-
-TEST(LoadShedderTest, StartsWideOpen) {
-  BernoulliLoadShedder shedder(ShedderConfig{});
-  EXPECT_DOUBLE_EQ(1.0, shedder.keep_probability());
-}
-
-TEST(LoadShedderTest, AdaptsToCapacity) {
-  ShedderConfig config;
-  config.capacity_per_window = 100;
-  config.smoothing = 1.0;  // react immediately
-  BernoulliLoadShedder shedder(config);
-  shedder.ObserveWindow(1000);
-  EXPECT_NEAR(0.1, shedder.keep_probability(), 1e-12);
-  shedder.ObserveWindow(200);
-  EXPECT_NEAR(0.5, shedder.keep_probability(), 1e-12);
-  shedder.ObserveWindow(50);  // under capacity: no shedding
-  EXPECT_DOUBLE_EQ(1.0, shedder.keep_probability());
-}
-
-TEST(LoadShedderTest, SmoothingDampsReaction) {
-  ShedderConfig config;
-  config.capacity_per_window = 100;
-  config.smoothing = 0.5;
-  BernoulliLoadShedder shedder(config);
-  shedder.ObserveWindow(1000);   // seeds the estimate at 1000
-  shedder.ObserveWindow(100);    // smoothed: 550
-  EXPECT_NEAR(100.0 / 550.0, shedder.keep_probability(), 1e-12);
-}
-
-TEST(LoadShedderTest, ClampsToRange) {
-  ShedderConfig config;
-  config.capacity_per_window = 1;
-  config.min_p = 0.01;
-  config.smoothing = 1.0;
-  BernoulliLoadShedder shedder(config);
-  shedder.ObserveWindow(1000000);
-  EXPECT_DOUBLE_EQ(0.01, shedder.keep_probability());
-}
-
-TEST(ShedWindowTest, KeepsExpectedFractionAndEstimatesSum) {
-  Relation window = MakeSingleTable(2000, "W");
-  Rng rng(1);
-  ASSERT_OK_AND_ASSIGN(WindowEstimate est,
-                       ShedAndEstimateWindow(window, 0.25, Col("v"), &rng));
-  const double truth = 2000.0 * 2001.0 / 2.0;
-  EXPECT_NEAR(0.25 * 2000, est.kept_rows, 120);
-  EXPECT_NEAR(truth, est.estimate, 5.0 * est.stddev + 1e-9);
-  EXPECT_TRUE(est.interval.Contains(est.estimate));
-}
-
-TEST(ShedWindowTest, NoSheddingIsExact) {
-  Relation window = MakeSingleTable(100, "W");
-  Rng rng(2);
-  ASSERT_OK_AND_ASSIGN(WindowEstimate est,
-                       ShedAndEstimateWindow(window, 1.0, Col("v"), &rng));
-  EXPECT_DOUBLE_EQ(5050.0, est.estimate);
-  EXPECT_NEAR(0.0, est.stddev, 1e-9);
-  EXPECT_EQ(100, est.kept_rows);
-}
-
-TEST(ShedWindowTest, CoverageOverWindows) {
-  Relation window = MakeSingleTable(500, "W");
-  const double truth = 500.0 * 501.0 / 2.0;
-  Rng rng(3);
-  CoverageCounter coverage;
-  for (int w = 0; w < 3000; ++w) {
-    ASSERT_OK_AND_ASSIGN(WindowEstimate est,
-                         ShedAndEstimateWindow(window, 0.2, Col("v"), &rng));
-    coverage.Add(est.interval.Contains(truth));
-  }
-  EXPECT_GT(coverage.fraction(), 0.92);
-  EXPECT_LT(coverage.fraction(), 0.98);
-}
-
-TEST(ShedWindowTest, RejectsDerivedRelations) {
-  auto data = MakeTinyJoin(3, 2);
-  ASSERT_OK_AND_ASSIGN(Relation joined,
-                       HashJoin(data.fact, data.dim, "fk", "pk"));
-  Rng rng(4);
-  EXPECT_STATUS_CODE(
-      kInvalidArgument,
-      ShedAndEstimateWindow(joined, 0.5, Col("v"), &rng).status());
-}
-
-TEST(JoinedWindowsTest, EstimatesJoinSum) {
-  auto data = MakeTinyJoin(/*num_dim=*/20, /*fanout=*/5);
-  // Exact join SUM(v*w).
-  ASSERT_OK_AND_ASSIGN(Relation joined,
-                       HashJoin(data.fact, data.dim, "fk", "pk"));
-  ASSERT_OK_AND_ASSIGN(double truth,
-                       AggregateSum(joined, Mul(Col("v"), Col("w"))));
-  Rng rng(5);
-  MeanVar estimates;
-  CoverageCounter coverage;
-  for (int w = 0; w < 3000; ++w) {
-    ASSERT_OK_AND_ASSIGN(
-        WindowEstimate est,
-        ShedAndEstimateJoinedWindows(data.fact, 0.6, data.dim, 0.7, "fk",
-                                     "pk", Mul(Col("v"), Col("w")), &rng));
-    estimates.Add(est.estimate);
-    coverage.Add(est.interval.Contains(truth));
-  }
-  // Unbiased across windows; joint coverage near nominal.
-  EXPECT_NEAR(truth, estimates.mean(),
-              4.0 * estimates.stddev_sample() / std::sqrt(3000.0));
-  EXPECT_GT(coverage.fraction(), 0.90);
-}
-
-TEST(JoinedWindowsTest, EffectiveProbabilityIsProduct) {
-  auto data = MakeTinyJoin(5, 2);
-  Rng rng(6);
-  ASSERT_OK_AND_ASSIGN(
-      WindowEstimate est,
-      ShedAndEstimateJoinedWindows(data.fact, 0.5, data.dim, 0.4, "fk", "pk",
-                                   Mul(Col("v"), Col("w")), &rng));
-  EXPECT_DOUBLE_EQ(0.2, est.p);
-}
 
 // ---------------------------------------------------------------------------
 // Admission control: shedding by *design* (scaled sampling rates), not by
@@ -143,12 +25,80 @@ TEST(AdmissionTest, ControllerTracksOfferedLoad) {
   AdmissionConfig config;
   config.capacity_rows = 100;
   config.smoothing = 1.0;  // react immediately
-  AdmissionController admission(config);
+  ASSERT_OK_AND_ASSIGN(AdmissionController admission,
+                       AdmissionController::Make(config));
   EXPECT_DOUBLE_EQ(1.0, admission.scale());
   admission.ObserveQuery(1000);
   EXPECT_NEAR(0.1, admission.scale(), 1e-12);
   admission.ObserveQuery(50);  // under capacity: full-rate admission
   EXPECT_DOUBLE_EQ(1.0, admission.scale());
+}
+
+TEST(AdmissionTest, SmoothingDampsReaction) {
+  AdmissionConfig config;
+  config.capacity_rows = 100;
+  config.smoothing = 0.5;
+  ASSERT_OK_AND_ASSIGN(AdmissionController admission,
+                       AdmissionController::Make(config));
+  admission.ObserveQuery(1000);  // seeds the estimate at 1000
+  admission.ObserveQuery(100);   // smoothed: 550
+  EXPECT_NEAR(100.0 / 550.0, admission.scale(), 1e-12);
+}
+
+TEST(AdmissionTest, ClampsToRange) {
+  AdmissionConfig config;
+  config.capacity_rows = 1;
+  config.min_scale = 0.01;
+  config.smoothing = 1.0;
+  ASSERT_OK_AND_ASSIGN(AdmissionController admission,
+                       AdmissionController::Make(config));
+  admission.ObserveQuery(1000000);
+  EXPECT_DOUBLE_EQ(0.01, admission.scale());
+}
+
+TEST(AdmissionTest, StartsAtMaxScale) {
+  AdmissionConfig config;
+  config.max_scale = 0.5;
+  ASSERT_OK_AND_ASSIGN(AdmissionController admission,
+                       AdmissionController::Make(config));
+  EXPECT_DOUBLE_EQ(0.5, admission.scale());
+}
+
+Status MakeStatus(const AdmissionConfig& config) {
+  return AdmissionController::Make(config).status();
+}
+
+TEST(AdmissionTest, MakeRejectsCapacityBelowOne) {
+  AdmissionConfig config;
+  config.capacity_rows = 0;
+  EXPECT_STATUS_CODE(kInvalidArgument, MakeStatus(config));
+}
+
+TEST(AdmissionTest, MakeRejectsMinScaleOutsideUnitInterval) {
+  for (const double min_scale : {0.0, -0.5, 1.5}) {
+    AdmissionConfig config;
+    config.min_scale = min_scale;
+    EXPECT_STATUS_CODE(kInvalidArgument, MakeStatus(config));
+  }
+}
+
+TEST(AdmissionTest, MakeRejectsMaxScaleOutsideMinToOne) {
+  AdmissionConfig config;
+  config.min_scale = 0.5;
+  config.max_scale = 0.25;  // the inverted range clamp() may not be given
+  EXPECT_STATUS_CODE(kInvalidArgument, MakeStatus(config));
+  config.max_scale = 1.5;
+  EXPECT_STATUS_CODE(kInvalidArgument, MakeStatus(config));
+  config.max_scale = 0.5;  // a single-point range is valid
+  ASSERT_OK(MakeStatus(config));
+}
+
+TEST(AdmissionTest, MakeRejectsSmoothingOutsideUnitInterval) {
+  for (const double smoothing : {0.0, -0.5, 1.5}) {
+    AdmissionConfig config;
+    config.smoothing = smoothing;
+    EXPECT_STATUS_CODE(kInvalidArgument, MakeStatus(config));
+  }
 }
 
 TEST(AdmissionTest, ScalesEverySamplingFamilyInPlace) {
@@ -201,17 +151,18 @@ TEST(AdmissionTest, AdmittedEstimateStaysUnbiased) {
   SboxOptions options;
   ExecOptions exec;
   exec.morsel_rows = 8;
+  ASSERT_OK_AND_ASSIGN(PlanPtr admitted, ScalePlanSamplingRates(plan, 0.5));
+  EXPECT_NEAR(0.4, admitted->spec().p, 1e-12);
+  ASSERT_OK_AND_ASSIGN(SoaResult soa, SoaTransform(admitted));
   MeanVar estimates;
   const int kTrials = 300;
   for (int t = 0; t < kTrials; ++t) {
     Rng rng(9000 + t);
     ASSERT_OK_AND_ASSIGN(
-        AdmittedEstimate admitted,
-        AdmitAndEstimate(plan, &columnar, &rng, Col("w"), options,
-                         ExecMode::kSampled, exec, 0.5));
-    EXPECT_DOUBLE_EQ(0.5, admitted.scale);
-    EXPECT_NEAR(0.4, admitted.admitted_plan->spec().p, 1e-12);
-    estimates.Add(admitted.report.estimate);
+        SboxReport report,
+        EstimatePlanParallel(admitted, &columnar, &rng, Col("w"), soa.top,
+                             options, ExecMode::kSampled, exec));
+    estimates.Add(report.estimate);
   }
   EXPECT_NEAR(truth, estimates.mean(),
               5.0 * estimates.stddev_sample() / std::sqrt(1.0 * kTrials));

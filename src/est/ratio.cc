@@ -38,23 +38,14 @@ Result<RatioReport> RatioEstimate(const GusParams& gus, const SampleView& view,
   }
   report.estimate = report.numerator / report.denominator;
 
-  // A view over g reusing the same lineage columns.
-  SampleView g_view;
-  g_view.schema = view.schema;
-  g_view.lineage = view.lineage;
-  g_view.f = g;
-
-  // Unbiased estimates of the three quadratic-form tables.
-  const std::vector<double> y_ff = ComputeAllYS(view);
-  GUS_ASSIGN_OR_RETURN(std::vector<double> y_fg,
-                       ComputeAllYSBilinear(view, g));
-  const std::vector<double> y_gg = ComputeAllYS(g_view);
+  // Unbiased estimates of the three quadratic-form tables, grouped once.
+  GUS_ASSIGN_OR_RETURN(const YsGram y, ComputeAllYSGram(view, g));
   GUS_ASSIGN_OR_RETURN(std::vector<double> yh_ff,
-                       UnbiasedYEstimates(gus, y_ff));
+                       UnbiasedYEstimates(gus, y.ff));
   GUS_ASSIGN_OR_RETURN(std::vector<double> yh_fg,
-                       UnbiasedYEstimates(gus, y_fg));
+                       UnbiasedYEstimates(gus, y.fg));
   GUS_ASSIGN_OR_RETURN(std::vector<double> yh_gg,
-                       UnbiasedYEstimates(gus, y_gg));
+                       UnbiasedYEstimates(gus, y.gg));
   GUS_ASSIGN_OR_RETURN(report.numerator_variance,
                        VarianceFromY(gus, yh_ff));
   GUS_ASSIGN_OR_RETURN(report.covariance, CovarianceFromY(gus, yh_fg));

@@ -41,6 +41,23 @@ SampleView FilterView(const SampleView& view, double p_per_dim,
 
 }  // namespace
 
+double SubsampleRate(int64_t target_rows, int64_t rows, int arity) {
+  const double ratio =
+      static_cast<double>(target_rows) / static_cast<double>(rows);
+  return std::pow(ratio, 1.0 / arity);
+}
+
+Result<GusParams> SubsampleAnalysisGus(const GusParams& gus,
+                                       double p_per_dim) {
+  std::vector<DimBernoulli> dims;
+  for (const auto& rel : gus.schema().relations()) {
+    dims.push_back({rel, p_per_dim});
+  }
+  GUS_ASSIGN_OR_RETURN(GusParams sub_gus,
+                       MultiDimBernoulliGus(gus.schema(), dims));
+  return GusCompact(sub_gus, gus);
+}
+
 std::string SboxReport::ToString() const {
   std::ostringstream out;
   out << "estimate=" << estimate << " stddev=" << stddev << " ci="
@@ -66,20 +83,10 @@ Result<SboxReport> SboxEstimate(const GusParams& gus, const SampleView& sample,
   if (options.subsample.has_value() &&
       sample.num_rows() > options.subsample->target_rows) {
     const auto& cfg = *options.subsample;
-    const int n = gus.schema().arity();
-    const double ratio = static_cast<double>(cfg.target_rows) /
-                         static_cast<double>(sample.num_rows());
-    const double p_per_dim = std::pow(ratio, 1.0 / n);
+    const double p_per_dim = SubsampleRate(
+        cfg.target_rows, sample.num_rows(), gus.schema().arity());
     subsampled = FilterView(sample, p_per_dim, cfg.seed);
-    std::vector<DimBernoulli> dims;
-    for (const auto& rel : gus.schema().relations()) {
-      dims.push_back({rel, p_per_dim});
-    }
-    GUS_ASSIGN_OR_RETURN(GusParams sub_gus,
-                         MultiDimBernoulliGus(gus.schema(), dims));
-    // Example 6: the sub-sampled stream is (sub ∘ plan)-sampled from the
-    // raw data; compaction gives the GUS that unbiases its Y statistics.
-    GUS_ASSIGN_OR_RETURN(analysis, GusCompact(sub_gus, gus));
+    GUS_ASSIGN_OR_RETURN(analysis, SubsampleAnalysisGus(gus, p_per_dim));
     variance_view = &subsampled;
   }
   report.variance_rows = variance_view->num_rows();

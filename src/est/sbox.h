@@ -36,6 +36,19 @@ struct SubsampleConfig {
   uint64_t seed = 0x5b0c5b0cULL;
 };
 
+/// \brief Per-dimension rate of the Section 7 sub-sampler that keeps about
+/// `target_rows` of `rows` result tuples: (target_rows / rows)^(1/arity).
+double SubsampleRate(int64_t target_rows, int64_t rows, int arity);
+
+/// \brief The GUS that unbiases y_S statistics of a Section 7 sub-sample
+/// drawn at `p_per_dim` on every relation of `gus`'s schema.
+///
+/// The sub-sampled stream is (sub ∘ plan)-sampled from the raw data;
+/// compacting the multi-dimensional Bernoulli with `gus` (Example 6) gives
+/// its parameters.
+Result<GusParams> SubsampleAnalysisGus(const GusParams& gus,
+                                       double p_per_dim);
+
 /// \brief Options for an SBox run.
 struct SboxOptions {
   double confidence_level = 0.95;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "algebra/ops.h"
-#include "algebra/translate.h"
 #include "est/unbiased.h"
 #include "est/variance.h"
 #include "est/wire.h"
@@ -100,9 +99,7 @@ double StreamingSboxEstimator::InterimP() const {
   if (!options_.subsample.has_value()) return 1.0;
   const int64_t target = options_.subsample->target_rows;
   if (rows_seen_ <= target) return 1.0;
-  const double ratio =
-      static_cast<double>(target) / static_cast<double>(rows_seen_);
-  return std::pow(ratio, 1.0 / gus_.schema().arity());
+  return SubsampleRate(target, rows_seen_, gus_.schema().arity());
 }
 
 void StreamingSboxEstimator::Prune() {
@@ -319,10 +316,8 @@ Result<SboxReport> StreamingSboxEstimator::Finish() {
   if (options_.subsample.has_value() &&
       rows_seen_ > options_.subsample->target_rows) {
     const int n = gus_.schema().arity();
-    const double ratio =
-        static_cast<double>(options_.subsample->target_rows) /
-        static_cast<double>(rows_seen_);
-    const double p_per_dim = std::pow(ratio, 1.0 / n);
+    const double p_per_dim =
+        SubsampleRate(options_.subsample->target_rows, rows_seen_, n);
     final_view.schema = gus_.schema();
     final_view.lineage.assign(n, {});
     for (int64_t i = 0; i < retained_.num_rows(); ++i) {
@@ -332,13 +327,7 @@ Result<SboxReport> StreamingSboxEstimator::Finish() {
         final_view.lineage[d].push_back(retained_.lineage[d][i]);
       }
     }
-    std::vector<DimBernoulli> dims;
-    for (const auto& rel : gus_.schema().relations()) {
-      dims.push_back({rel, p_per_dim});
-    }
-    GUS_ASSIGN_OR_RETURN(GusParams sub_gus,
-                         MultiDimBernoulliGus(gus_.schema(), dims));
-    GUS_ASSIGN_OR_RETURN(analysis, GusCompact(sub_gus, gus_));
+    GUS_ASSIGN_OR_RETURN(analysis, SubsampleAnalysisGus(gus_, p_per_dim));
     variance_view = &final_view;
   }
   report.variance_rows = variance_view->num_rows();
@@ -414,17 +403,8 @@ Result<SboxReport> StreamingSboxEstimator::FinishDegraded(
   const bool subsampled = options.subsample.has_value() &&
                           rows > options.subsample->target_rows;
   if (subsampled) {
-    const double ratio =
-        static_cast<double>(options.subsample->target_rows) /
-        static_cast<double>(rows);
-    p_per_dim = std::pow(ratio, 1.0 / n);
-    std::vector<DimBernoulli> dims;
-    for (const auto& rel : base.schema().relations()) {
-      dims.push_back({rel, p_per_dim});
-    }
-    GUS_ASSIGN_OR_RETURN(GusParams sub_gus,
-                         MultiDimBernoulliGus(base.schema(), dims));
-    GUS_ASSIGN_OR_RETURN(analysis, GusCompact(sub_gus, base));
+    p_per_dim = SubsampleRate(options.subsample->target_rows, rows, n);
+    GUS_ASSIGN_OR_RETURN(analysis, SubsampleAnalysisGus(base, p_per_dim));
   }
 
   // Pair statistics split by co-survival class. y_S is a sum over ordered

@@ -14,20 +14,28 @@ Result<double> PointEstimate(const GusParams& gus, const SampleView& sample) {
   return sample.SumF() / gus.a();
 }
 
-Result<double> VarianceFromY(const GusParams& gus,
-                             const std::vector<double>& y) {
+Result<std::vector<double>> VarianceTermsFromY(const GusParams& gus,
+                                               const std::vector<double>& y) {
   if (y.size() != gus.schema().num_subsets()) {
     return Status::InvalidArgument("y table must have 2^n entries");
   }
   if (gus.a() <= 0.0) {
     return Status::InvalidArgument("variance needs a > 0");
   }
-  const std::vector<double> c = gus.AllCFast();
+  std::vector<double> terms = gus.AllCFast();
   const double a2 = gus.a() * gus.a();
-  double var = -y[0];  // − y_∅
-  for (SubsetMask m = 0; m < y.size(); ++m) {
-    var += c[m] / a2 * y[m];
-  }
+  for (SubsetMask m = 0; m < y.size(); ++m) terms[m] = terms[m] / a2 * y[m];
+  // − y_∅ first, so the left fold adds in the order var = −y_∅ + ... does.
+  terms[0] = -y[0] + terms[0];
+  return terms;
+}
+
+Result<double> VarianceFromY(const GusParams& gus,
+                             const std::vector<double>& y) {
+  GUS_ASSIGN_OR_RETURN(const std::vector<double> terms,
+                       VarianceTermsFromY(gus, y));
+  double var = terms[0];
+  for (size_t m = 1; m < terms.size(); ++m) var += terms[m];
   return var;
 }
 

@@ -22,7 +22,15 @@ namespace gus {
 /// The point estimate X = SumF / a.
 Result<double> PointEstimate(const GusParams& gus, const SampleView& sample);
 
-/// Var[X] from a y-table (true y or estimated Ŷ), Theorem 1.
+/// \brief Theorem 1's per-subset terms, indexed by mask: term S is
+/// c_S / a^2 · y_S, and term ∅ also carries the −y_∅.
+///
+/// Summed left to right in mask order they give VarianceFromY bit for bit.
+Result<std::vector<double>> VarianceTermsFromY(const GusParams& gus,
+                                               const std::vector<double>& y);
+
+/// Var[X] from a y-table (true y or estimated Ŷ), Theorem 1: the left fold
+/// of VarianceTermsFromY in mask order.
 Result<double> VarianceFromY(const GusParams& gus,
                              const std::vector<double>& y);
 

@@ -9,6 +9,22 @@
 // Generalized to the bilinear form y_S^{f,g} = sum over groups of
 // (sum f)(sum g), which the AVG delta-method extension needs for the
 // covariance between the SUM and COUNT estimators; y_S = y_S^{f,f}.
+//
+// Grouping is exact: rows fall into one group iff their projected lineage
+// ids are equal, compared id for id (no hash of the tuple stands in for
+// it, so distinct tuples never merge). Groups are numbered in order of
+// their first row in the view, the sums within a group accumulate in row
+// order, and the squares (products) fold in group-number order. Every
+// number is therefore a function of the view's rows in their order alone.
+// All engines hand the estimator the same view row for row, so they all
+// compute the same bits.
+//
+// One call of ComputeAllYS* groups every mask with one scratch: each
+// single-dimension grouping densifies the raw ids once, and a larger mask
+// m densifies the 64-bit key dense(m \ top)(row) * groups(top) +
+// dense(top)(row) (top = highest dimension of m), which is exact because
+// both dense ids are below 2^32. A mask whose groups are all single rows
+// passes that on to every superset without another pass.
 
 #ifndef GUS_EST_YS_H_
 #define GUS_EST_YS_H_
@@ -21,7 +37,7 @@
 
 namespace gus {
 
-/// y_S for a single agreement mask (hash grouping).
+/// y_S for a single agreement mask.
 double ComputeYS(const SampleView& view, SubsetMask mask);
 
 /// Bilinear y_S^{f,g}; `g` must have the same length as view.f.
@@ -29,19 +45,26 @@ Result<double> ComputeYSBilinear(const SampleView& view,
                                  const std::vector<double>& g,
                                  SubsetMask mask);
 
-/// All 2^n statistics, indexed by mask (hash grouping).
+/// All 2^n statistics, indexed by mask.
 std::vector<double> ComputeAllYS(const SampleView& view);
 
 /// All 2^n bilinear statistics.
 Result<std::vector<double>> ComputeAllYSBilinear(const SampleView& view,
                                                  const std::vector<double>& g);
 
-/// \brief Sort-based alternative for a single mask.
+/// The three tables of a ratio's delta method, indexed by mask.
+struct YsGram {
+  std::vector<double> ff;  ///< y^{f,f}: ComputeAllYS(view)
+  std::vector<double> fg;  ///< y^{f,g}: ComputeAllYSBilinear(view, g)
+  std::vector<double> gg;  ///< y^{g,g}: ComputeAllYS of the view over g
+};
+
+/// \brief y^{f,f}, y^{f,g} and y^{g,g} from one grouping per mask.
 ///
-/// Sorts row indexes by the projected lineage key instead of hashing;
-/// identical results, different constant factors — the A2 ablation bench
-/// compares the two.
-double ComputeYSSorted(const SampleView& view, SubsetMask mask);
+/// Bit-identical to the three separate calls; `g` must have the same
+/// length as view.f.
+Result<YsGram> ComputeAllYSGram(const SampleView& view,
+                                const std::vector<double>& g);
 
 }  // namespace gus
 

@@ -158,23 +158,35 @@ inline uint64_t WorPriority(uint64_t seed, uint64_t row) {
   return WorPriorityMixed(Mix64(seed), row);
 }
 
-/// \brief Bernoulli(p) keep decision for block `block` under stream `seed`.
+/// \brief Bernoulli(p) keep decision for block `block` under stream `seed`:
+/// exactly Rng::ForkStream(seed, block).Uniform() < p, from the closed-form
+/// first word.
 ///
 /// Pure function of (seed, block): a block's fate never depends on which
 /// morsel or shard evaluates it, so block-sampled scans partition freely.
 inline bool DecoupledBlockKeep(uint64_t seed, uint64_t block, double p) {
-  return Rng::ForkStream(seed, block).Uniform() < p;
+  return HashToUnit(WorPriority(seed, block)) < p;
 }
 
 /// \brief Target row of the d-th with-replacement draw over `population`
-/// rows (pure function of (seed, draw)).
+/// rows (pure function of (seed, draw)): exactly
+/// Rng::ForkStream(seed, draw).UniformInt(population).
 ///
 /// Each draw runs Lemire rejection inside its own forked stream, so the
-/// target is exact-uniform and independent across draws.
+/// target is exact-uniform and independent across draws. The first word
+/// comes in closed form; only a rejected first word (probability below
+/// population / 2^64) builds the stream to redraw.
 inline int64_t WrDrawTarget(uint64_t seed, int64_t draw, int64_t population) {
-  Rng r = Rng::ForkStream(seed, static_cast<uint64_t>(draw));
-  return static_cast<int64_t>(
-      r.UniformInt(static_cast<uint64_t>(population)));
+  const auto n = static_cast<uint64_t>(population);
+  const __uint128_t m =
+      static_cast<__uint128_t>(WorPriority(seed, static_cast<uint64_t>(draw))) *
+      n;
+  const auto lo = static_cast<uint64_t>(m);
+  if (lo < n && lo < (0 - n) % n) {
+    Rng r = Rng::ForkStream(seed, static_cast<uint64_t>(draw));
+    return static_cast<int64_t>(r.UniformInt(n));
+  }
+  return static_cast<int64_t>(m >> 64);
 }
 
 /// A fixed-size WOR candidate: (WorPriority(seed, row), row). Pairs order

@@ -476,6 +476,37 @@ TEST(WorPriorityTest, ClosedFormMatchesForkStreamOnEveryTier) {
   });
 }
 
+TEST(DecoupledDrawTest, BlockKeepAndWrTargetMatchForkStream) {
+  const uint64_t seeds[] = {0, 1, ~uint64_t{0}, 0x13198a2e03707344ULL};
+  const int64_t near_max = std::numeric_limits<int64_t>::max();
+  // Read as uint64 by both forms; 2^63 + 1 rejects about half the first
+  // words, so the redraw path runs too.
+  const uint64_t populations[] = {1, 7, (uint64_t{1} << 32) + 1,
+                                  (uint64_t{1} << 63) + 1};
+  const double ps[] = {0.0, 0.3, 0.5, 1.0};
+  int64_t rejected = 0;
+  for (const uint64_t seed : seeds) {
+    for (const int64_t begin : {int64_t{0}, near_max - 200}) {
+      for (int64_t unit = begin; unit < begin + 200; ++unit) {
+        SCOPED_TRACE(::testing::Message() << seed << " unit " << unit);
+        const auto u = static_cast<uint64_t>(unit);
+        for (const double p : ps) {
+          ASSERT_EQ(Rng::ForkStream(seed, u).Uniform() < p,
+                    DecoupledBlockKeep(seed, u, p));
+        }
+        for (const uint64_t n : populations) {
+          Rng r = Rng::ForkStream(seed, u);
+          const uint64_t want = r.UniformInt(n);
+          if (r.num_draws() > 1) ++rejected;
+          ASSERT_EQ(want, static_cast<uint64_t>(WrDrawTarget(
+                              seed, unit, static_cast<int64_t>(n))));
+        }
+      }
+    }
+  }
+  EXPECT_GT(rejected, 100);
+}
+
 TEST(WorPriorityTest, FilterKeepsExactlyTheKeysAtOrBelowTau) {
   const uint64_t seed = 0x5eedULL;
   const int64_t begin = 12345, len = 4099;

@@ -7,6 +7,7 @@
 
 #include "data/tpch_gen.h"
 #include "data/workload.h"
+#include "est/variance.h"
 #include "mc/monte_carlo.h"
 #include "test_util.h"
 
@@ -140,6 +141,37 @@ TEST(SboxTest, SubsampledVarianceCloseToFullVariance) {
   // Variance estimate within a factor band (it is noisier, not biased).
   EXPECT_GT(sub_report.variance, 0.2 * full_report.variance);
   EXPECT_LT(sub_report.variance, 5.0 * full_report.variance);
+}
+
+TEST(SboxTest, VarianceTermsFoldToReportedVariance) {
+  // Theorem 1 term by term: summing the per-subset terms of the report's
+  // Ŷ in mask order is the reported variance, bit for bit.
+  TpchConfig config;
+  config.num_orders = 3000;
+  config.max_lineitems_per_order = 5;
+  TpchData data = GenerateTpch(config);
+  Catalog catalog = data.MakeCatalog();
+  Query1Params params;
+  params.lineitem_p = 0.5;
+  params.orders_n = 1500;
+  params.orders_population = config.num_orders;
+  Workload q1 = MakeQuery1(params);
+
+  ASSERT_OK_AND_ASSIGN(SoaResult soa, SoaTransform(q1.plan));
+  Rng rng(78);
+  ASSERT_OK_AND_ASSIGN(Relation sampled, ExecutePlan(q1.plan, catalog, &rng));
+  ASSERT_OK_AND_ASSIGN(
+      SampleView view,
+      SampleView::FromRelation(sampled, q1.aggregate, soa.top.schema()));
+  ASSERT_OK_AND_ASSIGN(SboxReport report, SboxEstimate(soa.top, view));
+  ASSERT_GT(report.variance, 0.0);
+
+  ASSERT_OK_AND_ASSIGN(std::vector<double> terms,
+                       VarianceTermsFromY(soa.top, report.y_hat));
+  ASSERT_EQ(report.y_hat.size(), terms.size());
+  double var = terms[0];
+  for (size_t m = 1; m < terms.size(); ++m) var += terms[m];
+  EXPECT_EQ(report.variance, var);
 }
 
 TEST(SboxTest, SubsampleNotTriggeredBelowTarget) {

@@ -49,7 +49,7 @@ Instance MakeInstance(double fanout_skew) {
                 {{"l", static_cast<double>(data.lineitem.num_rows()), 0.01,
                   1.0},
                  {"o", static_cast<double>(config.num_orders), 0.01, 1.0}},
-                ComputeAllYS(view)};
+                ComputeAllYS(YsInput::Of(view))};
   return inst;
 }
 

@@ -1,11 +1,10 @@
 #include "est/group_by.h"
 
 #include <algorithm>
-#include <cmath>
+#include <numeric>
 #include <unordered_map>
 
-#include "est/unbiased.h"
-#include "est/variance.h"
+#include "est/variance_tail.h"
 #include "est/wire.h"
 #include "est/ys.h"
 #include "kernels/key_hash.h"
@@ -16,36 +15,83 @@ namespace gus {
 
 namespace {
 
-/// One group's full Theorem-1 treatment; shared by the relation-based and
-/// streaming paths so their numbers agree bit for bit.
-Result<GroupEstimate> EstimateGroup(const GusParams& gus, const Value& key,
-                                    const SampleView& gview,
-                                    double confidence_level, BoundKind kind) {
-  GroupEstimate ge;
-  ge.key = key;
-  ge.sample_rows = gview.num_rows();
-  GUS_ASSIGN_OR_RETURN(ge.estimate, PointEstimate(gus, gview));
-  const std::vector<double> Y = ComputeAllYS(gview);
-  GUS_ASSIGN_OR_RETURN(std::vector<double> y_hat, UnbiasedYEstimates(gus, Y));
-  GUS_ASSIGN_OR_RETURN(double var, VarianceFromY(gus, y_hat));
-  ge.variance = std::max(0.0, var);
-  ge.stddev = std::sqrt(ge.variance);
-  GUS_ASSIGN_OR_RETURN(
-      ge.interval,
-      MakeInterval(ge.estimate, ge.variance, confidence_level, kind));
-  return ge;
+/// Canonical order over group keys: a total order, so equal logical state
+/// always produces equal bytes and output. Numerics sort before strings
+/// (by promoted value, then type tag for int64-vs-float64 ties beyond
+/// 2^53); strings sort lexicographically; the key hash is a final
+/// tiebreak. Distinct-by-KeyEquals keys never compare equal here.
+bool CanonicalKeyLess(const Value& a, const Value& b) {
+  const bool an = a.is_numeric(), bn = b.is_numeric();
+  if (an != bn) return an;
+  if (an) {
+    const double da = a.ToDouble(), db = b.ToDouble();
+    if (da != db) return da < db;
+    const int ta = static_cast<int>(a.type()), tb = static_cast<int>(b.type());
+    if (ta != tb) return ta < tb;
+  } else {
+    if (a.AsString() != b.AsString()) return a.AsString() < b.AsString();
+  }
+  return a.Hash() < b.Hash();
 }
 
-/// Deterministic output order: by key (numeric-aware enough for tests and
-/// display).
-void SortByKey(std::vector<GroupEstimate>* out) {
-  std::sort(out->begin(), out->end(),
+Status KeyCollision(const Value& a, const Value& b) {
+  return Status::Internal("group-by key hash collision between '" +
+                          a.ToString() + "' and '" + b.ToString() + "'");
+}
+
+/// The index of `key`'s group (hash h), numbering a new key after the
+/// existing ones. Refuses to silently fuse distinct keys on a 64-bit hash
+/// collision.
+Status FindOrAddGroup(uint64_t h, const Value& key,
+                      std::unordered_map<uint64_t, uint32_t>* index,
+                      std::vector<Value>* keys, uint32_t* group) {
+  const auto [it, inserted] =
+      index->try_emplace(h, static_cast<uint32_t>(keys->size()));
+  if (inserted) {
+    keys->push_back(key);
+  } else if (!(*keys)[it->second].KeyEquals(key)) {
+    return KeyCollision((*keys)[it->second], key);
+  }
+  *group = it->second;
+  return Status::OK();
+}
+
+/// Every group's Theorem-1 estimate from one keyed y_S pass: row i of
+/// `rows` belongs to group group_of[i], whose key is keys[group_of[i]].
+/// Sorted by CanonicalKeyLess. Shared by the relation and streaming paths
+/// so their numbers agree bit for bit.
+Result<std::vector<GroupEstimate>> EstimateGroups(
+    const GusParams& gus, const SampleView& rows,
+    const std::vector<uint32_t>& group_of, const std::vector<Value>& keys,
+    double confidence_level, BoundKind kind) {
+  std::vector<GroupEstimate> out(keys.size());
+  // Each group's sum of f, in row order.
+  for (int64_t i = 0; i < rows.num_rows(); ++i) {
+    GroupEstimate& ge = out[group_of[i]];
+    ge.estimate += rows.f[i];
+    ++ge.sample_rows;
+  }
+  YsInput input = YsInput::Of(rows);
+  input.key = group_of.data();
+  input.num_keys = static_cast<uint32_t>(keys.size());
+  const std::vector<double> ys = ComputeAllYS(input);
+  const size_t num_subsets = gus.schema().num_subsets();
+  std::vector<double> y, y_hat;
+  for (size_t g = 0; g < keys.size(); ++g) {
+    GroupEstimate& ge = out[g];
+    ge.key = keys[g];
+    ge.estimate /= gus.a();
+    y.assign(ys.begin() + g * num_subsets, ys.begin() + (g + 1) * num_subsets);
+    GUS_ASSIGN_OR_RETURN(const double var,
+                         SampleVariance(gus, gus, y, &y_hat));
+    GUS_RETURN_NOT_OK(
+        SetVariance(std::max(0.0, var), confidence_level, kind, &ge));
+  }
+  std::sort(out.begin(), out.end(),
             [](const GroupEstimate& a, const GroupEstimate& b) {
-              if (a.key.is_numeric() && b.key.is_numeric()) {
-                return a.key.ToDouble() < b.key.ToDouble();
-              }
-              return a.key.ToString() < b.key.ToString();
+              return CanonicalKeyLess(a.key, b.key);
             });
+  return out;
 }
 
 }  // namespace
@@ -57,48 +103,20 @@ Result<std::vector<GroupEstimate>> GroupedSumEstimate(
                        SampleView::FromRelation(rel, f_expr, gus.schema()));
   GUS_ASSIGN_OR_RETURN(int key_idx, rel.schema().IndexOf(key_column));
 
-  // Partition row indexes by key hash (exact keys kept for output). Hash
-  // partitioning follows KeyEquals semantics: numerically equal keys of
-  // mixed int64/float64 type hash together and deliberately form one group
+  // Group rows by key hash (exact keys kept for output). Hash grouping
+  // follows KeyEquals semantics: numerically equal keys of mixed
+  // int64/float64 type hash together and deliberately form one group
   // (consistent with how joins match keys); a typed key column never mixes
   // types unless the input was malformed to begin with.
-  std::unordered_map<uint64_t, std::vector<int64_t>> groups;
-  std::unordered_map<uint64_t, Value> keys;
+  std::unordered_map<uint64_t, uint32_t> index;
+  std::vector<Value> keys;
+  std::vector<uint32_t> group_of(static_cast<size_t>(rel.num_rows()));
   for (int64_t i = 0; i < rel.num_rows(); ++i) {
     const Value& key = rel.row(i)[key_idx];
-    const uint64_t h = key.Hash();
-    groups[h].push_back(i);
-    auto [it, inserted] = keys.emplace(h, key);
-    if (!inserted && !it->second.KeyEquals(key)) {
-      // Refuse to silently fuse distinct keys on a 64-bit hash collision.
-      return Status::Internal("group-by key hash collision between '" +
-                              it->second.ToString() + "' and '" +
-                              key.ToString() + "'");
-    }
+    GUS_RETURN_NOT_OK(
+        FindOrAddGroup(key.Hash(), key, &index, &keys, &group_of[i]));
   }
-
-  std::vector<GroupEstimate> out;
-  out.reserve(groups.size());
-  for (const auto& [h, rows] : groups) {
-    // Group view: f restricted to the group's rows. Rows outside the group
-    // contribute f = 0, and zero rows do not change any y statistic, so the
-    // restricted view is sufficient.
-    SampleView gview;
-    gview.schema = view.schema;
-    gview.lineage.assign(view.lineage.size(), {});
-    for (int64_t i : rows) {
-      gview.f.push_back(view.f[i]);
-      for (size_t d = 0; d < view.lineage.size(); ++d) {
-        gview.lineage[d].push_back(view.lineage[d][i]);
-      }
-    }
-    GUS_ASSIGN_OR_RETURN(
-        GroupEstimate ge,
-        EstimateGroup(gus, keys.at(h), gview, confidence_level, kind));
-    out.push_back(std::move(ge));
-  }
-  SortByKey(&out);
-  return out;
+  return EstimateGroups(gus, view, group_of, keys, confidence_level, kind);
 }
 
 Result<GroupedSumBuilder> GroupedSumBuilder::Make(const BatchLayout& layout,
@@ -110,7 +128,8 @@ Result<GroupedSumBuilder> GroupedSumBuilder::Make(const BatchLayout& layout,
                        MapAnalysisDims(layout.lineage_schema, schema));
   GUS_ASSIGN_OR_RETURN(builder.bound_, f_expr->Bind(layout.schema));
   GUS_ASSIGN_OR_RETURN(builder.key_idx_, layout.schema.IndexOf(key_column));
-  builder.schema_ = schema;
+  builder.rows_.schema = schema;
+  builder.rows_.lineage.assign(schema.arity(), {});
   ExprColumnFootprint(builder.bound_, layout.schema.num_columns(),
                       &builder.footprint_);
   return builder;
@@ -175,54 +194,34 @@ Status GroupedSumBuilder::AccumulateRows(const ColumnBatch& data,
   // insert) — but each row is still key-checked below, exactly as the
   // per-row path did.
   uint64_t last_hash = 0;
-  Group* group = nullptr;
+  int64_t group = -1;
   for (int64_t k = 0; k < len; ++k) {
     const int64_t row = rows[k];
     const uint64_t h = hash_scratch_[k];
-    if (group == nullptr || h != last_hash) {
-      auto [it, inserted] = groups_.try_emplace(h);
-      group = &it->second;
+    bool checked = false;
+    if (group < 0 || h != last_hash) {
+      const auto [it, inserted] =
+          index_.try_emplace(h, static_cast<uint32_t>(keys_.size()));
+      if (inserted) keys_.push_back(key_col.ValueAt(row));
+      group = it->second;
       last_hash = h;
-      if (inserted) {
-        group->key = key_col.ValueAt(row);
-        group->view.schema = schema_;
-        group->view.lineage.assign(n, {});
-        group->view.f.push_back(f_scratch_[k]);
-        const uint64_t* lrow = lineage + static_cast<size_t>(row) * arity;
-        for (int d = 0; d < n; ++d) {
-          group->view.lineage[d].push_back(lrow[source_[d]]);
-        }
-        continue;
-      }
+      checked = inserted;
     }
-    if (!GroupKeyEqualsAt(group->key, key_col, row)) {
-      // Refuse to silently fuse distinct keys on a 64-bit hash collision.
-      return Status::Internal("group-by key hash collision between '" +
-                              group->key.ToString() + "' and '" +
-                              key_col.ValueAt(row).ToString() + "'");
+    if (!checked && !GroupKeyEqualsAt(keys_[group], key_col, row)) {
+      return KeyCollision(keys_[group], key_col.ValueAt(row));
     }
-    group->view.f.push_back(f_scratch_[k]);
+    rows_.f.push_back(f_scratch_[k]);
     const uint64_t* lrow = lineage + static_cast<size_t>(row) * arity;
     for (int d = 0; d < n; ++d) {
-      group->view.lineage[d].push_back(lrow[source_[d]]);
+      rows_.lineage[d].push_back(lrow[source_[d]]);
     }
+    group_of_.push_back(static_cast<uint32_t>(group));
   }
   return Status::OK();
 }
 
 Status GroupedSumBuilder::Consume(const ColumnBatch& batch) {
-  if (bound_ == nullptr) {
-    return Status::InvalidArgument(
-        "deserialized GroupedSumBuilder state is merge/finish-only (the "
-        "bound aggregate expression does not travel on the wire)");
-  }
-  f_scratch_.clear();
-  GUS_RETURN_NOT_OK(EvalExprBatchToDoubles(
-      bound_, batch, "aggregate expression must be numeric", &f_scratch_));
-  const int64_t n = batch.num_rows();
-  rows_scratch_.resize(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) rows_scratch_[i] = i;
-  return AccumulateRows(batch, rows_scratch_.data(), n);
+  return ConsumeView(SelView::Whole(&batch));
 }
 
 Status GroupedSumBuilder::ConsumeView(const SelView& view) {
@@ -262,45 +261,21 @@ Status GroupedSumBuilder::ConsumeView(const SelView& view) {
 
 Status GroupedSumBuilder::Merge(GroupedSumBuilder&& other) {
   if (source_ != other.source_ || key_idx_ != other.key_idx_ ||
-      !(schema_ == other.schema_)) {
+      !(rows_.schema == other.rows_.schema)) {
     return Status::InvalidArgument(
         "cannot merge GroupedSumBuilders over different layouts");
   }
-  for (auto& [h, group] : other.groups_) {
-    auto it = groups_.find(h);
-    if (it == groups_.end()) {
-      groups_.emplace(h, std::move(group));
-    } else if (!it->second.key.KeyEquals(group.key)) {
-      return Status::Internal("group-by key hash collision between '" +
-                              it->second.key.ToString() + "' and '" +
-                              group.key.ToString() + "'");
-    } else {
-      GUS_RETURN_NOT_OK(it->second.view.Merge(std::move(group.view)));
-    }
+  std::vector<uint32_t> remap(other.keys_.size());
+  for (size_t g = 0; g < other.keys_.size(); ++g) {
+    const Value& key = other.keys_[g];
+    GUS_RETURN_NOT_OK(
+        FindOrAddGroup(key.Hash(), key, &index_, &keys_, &remap[g]));
   }
-  return Status::OK();
+  for (uint32_t g : other.group_of_) group_of_.push_back(remap[g]);
+  return rows_.Merge(std::move(other.rows_));
 }
 
 namespace {
-
-/// Canonical serialization order over group keys: a total order so equal
-/// logical state always produces equal bytes. Numerics sort before strings
-/// (by promoted value, then type tag for int64-vs-float64 ties beyond
-/// 2^53); strings sort lexicographically; the key hash is a final
-/// tiebreak. Distinct-by-KeyEquals keys never compare equal here.
-bool CanonicalKeyLess(const Value& a, const Value& b) {
-  const bool an = a.is_numeric(), bn = b.is_numeric();
-  if (an != bn) return an;
-  if (an) {
-    const double da = a.ToDouble(), db = b.ToDouble();
-    if (da != db) return da < db;
-    const int ta = static_cast<int>(a.type()), tb = static_cast<int>(b.type());
-    if (ta != tb) return ta < tb;
-  } else {
-    if (a.AsString() != b.AsString()) return a.AsString() < b.AsString();
-  }
-  return a.Hash() < b.Hash();
-}
 
 /// Key wire tags (docs/WIRE_FORMAT.md, GRUP section).
 constexpr uint8_t kKeyInt64 = 0;
@@ -310,19 +285,18 @@ constexpr uint8_t kKeyString = 2;
 }  // namespace
 
 std::string GroupedSumBuilder::SerializeState() const {
+  const LineageSchema& schema = rows_.schema;
   WireWriter w;
-  w.PutU32(static_cast<uint32_t>(schema_.arity()));
-  for (const std::string& rel : schema_.relations()) w.PutString(rel);
+  w.PutU32(static_cast<uint32_t>(schema.arity()));
+  for (const std::string& rel : schema.relations()) w.PutString(rel);
   EncodeSourceMap(source_, &w);
   w.PutI32(key_idx_);
 
-  std::vector<const Group*> ordered;
-  ordered.reserve(groups_.size());
-  for (const auto& entry : groups_) ordered.push_back(&entry.second);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const Group* a, const Group* b) {
-              return CanonicalKeyLess(a->key, b->key);
-            });
+  std::vector<uint32_t> ordered(keys_.size());
+  std::iota(ordered.begin(), ordered.end(), 0u);
+  std::sort(ordered.begin(), ordered.end(), [this](uint32_t a, uint32_t b) {
+    return CanonicalKeyLess(keys_[a], keys_[b]);
+  });
 
   // String keys are dictionary-coded: distinct strings once, in
   // first-use (canonical) order; groups then reference codes. Codes are
@@ -331,9 +305,9 @@ std::string GroupedSumBuilder::SerializeState() const {
   // correctly by content.
   std::unordered_map<std::string, uint32_t> dict_codes;
   std::vector<const std::string*> dict;
-  for (const Group* group : ordered) {
-    if (group->key.type() != ValueType::kString) continue;
-    const std::string& s = group->key.AsString();
+  for (uint32_t g : ordered) {
+    if (keys_[g].type() != ValueType::kString) continue;
+    const std::string& s = keys_[g].AsString();
     if (dict_codes.emplace(s, static_cast<uint32_t>(dict.size())).second) {
       dict.push_back(&s);
     }
@@ -341,31 +315,36 @@ std::string GroupedSumBuilder::SerializeState() const {
   w.PutU32(static_cast<uint32_t>(dict.size()));
   for (const std::string* s : dict) w.PutString(*s);
 
+  // Each group's rows, in row order.
+  std::vector<std::vector<size_t>> rows_of(keys_.size());
+  for (size_t i = 0; i < group_of_.size(); ++i) {
+    rows_of[group_of_[i]].push_back(i);
+  }
+
   w.PutU64(ordered.size());
-  for (const Group* group : ordered) {
-    switch (group->key.type()) {
+  for (uint32_t g : ordered) {
+    const Value& key = keys_[g];
+    switch (key.type()) {
       case ValueType::kInt64:
         w.PutU8(kKeyInt64);
-        w.PutI64(group->key.AsInt64());
+        w.PutI64(key.AsInt64());
         break;
       case ValueType::kFloat64:
         w.PutU8(kKeyFloat64);
-        w.PutDouble(group->key.AsFloat64());
+        w.PutDouble(key.AsFloat64());
         break;
       case ValueType::kString:
         w.PutU8(kKeyString);
-        w.PutU32(dict_codes.at(group->key.AsString()));
+        w.PutU32(dict_codes.at(key.AsString()));
         break;
     }
-    // Per-group views share the builder's analysis schema, so only the
-    // row data travels (no per-group schema repeat).
-    const SampleView& view = group->view;
-    const int64_t rows = view.num_rows();
-    w.PutU64(static_cast<uint64_t>(rows));
-    for (int d = 0; d < schema_.arity(); ++d) {
-      for (int64_t i = 0; i < rows; ++i) w.PutU64(view.lineage[d][i]);
+    // Groups share the builder's analysis schema, so only the row data
+    // travels (no per-group schema repeat).
+    w.PutU64(rows_of[g].size());
+    for (int d = 0; d < schema.arity(); ++d) {
+      for (size_t i : rows_of[g]) w.PutU64(rows_.lineage[d][i]);
     }
-    for (int64_t i = 0; i < rows; ++i) w.PutDouble(view.f[i]);
+    for (size_t i : rows_of[g]) w.PutDouble(rows_.f[i]);
   }
   return w.Take();
 }
@@ -381,7 +360,9 @@ Result<GroupedSumBuilder> GroupedSumBuilder::DeserializeState(
   }
   std::vector<std::string> rels(arity);
   for (auto& rel : rels) GUS_RETURN_NOT_OK(r.ReadString(&rel));
-  GUS_ASSIGN_OR_RETURN(builder.schema_, LineageSchema::Make(std::move(rels)));
+  SampleView& rows = builder.rows_;
+  GUS_ASSIGN_OR_RETURN(rows.schema, LineageSchema::Make(std::move(rels)));
+  rows.lineage.assign(arity, {});
   GUS_RETURN_NOT_OK(DecodeSourceMap(&r, &builder.source_));
   if (builder.source_.size() != arity) {
     return Status::InvalidArgument(
@@ -435,31 +416,30 @@ Result<GroupedSumBuilder> GroupedSumBuilder::DeserializeState(
         return Status::InvalidArgument(
             "wire GroupedSumBuilder has an unknown key type tag");
     }
-    auto [it, inserted] = builder.groups_.try_emplace(key.Hash());
-    if (!inserted) {
+    const uint32_t group = static_cast<uint32_t>(builder.keys_.size());
+    if (!builder.index_.try_emplace(key.Hash(), group).second) {
       return Status::InvalidArgument(
           "wire GroupedSumBuilder repeats a group key");
     }
-    Group& group = it->second;
-    group.key = key;
-    group.view.schema = builder.schema_;
-    uint64_t rows = 0;
-    GUS_RETURN_NOT_OK(r.ReadU64(&rows));
-    if (rows > r.remaining() / 8) {
+    builder.keys_.push_back(std::move(key));
+    uint64_t count = 0;
+    GUS_RETURN_NOT_OK(r.ReadU64(&count));
+    if (count > r.remaining() / 8) {
       return Status::InvalidArgument(
           "truncated wire GroupedSumBuilder group rows");
     }
-    group.view.lineage.assign(arity, {});
+    const size_t at = rows.f.size();
     for (uint32_t d = 0; d < arity; ++d) {
-      group.view.lineage[d].resize(rows);
-      for (uint64_t i = 0; i < rows; ++i) {
-        GUS_RETURN_NOT_OK(r.ReadU64(&group.view.lineage[d][i]));
+      rows.lineage[d].resize(at + count);
+      for (uint64_t i = 0; i < count; ++i) {
+        GUS_RETURN_NOT_OK(r.ReadU64(&rows.lineage[d][at + i]));
       }
     }
-    group.view.f.resize(rows);
-    for (uint64_t i = 0; i < rows; ++i) {
-      GUS_RETURN_NOT_OK(r.ReadDouble(&group.view.f[i]));
+    rows.f.resize(at + count);
+    for (uint64_t i = 0; i < count; ++i) {
+      GUS_RETURN_NOT_OK(r.ReadDouble(&rows.f[at + i]));
     }
+    builder.group_of_.resize(at + count, group);
   }
   GUS_RETURN_NOT_OK(r.ExpectEnd());
   return builder;
@@ -467,21 +447,11 @@ Result<GroupedSumBuilder> GroupedSumBuilder::DeserializeState(
 
 Result<std::vector<GroupEstimate>> GroupedSumBuilder::Finish(
     const GusParams& gus, double confidence_level, BoundKind kind) const {
-  if (!(gus.schema() == schema_)) {
+  if (!(gus.schema() == rows_.schema)) {
     return Status::InvalidArgument(
         "GusParams schema does not match the builder's analysis schema");
   }
-  std::vector<GroupEstimate> out;
-  out.reserve(groups_.size());
-  for (const auto& entry : groups_) {
-    const Group& group = entry.second;
-    GUS_ASSIGN_OR_RETURN(
-        GroupEstimate ge,
-        EstimateGroup(gus, group.key, group.view, confidence_level, kind));
-    out.push_back(std::move(ge));
-  }
-  SortByKey(&out);
-  return out;
+  return EstimateGroups(gus, rows_, group_of_, keys_, confidence_level, kind);
 }
 
 }  // namespace gus

@@ -41,20 +41,21 @@ struct GroupEstimate {
 /// `rel` is the sampled result relation; f and the key are evaluated per
 /// row. Groups absent from the sample are (necessarily) absent from the
 /// output — a fundamental limitation of sampling shared with the paper's
-/// DISTINCT discussion.
+/// DISTINCT discussion. Numeric keys sort first, by value, then strings.
 Result<std::vector<GroupEstimate>> GroupedSumEstimate(
     const GusParams& gus, const Relation& rel, const ExprPtr& f_expr,
     const std::string& key_column, double confidence_level = 0.95,
     BoundKind kind = BoundKind::kNormal);
 
-/// \brief Batch-incremental grouped-SUM state: a hash table of per-group
-/// SampleViews fed from column batches, mergeable across partitions.
+/// \brief Batch-incremental grouped-SUM state fed from column batches,
+/// mergeable across partitions.
 ///
-/// Consuming a batch stream and calling Finish is bit-identical to
-/// GroupedSumEstimate over the materialized relation; merging split
-/// builders in partition order is bit-identical to the unsplit builder
-/// (per-group rows concatenate in partition order; group discovery order
-/// never affects the estimates, and Finish sorts the output by key).
+/// The rows are held once, in arrival order, each with its dense group
+/// index; Finish estimates every group from one keyed y_S pass. Consuming a
+/// batch stream and calling Finish is bit-identical to GroupedSumEstimate
+/// over the materialized relation; merging split builders in partition
+/// order is bit-identical to the unsplit builder (each group's rows stay in
+/// partition order, and Finish sorts the output by key).
 class GroupedSumBuilder final : public BatchSink {
  public:
   static Result<GroupedSumBuilder> Make(const BatchLayout& layout,
@@ -76,8 +77,8 @@ class GroupedSumBuilder final : public BatchSink {
   Status ConsumeView(const SelView& view) override;
   bool wants_views() const override { return true; }
 
-  /// Folds a later partition's builder into this one: groups present in
-  /// both merge their views, new groups are adopted.
+  /// Folds a later partition's builder into this one: its rows append,
+  /// their group indices remapped onto this builder's groups.
   Status Merge(GroupedSumBuilder&& other);
 
   /// \brief Serializes the partial state as a WireTag::kGroupedSum payload.
@@ -100,15 +101,10 @@ class GroupedSumBuilder final : public BatchSink {
       const GusParams& gus, double confidence_level = 0.95,
       BoundKind kind = BoundKind::kNormal) const;
 
-  int64_t num_groups() const { return static_cast<int64_t>(groups_.size()); }
+  int64_t num_groups() const { return static_cast<int64_t>(keys_.size()); }
 
  private:
   GroupedSumBuilder() = default;
-
-  struct Group {
-    Value key;
-    SampleView view;
-  };
 
   /// Shared accumulation core: f_scratch_ holds the f value of each listed
   /// row; keys and lineage are read from `data` at rows[k] directly.
@@ -118,7 +114,10 @@ class GroupedSumBuilder final : public BatchSink {
   std::vector<int> source_;  // analysis dim -> layout lineage column
   ExprPtr bound_;
   int key_idx_ = 0;
-  LineageSchema schema_;
+  SampleView rows_;                 // every row, in arrival order
+  std::vector<uint32_t> group_of_;  // rows_ row -> group index
+  std::vector<Value> keys_;         // group index -> key
+  std::unordered_map<uint64_t, uint32_t> index_;  // Value::Hash -> group
   std::vector<char> footprint_;  // columns the bound f expression reads
   std::vector<double> f_scratch_;
   std::vector<int64_t> rows_scratch_;
@@ -126,7 +125,6 @@ class GroupedSumBuilder final : public BatchSink {
   ColumnBatch eval_scratch_;
   DictPtr key_dict_;  // cached dictionary hashes for string keys
   std::vector<uint64_t> key_dict_hashes_;
-  std::unordered_map<uint64_t, Group> groups_;  // keyed by Value::Hash
 };
 
 }  // namespace gus

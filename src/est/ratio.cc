@@ -1,10 +1,8 @@
 #include "est/ratio.h"
 
-#include <cmath>
 #include <sstream>
 
-#include "est/unbiased.h"
-#include "est/variance.h"
+#include "est/variance_tail.h"
 #include "est/ys.h"
 
 namespace gus {
@@ -16,20 +14,20 @@ std::string RatioReport::ToString() const {
   return out.str();
 }
 
-Result<RatioReport> RatioEstimate(const GusParams& gus, const SampleView& view,
-                                  const std::vector<double>& g,
-                                  double confidence_level, BoundKind kind) {
+namespace {
+
+/// SUM(f)/SUM(g) over `view`; g is indexed like view.f, null meaning g ≡ 1.
+Result<RatioReport> Ratio(const GusParams& gus, const SampleView& view,
+                          const double* g, double confidence_level,
+                          BoundKind kind) {
   if (view.schema != gus.schema()) {
     return Status::InvalidArgument("sample view / GUS schema mismatch");
-  }
-  if (static_cast<int64_t>(g.size()) != view.num_rows()) {
-    return Status::InvalidArgument("g must align with the sample view");
   }
   if (gus.a() <= 0.0) return Status::InvalidArgument("estimator needs a > 0");
 
   RatioReport report;
   double sum_g = 0.0;
-  for (double v : g) sum_g += v;
+  for (int64_t i = 0; i < view.num_rows(); ++i) sum_g += g ? g[i] : 1.0;
   report.numerator = view.SumF() / gus.a();
   report.denominator = sum_g / gus.a();
   if (report.denominator == 0.0) {
@@ -39,18 +37,15 @@ Result<RatioReport> RatioEstimate(const GusParams& gus, const SampleView& view,
   report.estimate = report.numerator / report.denominator;
 
   // Unbiased estimates of the three quadratic-form tables, grouped once.
-  GUS_ASSIGN_OR_RETURN(const YsGram y, ComputeAllYSGram(view, g));
-  GUS_ASSIGN_OR_RETURN(std::vector<double> yh_ff,
-                       UnbiasedYEstimates(gus, y.ff));
-  GUS_ASSIGN_OR_RETURN(std::vector<double> yh_fg,
-                       UnbiasedYEstimates(gus, y.fg));
-  GUS_ASSIGN_OR_RETURN(std::vector<double> yh_gg,
-                       UnbiasedYEstimates(gus, y.gg));
+  const YsGram y = ComputeAllYSGram(YsInput::Of(view), g);
+  // The covariance is Theorem 1 on the bilinear table (polarization).
+  std::vector<double> y_hat;
   GUS_ASSIGN_OR_RETURN(report.numerator_variance,
-                       VarianceFromY(gus, yh_ff));
-  GUS_ASSIGN_OR_RETURN(report.covariance, CovarianceFromY(gus, yh_fg));
+                       SampleVariance(gus, gus, y.ff, &y_hat));
+  GUS_ASSIGN_OR_RETURN(report.covariance,
+                       SampleVariance(gus, gus, y.fg, &y_hat));
   GUS_ASSIGN_OR_RETURN(report.denominator_variance,
-                       VarianceFromY(gus, yh_gg));
+                       SampleVariance(gus, gus, y.gg, &y_hat));
 
   // Delta method around (µ_f, µ_g) evaluated at the estimates.
   const double r = report.estimate;
@@ -58,18 +53,25 @@ Result<RatioReport> RatioEstimate(const GusParams& gus, const SampleView& view,
   double var = (report.numerator_variance - 2.0 * r * report.covariance +
                 r * r * report.denominator_variance) /
                mg2;
-  report.variance = std::max(0.0, var);
-  report.stddev = std::sqrt(report.variance);
-  GUS_ASSIGN_OR_RETURN(report.interval,
-                       MakeInterval(report.estimate, report.variance,
-                                    confidence_level, kind));
+  GUS_RETURN_NOT_OK(
+      SetVariance(std::max(0.0, var), confidence_level, kind, &report));
   return report;
+}
+
+}  // namespace
+
+Result<RatioReport> RatioEstimate(const GusParams& gus, const SampleView& view,
+                                  const std::vector<double>& g,
+                                  double confidence_level, BoundKind kind) {
+  if (static_cast<int64_t>(g.size()) != view.num_rows()) {
+    return Status::InvalidArgument("g must align with the sample view");
+  }
+  return Ratio(gus, view, g.data(), confidence_level, kind);
 }
 
 Result<RatioReport> AvgEstimate(const GusParams& gus, const SampleView& view,
                                 double confidence_level, BoundKind kind) {
-  const std::vector<double> ones(static_cast<size_t>(view.num_rows()), 1.0);
-  return RatioEstimate(gus, view, ones, confidence_level, kind);
+  return Ratio(gus, view, nullptr, confidence_level, kind);
 }
 
 Result<CountReport> CountEstimate(const GusParams& gus,
@@ -78,23 +80,17 @@ Result<CountReport> CountEstimate(const GusParams& gus,
   if (view.schema != gus.schema()) {
     return Status::InvalidArgument("sample view / GUS schema mismatch");
   }
-  // COUNT is SUM with f == 1 (the paper's reduction).
-  SampleView ones_view;
-  ones_view.schema = view.schema;
-  ones_view.lineage = view.lineage;
-  ones_view.f.assign(static_cast<size_t>(view.num_rows()), 1.0);
-
+  if (gus.a() <= 0.0) return Status::InvalidArgument("estimator needs a > 0");
+  // COUNT is SUM with f ≡ 1 (the paper's reduction).
   CountReport report;
-  GUS_ASSIGN_OR_RETURN(report.estimate, PointEstimate(gus, ones_view));
-  const std::vector<double> Y = ComputeAllYS(ones_view);
-  GUS_ASSIGN_OR_RETURN(std::vector<double> y_hat,
-                       UnbiasedYEstimates(gus, Y));
-  GUS_ASSIGN_OR_RETURN(double var, VarianceFromY(gus, y_hat));
-  report.variance = std::max(0.0, var);
-  report.stddev = std::sqrt(report.variance);
-  GUS_ASSIGN_OR_RETURN(report.interval,
-                       MakeInterval(report.estimate, report.variance,
-                                    confidence_level, kind));
+  report.estimate = static_cast<double>(view.num_rows()) / gus.a();
+  YsInput input = YsInput::Of(view);
+  input.f = nullptr;
+  std::vector<double> y_hat;
+  GUS_ASSIGN_OR_RETURN(const double var,
+                       SampleVariance(gus, gus, ComputeAllYS(input), &y_hat));
+  GUS_RETURN_NOT_OK(
+      SetVariance(std::max(0.0, var), confidence_level, kind, &report));
   return report;
 }
 

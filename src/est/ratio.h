@@ -10,7 +10,7 @@
 //   Var[R] ≈ (σ_f² − 2 R σ_fg + R² σ_g²) / µ_g²
 //
 // The variance and covariance come from the bilinear Theorem 1
-// (CovarianceFromY with the bilinear y-statistics), with every moment
+// (VarianceFromY on the bilinear y-statistics), with every moment
 // estimated unbiasedly from the sample by the Section 6.3 recursion.
 
 #ifndef GUS_EST_RATIO_H_

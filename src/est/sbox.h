@@ -14,6 +14,7 @@
 #ifndef GUS_EST_SBOX_H_
 #define GUS_EST_SBOX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -22,6 +23,7 @@
 #include "algebra/gus_params.h"
 #include "est/confidence.h"
 #include "est/sample_view.h"
+#include "util/hash.h"
 #include "util/status.h"
 
 namespace gus {
@@ -39,6 +41,20 @@ struct SubsampleConfig {
 /// \brief Per-dimension rate of the Section 7 sub-sampler that keeps about
 /// `target_rows` of `rows` result tuples: (target_rows / rows)^(1/arity).
 double SubsampleRate(int64_t target_rows, int64_t rows, int arity);
+
+/// \brief The Section 7 sub-sampler's draw for one row: the largest of its
+/// per-dimension units LineageUnitValue(HashCombine(seed, d), id(d)), one
+/// pseudo-random function per base relation. The row survives rate p iff
+/// the draw is < p, that is iff every dimension's unit is.
+template <typename IdAt>
+double SubsampleUnit(uint64_t seed, int arity, IdAt id) {
+  double u = 0.0;
+  for (int d = 0; d < arity; ++d) {
+    const uint64_t dim_seed = HashCombine(seed, static_cast<uint64_t>(d));
+    u = std::max(u, LineageUnitValue(dim_seed, id(d)));
+  }
+  return u;
+}
 
 /// \brief The GUS that unbiases y_S statistics of a Section 7 sub-sample
 /// drawn at `p_per_dim` on every relation of `gus`'s schema.

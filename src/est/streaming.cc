@@ -1,16 +1,12 @@
 #include "est/streaming.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "algebra/ops.h"
-#include "est/unbiased.h"
-#include "est/variance.h"
+#include "est/variance_tail.h"
 #include "est/wire.h"
 #include "est/ys.h"
 #include "plan/parallel_executor.h"
 #include "plan/vector_eval.h"
-#include "util/hash.h"
 
 namespace gus {
 
@@ -103,8 +99,11 @@ double StreamingSboxEstimator::InterimP() const {
 }
 
 void StreamingSboxEstimator::Prune() {
+  // Pruning waits until the retained rows outgrow this bound.
+  const int64_t bound =
+      std::max<int64_t>(2 * options_.subsample->target_rows, 1024);
   const double p = InterimP();
-  if (p >= 1.0) return;
+  if (retained_.num_rows() <= bound || p >= 1.0) return;
   const int n = gus_.schema().arity();
   int64_t w = 0;
   for (int64_t i = 0; i < retained_.num_rows(); ++i) {
@@ -144,13 +143,9 @@ Status StreamingSboxEstimator::Consume(const ColumnBatch& batch) {
     ++rows_seen_;
     double u = 0.0;
     if (subsampling) {
-      // Max over the per-dimension pseudo-random units: a row survives a
-      // threshold p iff u < p, matching the Section 7 filter exactly.
-      for (int d = 0; d < n; ++d) {
-        const uint64_t dim_seed = HashCombine(seed, static_cast<uint64_t>(d));
-        u = std::max(u, LineageUnitValue(dim_seed,
-                                         batch.lineage_at(i, source_[d])));
-      }
+      u = SubsampleUnit(seed, n, [&](int d) {
+        return batch.lineage_at(i, source_[d]);
+      });
       if (u >= p_batch) continue;  // cannot survive the final filter
     }
     retained_.f.push_back(f[i]);
@@ -159,11 +154,7 @@ Status StreamingSboxEstimator::Consume(const ColumnBatch& batch) {
     }
     if (subsampling) ustar_.push_back(u);
   }
-  if (subsampling) {
-    const int64_t bound =
-        std::max<int64_t>(2 * options_.subsample->target_rows, 1024);
-    if (retained_.num_rows() > bound) Prune();
-  }
+  if (subsampling) Prune();
   return Status::OK();
 }
 
@@ -194,9 +185,7 @@ Status StreamingSboxEstimator::Merge(StreamingSboxEstimator&& other) {
     ustar_.insert(ustar_.end(), other.ustar_.begin(), other.ustar_.end());
     // The merged stream is longer, so the interim threshold tightened;
     // re-prune under the same bound discipline as Consume.
-    const int64_t bound =
-        std::max<int64_t>(2 * options_.subsample->target_rows, 1024);
-    if (retained_.num_rows() > bound) Prune();
+    Prune();
   }
   return Status::OK();
 }
@@ -292,11 +281,6 @@ std::vector<double> StreamingSboxEstimator::SegmentSums() const {
   return sums;
 }
 
-Status StreamingSboxEstimator::CompactDesign(const GusParams& outer) {
-  GUS_ASSIGN_OR_RETURN(gus_, GusCompact(outer, gus_));
-  return Status::OK();
-}
-
 Result<SboxReport> StreamingSboxEstimator::Finish() {
   if (gus_.a() <= 0.0) {
     return Status::InvalidArgument("estimator needs a > 0");
@@ -309,39 +293,10 @@ Result<SboxReport> StreamingSboxEstimator::Finish() {
   for (double s : SegmentSums()) sum_f += s;
   report.estimate = sum_f / gus_.a();
 
-  // Assemble the variance view + GUS exactly as SboxEstimate does.
-  SampleView final_view;
-  const SampleView* variance_view = &retained_;
-  GusParams analysis = gus_;
-  if (options_.subsample.has_value() &&
-      rows_seen_ > options_.subsample->target_rows) {
-    const int n = gus_.schema().arity();
-    const double p_per_dim =
-        SubsampleRate(options_.subsample->target_rows, rows_seen_, n);
-    final_view.schema = gus_.schema();
-    final_view.lineage.assign(n, {});
-    for (int64_t i = 0; i < retained_.num_rows(); ++i) {
-      if (ustar_[i] >= p_per_dim) continue;
-      final_view.f.push_back(retained_.f[i]);
-      for (int d = 0; d < n; ++d) {
-        final_view.lineage[d].push_back(retained_.lineage[d][i]);
-      }
-    }
-    GUS_ASSIGN_OR_RETURN(analysis, SubsampleAnalysisGus(gus_, p_per_dim));
-    variance_view = &final_view;
-  }
-  report.variance_rows = variance_view->num_rows();
-  report.analysis_gus = analysis;
-
-  const std::vector<double> Y = ComputeAllYS(*variance_view);
-  GUS_ASSIGN_OR_RETURN(report.y_hat, UnbiasedYEstimates(analysis, Y));
-  GUS_ASSIGN_OR_RETURN(double var, VarianceFromY(gus_, report.y_hat));
-  report.variance = std::max(0.0, var);
-  report.stddev = std::sqrt(report.variance);
-  GUS_ASSIGN_OR_RETURN(
-      report.interval,
-      MakeInterval(report.estimate, report.variance,
-                   options_.confidence_level, options_.bound_kind));
+  // The same variance as SboxEstimate, from the retained rows' draws.
+  GUS_RETURN_NOT_OK(SetSboxVariance(gus_, options_, retained_, rows_seen_,
+                                    [this](int64_t i) { return ustar_[i]; },
+                                    &report));
   return report;
 }
 
@@ -397,44 +352,46 @@ Result<SboxReport> StreamingSboxEstimator::FinishDegraded(
   // Section-7 threshold for the merged stream, applied per shard: the
   // filter is monotone in p, so filtering each shard's retained rows at
   // the global threshold yields exactly the merged retained set.
-  const int n = base.schema().arity();
   GusParams analysis = base;
   double p_per_dim = 1.0;
   const bool subsampled = options.subsample.has_value() &&
                           rows > options.subsample->target_rows;
   if (subsampled) {
-    p_per_dim = SubsampleRate(options.subsample->target_rows, rows, n);
+    p_per_dim = SubsampleRate(options.subsample->target_rows, rows,
+                              base.schema().arity());
     GUS_ASSIGN_OR_RETURN(analysis, SubsampleAnalysisGus(base, p_per_dim));
   }
 
   // Pair statistics split by co-survival class. y_S is a sum over ordered
   // row pairs, so y_S(merged) - sum_k y_S(shard k) is exactly the
   // cross-shard pair mass.
-  const size_t num_subsets = base.schema().num_subsets();
-  std::vector<double> y_within(num_subsets, 0.0);
-  SampleView merged_view;
-  merged_view.schema = base.schema();
-  merged_view.lineage.assign(n, {});
-  for (const StreamingSboxEstimator& s : shard_states) {
-    SampleView view_k;
-    view_k.schema = base.schema();
-    view_k.lineage.assign(n, {});
+  SampleView& held = shard_states[0].retained_;
+  std::vector<uint32_t> shard;
+  std::vector<int64_t> survivors;
+  for (size_t k = 0; k < shard_states.size(); ++k) {
+    StreamingSboxEstimator& s = shard_states[k];
     for (int64_t i = 0; i < s.retained_.num_rows(); ++i) {
       if (subsampled && s.ustar_[i] >= p_per_dim) continue;
-      view_k.f.push_back(s.retained_.f[i]);
-      merged_view.f.push_back(s.retained_.f[i]);
-      for (int d = 0; d < n; ++d) {
-        view_k.lineage[d].push_back(s.retained_.lineage[d][i]);
-        merged_view.lineage[d].push_back(s.retained_.lineage[d][i]);
-      }
+      survivors.push_back(static_cast<int64_t>(shard.size()) + i);
     }
-    const std::vector<double> y_k = ComputeAllYS(view_k);
-    for (size_t mask = 0; mask < num_subsets; ++mask) {
-      y_within[mask] += y_k[mask];
-    }
+    if (k > 0) GUS_RETURN_NOT_OK(held.Merge(std::move(s.retained_)));
+    shard.resize(static_cast<size_t>(held.num_rows()),
+                 static_cast<uint32_t>(k));
   }
-  const std::vector<double> y_merged = ComputeAllYS(merged_view);
-  report.variance_rows = merged_view.num_rows();
+  YsInput input = YsInput::Of(held);
+  input.sel = survivors.data();
+  input.rows = static_cast<int64_t>(survivors.size());
+  input.key = shard.data();
+  input.num_keys = static_cast<uint32_t>(shard_states.size());
+  const std::vector<double> y_shards = ComputeAllYS(input);
+  const size_t num_subsets = base.schema().num_subsets();
+  std::vector<double> y_within(num_subsets, 0.0);
+  for (size_t i = 0; i < y_shards.size(); ++i) {
+    y_within[i % num_subsets] += y_shards[i];  // in shard order
+  }
+  input.key = nullptr;
+  const std::vector<double> y_merged = ComputeAllYS(input);
+  report.variance_rows = input.rows;
   report.analysis_gus = analysis;
 
   // Horvitz-Thompson correction at each class's true co-survival
@@ -449,9 +406,9 @@ Result<SboxReport> StreamingSboxEstimator::FinishDegraded(
     y_corrected[mask] = w_within * y_within[mask] +
                         w_cross * (y_merged[mask] - y_within[mask]);
   }
-  GUS_ASSIGN_OR_RETURN(report.y_hat,
-                       UnbiasedYEstimates(analysis, y_corrected));
-  GUS_ASSIGN_OR_RETURN(double var_base, VarianceFromY(base, report.y_hat));
+  GUS_ASSIGN_OR_RETURN(
+      const double var_base,
+      SampleVariance(base, analysis, y_corrected, &report.y_hat));
 
   // Between-shard survival variance: X_p scales a uniform WOR m-of-N draw
   // over the shard contributions T_k / a.
@@ -462,12 +419,9 @@ Result<SboxReport> StreamingSboxEstimator::FinishDegraded(
   const double var_survival =
       nn * nn * (1.0 / m - 1.0 / nn) * s2 / (base.a() * base.a());
 
-  report.variance = std::max(0.0, var_base) + var_survival;
-  report.stddev = std::sqrt(report.variance);
-  GUS_ASSIGN_OR_RETURN(
-      report.interval,
-      MakeInterval(report.estimate, report.variance,
-                   options.confidence_level, options.bound_kind));
+  GUS_RETURN_NOT_OK(SetVariance(std::max(0.0, var_base) + var_survival,
+                                options.confidence_level, options.bound_kind,
+                                &report));
   return report;
 }
 

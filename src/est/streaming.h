@@ -75,7 +75,6 @@ class SampleViewBuilder final : public BatchSink {
   static Result<SampleViewBuilder> DeserializeState(std::string_view payload);
 
   const SampleView& view() const { return view_; }
-  SampleView TakeView() { return std::move(view_); }
 
  private:
   SampleViewBuilder() = default;
@@ -119,22 +118,8 @@ class StreamingSboxEstimator final : public BatchSink {
       std::string_view payload);
 
   /// Completes the estimation; bit-identical to SboxEstimate over the
-  /// materialized view.
+  /// materialized view. The variance reads the retained rows in place.
   Result<SboxReport> Finish();
-
-  /// \brief Composes an outer sampling event into the estimator's design:
-  /// the GUS parameters become GusCompact(outer, current) — Prop. 8
-  /// stacking, exactly as if every consumed row had additionally passed
-  /// `outer`'s filter.
-  ///
-  /// The partial-gather path (est/partial_gather.h) uses this to fold the
-  /// "this row's shard survived" inclusion event into a degraded merge:
-  /// Finish() then divides by the composed a and widens the CI through
-  /// the composed b-table, keeping the estimate unbiased. Requires
-  /// `outer` over the identical lineage schema. Call before Finish();
-  /// composing after rows were consumed is sound because GUS parameters
-  /// only enter at Finish time.
-  Status CompactDesign(const GusParams& outer);
 
   /// \brief Finishes a degraded gather from per-shard partial states
   /// (est/partial_gather.h): `surviving` of `total` data-bearing shards
@@ -167,6 +152,11 @@ class StreamingSboxEstimator final : public BatchSink {
   ///
   /// Both pieces are unbiased, and the second is nonnegative — the
   /// degraded CI is honestly wider on average than the complete one.
+  ///
+  /// The retained rows are concatenated once, in shard order. Over the
+  /// final Section 7 survivors, a y_S pass keyed by shard gives the
+  /// within-shard tables (summed in shard order), an unkeyed pass the
+  /// merged table.
   /// Requires 2 <= surviving < total (one survivor has no between-shard
   /// variance; the caller refuses that case) and shard states over one
   /// schema/design, in shard order.
@@ -190,7 +180,7 @@ class StreamingSboxEstimator final : public BatchSink {
   /// roughly 2x the subsample target once the stream exceeds it).
   int64_t retained_rows() const { return retained_.num_rows(); }
   int64_t rows_seen() const { return rows_seen_; }
-  /// The current sampling design (after any CompactDesign compositions).
+  /// The sampling design.
   const GusParams& design() const { return gus_; }
 
  private:

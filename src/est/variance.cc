@@ -39,19 +39,12 @@ Result<double> VarianceFromY(const GusParams& gus,
   return var;
 }
 
-Result<double> CovarianceFromY(const GusParams& gus,
-                               const std::vector<double>& y_bilinear) {
-  // The bilinear Theorem 1 has the same coefficient structure; only the
-  // y-table differs (polarization of the quadratic form).
-  return VarianceFromY(gus, y_bilinear);
-}
-
 Result<double> ExactVariance(const GusParams& gus,
                              const SampleView& full_data) {
   if (full_data.schema != gus.schema()) {
     return Status::InvalidArgument("full data / GUS schema mismatch");
   }
-  return VarianceFromY(gus, ComputeAllYS(full_data));
+  return VarianceFromY(gus, ComputeAllYS(YsInput::Of(full_data)));
 }
 
 }  // namespace gus

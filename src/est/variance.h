@@ -34,12 +34,6 @@ Result<std::vector<double>> VarianceTermsFromY(const GusParams& gus,
 Result<double> VarianceFromY(const GusParams& gus,
                              const std::vector<double>& y);
 
-/// \brief Covariance between two SUM estimators X_f, X_g sharing the sample:
-///   Cov = sum_S (c_S/a^2) y^{fg}_S − y^{fg}_∅
-/// with y^{fg} the bilinear statistics. Used by the AVG delta method.
-Result<double> CovarianceFromY(const GusParams& gus,
-                               const std::vector<double>& y_bilinear);
-
 /// \brief Oracle variance: evaluates Theorem 1 on the *full data*
 /// (exact y values). Used by tests and experiments as ground truth for the
 /// estimator's sampling distribution.

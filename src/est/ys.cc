@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 
 #include "util/hash.h"
 #include "util/logging.h"
@@ -12,42 +13,60 @@ namespace {
 
 constexpr uint32_t kEmpty = ~uint32_t{0};
 
-/// The groups of one agreement mask: ids[i] is row i's group, numbered
-/// 0, 1, ... in order of each group's first row. ids == nullptr is the
-/// identity (row i alone in group i).
+/// The groups of one agreement mask: ids[i] is row i's group, numbered 0,
+/// 1, ... in order of each group's first row. ids == nullptr is the
+/// identity (row i alone in group i). The groups of key bucket b are
+/// [first[b], first[b + 1]).
 struct Grouping {
   const uint32_t* ids = nullptr;
   uint32_t groups = 0;
+  const uint32_t* first = nullptr;
 };
 
-/// Groups a view's rows by exact projected lineage, with one scratch for
-/// every mask it is asked about.
+/// Groups an input's rows by (outer key, exact projected lineage), with one
+/// scratch for every mask. The rows are read bucketed by key (a stable
+/// counting sort; one bucket without a key), and as no group spans two
+/// buckets, each bucket gets a hash table of its own, sized to it.
 class LineageGrouper {
  public:
-  explicit LineageGrouper(const SampleView& view)
-      : view_(view),
-        rows_(view.num_rows()),
-        arity_(view.schema.arity()),
-        dim_ids_(arity_),
+  explicit LineageGrouper(const YsInput& in)
+      : rows_(in.rows),
+        arity_(static_cast<int>(in.lineage.size())),
+        lineage_(in.lineage),
+        sel_(in.sel),
         dims_(arity_),
+        dim_ids_(arity_),
+        dim_first_(arity_),
         dim_done_(arity_, false),
         level_ids_(std::max(arity_ - 1, 0)),
+        level_first_(level_ids_.size()),
         keys_(static_cast<size_t>(rows_)) {
     // Group ids are 32-bit and kEmpty marks a free slot.
     GUS_CHECK(rows_ < int64_t{kEmpty});
-  }
-
-  /// The grouping of one mask.
-  Grouping Group(SubsetMask mask) {
-    if (mask == 0) return All();
-    Grouping g;
-    int level = -1;
-    for (int t = 0; t < arity_; ++t) {
-      if (!(mask & Bit(t))) continue;
-      g = level < 0 ? Dim(t) : Combine(g, Dim(t), &level_ids_[level]);
-      ++level;
+    if (in.key == nullptr) {
+      bucket_first_ = {0};
+      if (rows_ > 0) {
+        bucket_first_.push_back(static_cast<uint32_t>(rows_));
+        bucket_keys_ = {0};
+      }
+      return;
     }
-    return g;
+    // Stable counting sort of the rows by key; empty keys get no bucket.
+    std::vector<uint32_t> next(size_t{in.num_keys} + 1, 0);
+    for (int64_t i = 0; i < rows_; ++i) ++next[in.key[ColumnRow(i)] + 1];
+    bucket_first_ = {0};
+    for (uint32_t k = 0; k < in.num_keys; ++k) {
+      if (next[k + 1] == 0) continue;
+      bucket_keys_.push_back(k);
+      bucket_first_.push_back(bucket_first_.back() + next[k + 1]);
+    }
+    for (uint32_t k = 0; k < in.num_keys; ++k) next[k + 1] += next[k];
+    order_.resize(static_cast<size_t>(rows_));
+    for (int64_t i = 0; i < rows_; ++i) {
+      const int64_t r = ColumnRow(i);
+      order_[next[in.key[r]]++] = r;
+    }
+    sel_ = order_.data();
   }
 
   /// Calls visit(mask, grouping) once for each of the 2^n masks. A mask
@@ -63,33 +82,102 @@ class LineageGrouper {
     }
   }
 
+  /// Per-group sums of column v (null: the constant 1), each in row order,
+  /// indexed by group id.
+  const double* Sums(const Grouping& g, const double* v,
+                     std::vector<double>* sums) const {
+    // A singleton's sum 0.0 + v[i] differs from v[i] only in the sign of a
+    // zero, which no product folded into y can show.
+    if (g.ids == nullptr && v != nullptr && sel_ == nullptr) return v;
+    sums->assign(g.groups, 0.0);
+    double* s = sums->data();
+    const int64_t* sel = sel_;
+    if (v == nullptr) {
+      AddByGroup(g, [](int64_t) { return 1.0; }, s);
+    } else if (sel == nullptr) {
+      AddByGroup(g, [v](int64_t i) { return v[i]; }, s);
+    } else {
+      AddByGroup(g, [v, sel](int64_t i) { return v[sel[i]]; }, s);
+    }
+    return s;
+  }
+
+  /// Entry `mask` of each key's table: its groups' a[k] * b[k], folded in
+  /// group order.
+  void Fold(SubsetMask mask, const Grouping& g, const double* a,
+            const double* b, std::vector<double>* ys) const {
+    for (size_t k = 0; k < bucket_keys_.size(); ++k) {
+      double y = 0.0;
+      for (uint32_t j = g.first[k]; j < g.first[k + 1]; ++j) y += a[j] * b[j];
+      (*ys)[(size_t{bucket_keys_[k]} << arity_) | mask] = y;
+    }
+  }
+
  private:
   static SubsetMask Bit(int d) { return SubsetMask{1} << d; }
+
+  int64_t ColumnRow(int64_t i) const { return sel_ == nullptr ? i : sel_[i]; }
+
+  template <typename ValueAt>
+  void AddByGroup(const Grouping& g, ValueAt value_at, double* sums) const {
+    if (g.ids == nullptr) {
+      for (int64_t i = 0; i < rows_; ++i) sums[i] += value_at(i);
+    } else if (g.groups == bucket_keys_.size()) {
+      // Each bucket is one group (mask 0, say): sum it in a register, not
+      // through a store and reload of one slot per row.
+      for (size_t b = 0; b < bucket_keys_.size(); ++b) {
+        double t = 0.0;
+        for (int64_t i = bucket_first_[b]; i < bucket_first_[b + 1]; ++i) {
+          t += value_at(i);
+        }
+        sums[b] = t;
+      }
+    } else {
+      for (int64_t i = 0; i < rows_; ++i) sums[g.ids[i]] += value_at(i);
+    }
+  }
 
   template <typename Visit>
   void Extend(SubsetMask prefix, int top, Grouping g, int level,
               Visit& visit) {
     for (int t = top + 1; t < arity_; ++t) {
       const SubsetMask m = prefix | Bit(t);
-      const Grouping child = Combine(g, Dim(t), &level_ids_[level]);
+      const Grouping child =
+          Combine(g, Dim(t), &level_ids_[level], &level_first_[level]);
       visit(m, child);
       Extend(m, t, child, level + 1, visit);
     }
   }
 
-  /// Mask 0: every row in one group.
+  Grouping Identity() const {
+    return {nullptr, static_cast<uint32_t>(rows_), bucket_first_.data()};
+  }
+
+  /// Mask 0: each bucket is one group.
   Grouping All() {
-    if (rows_ <= 1) return {nullptr, static_cast<uint32_t>(rows_)};
-    all_ids_.assign(static_cast<size_t>(rows_), 0);
-    return {all_ids_.data(), 1};
+    const auto groups = static_cast<uint32_t>(bucket_keys_.size());
+    if (groups == rows_) return Identity();
+    all_ids_.resize(static_cast<size_t>(rows_));
+    all_first_.resize(size_t{groups} + 1);
+    std::iota(all_first_.begin(), all_first_.end(), 0u);
+    for (uint32_t b = 0; b < groups; ++b) {
+      std::fill(all_ids_.begin() + bucket_first_[b],
+                all_ids_.begin() + bucket_first_[b + 1], b);
+    }
+    return {all_ids_.data(), groups, all_first_.data()};
   }
 
   /// The grouping of dimension d alone, densified once per call.
   Grouping Dim(int d) {
     if (!dim_done_[d]) {
-      const uint64_t* col = view_.lineage[d].data();
-      dims_[d] = Densify(static_cast<uint64_t>(rows_),
-                         [col](int64_t i) { return col[i]; }, &dim_ids_[d]);
+      const uint64_t* col = lineage_[d];
+      const int64_t* sel = sel_;
+      dims_[d] =
+          sel == nullptr
+              ? Densify(rows_, [col](int64_t i) { return col[i]; },
+                        &dim_ids_[d], &dim_first_[d])
+              : Densify(rows_, [col, sel](int64_t i) { return col[sel[i]]; },
+                        &dim_ids_[d], &dim_first_[d]);
       dim_done_[d] = true;
     }
     return dims_[d];
@@ -97,156 +185,117 @@ class LineageGrouper {
 
   /// Prefix and top dense ids are below 2^32, so
   /// prefix * groups(top) + top is an exact 64-bit key for the pair.
-  Grouping Combine(Grouping prefix, Grouping top, std::vector<uint32_t>* out) {
+  Grouping Combine(Grouping prefix, Grouping top, std::vector<uint32_t>* out,
+                   std::vector<uint32_t>* first) {
     // Singleton groups stay singletons under any refinement.
-    if (prefix.ids == nullptr || top.ids == nullptr) {
-      return {nullptr, static_cast<uint32_t>(rows_)};
-    }
+    if (prefix.ids == nullptr || top.ids == nullptr) return Identity();
     const uint32_t* p = prefix.ids;
     const uint32_t* q = top.ids;
     const uint64_t width = top.groups;
     return Densify(
         std::min<uint64_t>(static_cast<uint64_t>(rows_),
                            uint64_t{prefix.groups} * width),
-        [p, q, width](int64_t i) { return p[i] * width + q[i]; }, out);
+        [p, q, width](int64_t i) { return p[i] * width + q[i]; }, out,
+        first);
   }
 
-  /// Numbers the distinct values of key_at(i) in order of first row, by
-  /// linear probing that compares the keys themselves.
+  /// Numbers the distinct values of key_at(i) within each bucket, in order
+  /// of first row, by linear probing that compares the keys themselves.
   template <typename KeyAt>
   Grouping Densify(uint64_t max_groups, KeyAt key_at,
-                   std::vector<uint32_t>* out) {
-    const uint64_t capacity =
-        std::bit_ceil(std::max<uint64_t>(2 * max_groups, 16));
-    const uint64_t slot_mask = capacity - 1;
-    slots_.assign(capacity, kEmpty);
+                   std::vector<uint32_t>* out, std::vector<uint32_t>* first) {
     out->resize(static_cast<size_t>(rows_));
+    first->resize(bucket_first_.size());
     uint32_t* ids = out->data();
-    uint32_t* slots = slots_.data();
     uint64_t* keys = keys_.data();
     uint32_t groups = 0;
-    for (int64_t i = 0; i < rows_; ++i) {
-      const uint64_t key = key_at(i);
-      uint64_t s = Mix64(key) & slot_mask;
-      uint32_t gid = slots[s];
-      while (gid != kEmpty && keys[gid] != key) {
-        s = (s + 1) & slot_mask;
-        gid = slots[s];
+    for (size_t b = 0; b + 1 < bucket_first_.size(); ++b) {
+      const int64_t begin = bucket_first_[b], end = bucket_first_[b + 1];
+      const uint64_t capacity = std::bit_ceil(std::max<uint64_t>(
+          2 * std::min<uint64_t>(max_groups, end - begin), 16));
+      const uint64_t slot_mask = capacity - 1;
+      slots_.assign(capacity, kEmpty);
+      uint32_t* slots = slots_.data();
+      (*first)[b] = groups;
+      for (int64_t i = begin; i < end; ++i) {
+        const uint64_t key = key_at(i);
+        uint64_t s = Mix64(key) & slot_mask;
+        uint32_t gid = slots[s];
+        while (gid != kEmpty && keys[gid] != key) {
+          s = (s + 1) & slot_mask;
+          gid = slots[s];
+        }
+        if (gid == kEmpty) {
+          gid = groups++;
+          slots[s] = gid;
+          keys[gid] = key;
+        }
+        ids[i] = gid;
       }
-      if (gid == kEmpty) {
-        gid = groups++;
-        slots[s] = gid;
-        keys[gid] = key;
-      }
-      ids[i] = gid;
     }
+    first->back() = groups;
     // All distinct: first-occurrence numbering is the row index.
-    if (groups == rows_) return {nullptr, groups};
-    return {ids, groups};
+    if (groups == rows_) return Identity();
+    return {ids, groups, first->data()};
   }
 
-  const SampleView& view_;
   const int64_t rows_;
   const int arity_;
-  std::vector<uint32_t> all_ids_;
-  std::vector<std::vector<uint32_t>> dim_ids_;
+  const std::vector<const uint64_t*>& lineage_;
+  const int64_t* sel_;             // the rows read, in bucket order
+  std::vector<int64_t> order_;     // the keyed input's rows, by key
+  std::vector<uint32_t> bucket_first_;  // first row of each bucket, and end
+  std::vector<uint32_t> bucket_keys_;   // key of each bucket
+  std::vector<uint32_t> all_ids_, all_first_;
   std::vector<Grouping> dims_;
+  std::vector<std::vector<uint32_t>> dim_ids_, dim_first_;
   std::vector<bool> dim_done_;
-  std::vector<std::vector<uint32_t>> level_ids_;  // masks of popcount k >= 2
-                                                  // use level k - 2
+  // Level k - 2 holds masks of popcount k >= 2.
+  std::vector<std::vector<uint32_t>> level_ids_, level_first_;
   std::vector<uint32_t> slots_;  // group id per slot, or kEmpty
   std::vector<uint64_t> keys_;   // key per group id
 };
 
-/// Per-group sums of v, each in row order, indexed by group id.
-const double* GroupSums(const Grouping& g, const std::vector<double>& v,
-                        std::vector<double>* sums) {
-  // A singleton's sum 0.0 + v[i] differs from v[i] only in the sign of a
-  // zero, which no product folded into y can show.
-  if (g.ids == nullptr) return v.data();
-  sums->assign(g.groups, 0.0);
-  double* s = sums->data();
-  for (size_t i = 0; i < v.size(); ++i) s[g.ids[i]] += v[i];
-  return s;
-}
-
-/// sum over groups of a[k] * b[k], in group order.
-double FoldProducts(const double* a, const double* b, uint32_t groups) {
-  double y = 0.0;
-  for (uint32_t k = 0; k < groups; ++k) y += a[k] * b[k];
-  return y;
-}
-
-Status CheckAligned(const SampleView& view, const std::vector<double>& g) {
-  if (static_cast<int64_t>(g.size()) != view.num_rows()) {
-    return Status::InvalidArgument("g must align with the sample view");
-  }
-  return Status::OK();
+/// Zeroed tables, one per key.
+std::vector<double> KeyTables(const YsInput& in) {
+  const size_t keys = in.key == nullptr ? 1 : in.num_keys;
+  return std::vector<double>(keys << in.lineage.size(), 0.0);
 }
 
 }  // namespace
 
-double ComputeYS(const SampleView& view, SubsetMask mask) {
+YsInput YsInput::Of(const SampleView& view) {
+  YsInput in;
+  for (const auto& col : view.lineage) in.lineage.push_back(col.data());
+  in.f = view.f.data();
+  in.rows = view.num_rows();
+  return in;
+}
+
+std::vector<double> ComputeAllYS(const YsInput& in) {
   // Even the full mask groups by lineage: block-sampled relations share a
   // lineage id across all rows of a block, so agreement on the entire
   // lineage schema does not imply row identity.
-  LineageGrouper grouper(view);
-  const Grouping g = grouper.Group(mask);
-  std::vector<double> sums;
-  const double* s = GroupSums(g, view.f, &sums);
-  return FoldProducts(s, s, g.groups);
-}
-
-Result<double> ComputeYSBilinear(const SampleView& view,
-                                 const std::vector<double>& g,
-                                 SubsetMask mask) {
-  GUS_RETURN_NOT_OK(CheckAligned(view, g));
-  LineageGrouper grouper(view);
-  const Grouping grouping = grouper.Group(mask);
-  std::vector<double> sums_f, sums_g;
-  return FoldProducts(GroupSums(grouping, view.f, &sums_f),
-                      GroupSums(grouping, g, &sums_g), grouping.groups);
-}
-
-std::vector<double> ComputeAllYS(const SampleView& view) {
-  std::vector<double> ys(view.schema.num_subsets());
-  LineageGrouper grouper(view);
+  std::vector<double> ys = KeyTables(in);
+  LineageGrouper grouper(in);
   std::vector<double> sums;
   grouper.ForEachMask([&](SubsetMask m, const Grouping& g) {
-    const double* s = GroupSums(g, view.f, &sums);
-    ys[m] = FoldProducts(s, s, g.groups);
+    const double* s = grouper.Sums(g, in.f, &sums);
+    grouper.Fold(m, g, s, s, &ys);
   });
   return ys;
 }
 
-Result<std::vector<double>> ComputeAllYSBilinear(
-    const SampleView& view, const std::vector<double>& g) {
-  GUS_RETURN_NOT_OK(CheckAligned(view, g));
-  std::vector<double> ys(view.schema.num_subsets());
-  LineageGrouper grouper(view);
+YsGram ComputeAllYSGram(const YsInput& in, const double* g) {
+  YsGram gram{KeyTables(in), KeyTables(in), KeyTables(in)};
+  LineageGrouper grouper(in);
   std::vector<double> sums_f, sums_g;
   grouper.ForEachMask([&](SubsetMask m, const Grouping& grouping) {
-    ys[m] = FoldProducts(GroupSums(grouping, view.f, &sums_f),
-                         GroupSums(grouping, g, &sums_g), grouping.groups);
-  });
-  return ys;
-}
-
-Result<YsGram> ComputeAllYSGram(const SampleView& view,
-                                const std::vector<double>& g) {
-  GUS_RETURN_NOT_OK(CheckAligned(view, g));
-  const size_t num_subsets = view.schema.num_subsets();
-  YsGram gram{std::vector<double>(num_subsets),
-              std::vector<double>(num_subsets),
-              std::vector<double>(num_subsets)};
-  LineageGrouper grouper(view);
-  std::vector<double> sums_f, sums_g;
-  grouper.ForEachMask([&](SubsetMask m, const Grouping& grouping) {
-    const double* sf = GroupSums(grouping, view.f, &sums_f);
-    const double* sg = GroupSums(grouping, g, &sums_g);
-    gram.ff[m] = FoldProducts(sf, sf, grouping.groups);
-    gram.fg[m] = FoldProducts(sf, sg, grouping.groups);
-    gram.gg[m] = FoldProducts(sg, sg, grouping.groups);
+    const double* sf = grouper.Sums(grouping, in.f, &sums_f);
+    const double* sg = grouper.Sums(grouping, g, &sums_g);
+    grouper.Fold(m, grouping, sf, sf, &gram.ff);
+    grouper.Fold(m, grouping, sf, sg, &gram.fg);
+    grouper.Fold(m, grouping, sg, sg, &gram.gg);
   });
   return gram;
 }

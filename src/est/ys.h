@@ -7,64 +7,83 @@
 // (the Y_S inputs of the unbiased estimator, Section 6.3).
 //
 // Generalized to the bilinear form y_S^{f,g} = sum over groups of
-// (sum f)(sum g), which the AVG delta-method extension needs for the
-// covariance between the SUM and COUNT estimators; y_S = y_S^{f,f}.
+// (sum f)(sum g), which the AVG delta method needs for the covariance
+// between the SUM and COUNT estimators; y_S = y_S^{f,f}.
+//
+// Input. A YsInput reads the rows where they already are: one pointer per
+// lineage column, an f pointer (null reads f ≡ 1, COUNT), an optional row
+// selection (the Section 7 survivors) and an optional dense outer key
+// (a GROUP BY group, a shard). Nothing is copied to feed the kernel.
 //
 // Grouping is exact: rows fall into one group iff their projected lineage
-// ids are equal, compared id for id (no hash of the tuple stands in for
-// it, so distinct tuples never merge). Groups are numbered in order of
-// their first row in the view, the sums within a group accumulate in row
-// order, and the squares (products) fold in group-number order. Every
-// number is therefore a function of the view's rows in their order alone.
-// All engines hand the estimator the same view row for row, so they all
-// compute the same bits.
+// ids (and outer keys) are equal, compared id for id (no hash of the tuple
+// stands in for it, so distinct tuples never merge). Groups are numbered in
+// order of their first input row, the sums within a group accumulate in
+// input-row order, and the squares (products) fold in group-number order.
+// Every number is therefore a function of the input rows in their order
+// alone. All engines hand the estimator the same rows in the same order,
+// so they all compute the same bits.
 //
-// One call of ComputeAllYS* groups every mask with one scratch: each
-// single-dimension grouping densifies the raw ids once, and a larger mask
-// m densifies the 64-bit key dense(m \ top)(row) * groups(top) +
-// dense(top)(row) (top = highest dimension of m), which is exact because
-// both dense ids are below 2^32. A mask whose groups are all single rows
-// passes that on to every superset without another pass.
+// Keyed fold. With an outer key, mask S groups (key, S) in one pass: the
+// rows are read bucketed by key (a stable counting sort, so each key's rows
+// keep their input order), and since no group spans two keys each bucket
+// is grouped by S with a hash table of its own. Each key's products fold
+// into that key's table in group-number order. A key's groups are numbered
+// in order of their first row among that key's rows, so key k's table is
+// bit for bit the table of the input restricted to key k's rows.
+//
+// One call groups every mask with one scratch: each single-dimension
+// grouping densifies the raw ids once, and a larger mask m densifies the
+// 64-bit key dense(m \ top)(row) * groups(top) + dense(top)(row)
+// (top = highest dimension of m), which is exact because both dense ids
+// are below 2^32. A mask whose groups are all single rows passes that on
+// to every superset without another pass.
 
 #ifndef GUS_EST_YS_H_
 #define GUS_EST_YS_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "est/sample_view.h"
 #include "util/bits.h"
-#include "util/status.h"
 
 namespace gus {
 
-/// y_S for a single agreement mask.
-double ComputeYS(const SampleView& view, SubsetMask mask);
+/// The rows one y_S call reads, in place: input row i is column row
+/// sel ? sel[i] : i of every column, for i < rows.
+struct YsInput {
+  /// lineage[d] is the id column of analysis dimension d.
+  std::vector<const uint64_t*> lineage;
+  /// Aggregate values; null means f ≡ 1.
+  const double* f = nullptr;
+  /// Input rows: the selection's length, or the columns' length.
+  int64_t rows = 0;
+  /// Optional row selection into the columns, in input order.
+  const int64_t* sel = nullptr;
+  /// Optional outer key per column row, each below num_keys.
+  const uint32_t* key = nullptr;
+  uint32_t num_keys = 1;
 
-/// Bilinear y_S^{f,g}; `g` must have the same length as view.f.
-Result<double> ComputeYSBilinear(const SampleView& view,
-                                 const std::vector<double>& g,
-                                 SubsetMask mask);
+  /// Every row of `view`, in order.
+  static YsInput Of(const SampleView& view);
+};
 
-/// All 2^n statistics, indexed by mask.
-std::vector<double> ComputeAllYS(const SampleView& view);
+/// \brief All 2^n statistics of each key: entry (k << n) | mask is
+/// y_mask over key k's rows (k = 0 alone without a key).
+std::vector<double> ComputeAllYS(const YsInput& in);
 
-/// All 2^n bilinear statistics.
-Result<std::vector<double>> ComputeAllYSBilinear(const SampleView& view,
-                                                 const std::vector<double>& g);
-
-/// The three tables of a ratio's delta method, indexed by mask.
+/// The three tables of a ratio's delta method, laid out as ComputeAllYS's.
 struct YsGram {
-  std::vector<double> ff;  ///< y^{f,f}: ComputeAllYS(view)
-  std::vector<double> fg;  ///< y^{f,g}: ComputeAllYSBilinear(view, g)
-  std::vector<double> gg;  ///< y^{g,g}: ComputeAllYS of the view over g
+  std::vector<double> ff;  ///< y^{f,f}: ComputeAllYS(in)
+  std::vector<double> fg;  ///< y^{f,g}
+  std::vector<double> gg;  ///< y^{g,g}: ComputeAllYS of the input over g
 };
 
 /// \brief y^{f,f}, y^{f,g} and y^{g,g} from one grouping per mask.
 ///
-/// Bit-identical to the three separate calls; `g` must have the same
-/// length as view.f.
-Result<YsGram> ComputeAllYSGram(const SampleView& view,
-                                const std::vector<double>& g);
+/// `g` is indexed like in.f (by column row); null means g ≡ 1.
+YsGram ComputeAllYSGram(const YsInput& in, const double* g);
 
 }  // namespace gus
 

@@ -26,7 +26,7 @@ Result<SboxTrialStats> RunSboxTrials(const Workload& workload,
 
   SboxTrialStats stats;
   stats.truth = exact_view.SumF();
-  stats.y_true = ComputeAllYS(exact_view);
+  stats.y_true = ComputeAllYS(YsInput::Of(exact_view));
   GUS_ASSIGN_OR_RETURN(stats.oracle_variance,
                        VarianceFromY(soa.top, stats.y_true));
   stats.y_hat.resize(soa.top.schema().num_subsets());

@@ -4,10 +4,15 @@
 
 #include <cmath>
 #include <map>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "algebra/ops.h"
 #include "algebra/translate.h"
 #include "est/group_by.h"
+#include "est/sbox.h"
+#include "rel/column_batch.h"
 #include "rel/operators.h"
 #include "sampling/samplers.h"
 #include "test_util.h"
@@ -51,6 +56,122 @@ TEST(GroupByTest, SortedByKey) {
                        GroupedSumEstimate(id, r, Col("v"), "grp"));
   for (size_t k = 1; k < groups.size(); ++k) {
     EXPECT_LT(groups[k - 1].key.ToDouble(), groups[k].key.ToDouble());
+  }
+}
+
+TEST(GroupByTest, MixedKeyTypesSortNumericsFirstThenStrings) {
+  // A relation's key column is not type-checked, so it can mix numbers and
+  // strings: 9 < 10 by value, while "10" < "5a" < "9" as text. The output
+  // order is the canonical one, numerics by value, then strings.
+  std::vector<Row> rows = {Row{Value(int64_t{10}), Value(1.0)},
+                           Row{Value(std::string("5a")), Value(2.0)},
+                           Row{Value(int64_t{9}), Value(3.0)},
+                           Row{Value(int64_t{10}), Value(4.0)}};
+  Relation r = Relation::MakeBase(
+      "R", Schema({{"grp", ValueType::kInt64}, {"v", ValueType::kFloat64}}),
+      std::move(rows));
+  GusParams id = GusParams::Identity(LineageSchema::Make({"R"}).ValueOrDie());
+  ASSERT_OK_AND_ASSIGN(auto groups,
+                       GroupedSumEstimate(id, r, Col("v"), "grp"));
+  ASSERT_EQ(3u, groups.size());
+  EXPECT_TRUE(groups[0].key == Value(int64_t{9}));
+  EXPECT_TRUE(groups[1].key == Value(int64_t{10}));
+  EXPECT_TRUE(groups[2].key == Value(std::string("5a")));
+  EXPECT_EQ(3.0, groups[0].estimate);
+  EXPECT_EQ(5.0, groups[1].estimate);
+  EXPECT_EQ(2.0, groups[2].estimate);
+}
+
+/// Row i of a grouped stream over lineage {A, B}: 11 keys, ids that repeat
+/// within and across keys, and f values whose sums depend on their order.
+int64_t KeyOf(int64_t i) { return (i * 7) % 11 - 3; }
+double ValueOf(int64_t i) {
+  return 1.0 / static_cast<double>(1 + i % 13) + static_cast<double>(i) * 1e-3;
+}
+uint64_t IdA(int64_t i) { return static_cast<uint64_t>(i % 17); }
+uint64_t IdB(int64_t i) { return static_cast<uint64_t>((i * 5) % 29); }
+
+/// Rows [begin, end) of that stream as a batch {k int64, v float64}.
+ColumnBatch MakeKeyedBatch(const LayoutPtr& layout, int64_t begin,
+                           int64_t end) {
+  ColumnBatch batch(layout);
+  for (int64_t i = begin; i < end; ++i) {
+    EXPECT_TRUE(batch.mutable_column(0)->AppendValue(Value(KeyOf(i))).ok());
+    EXPECT_TRUE(
+        batch.mutable_column(1)->AppendValue(Value(ValueOf(i))).ok());
+    batch.mutable_lineage()->push_back(IdA(i));
+    batch.mutable_lineage()->push_back(IdB(i));
+  }
+  batch.SetNumRows(end - begin);
+  return batch;
+}
+
+TEST(GroupByTest, BuilderMatchesPerGroupViewOracle) {
+  // A builder fed in three splits, merged and sent through the GRUP wire
+  // form must give every group exactly what the SBox gives a view holding
+  // only that group's rows, in stream order.
+  auto layout = std::make_shared<BatchLayout>();
+  layout->schema =
+      Schema({{"k", ValueType::kInt64}, {"v", ValueType::kFloat64}});
+  layout->lineage_schema = {"A", "B"};
+  const LineageSchema schema = LineageSchema::Make({"A", "B"}).ValueOrDie();
+  const GusParams gus =
+      MultiDimBernoulliGus(schema, {{"A", 0.5}, {"B", 0.7}}).ValueOrDie();
+  const int64_t n = 900;
+
+  std::vector<GroupedSumBuilder> parts;
+  for (const auto& [begin, end] : {std::pair<int64_t, int64_t>{0, 250},
+                                   {250, 251},
+                                   {251, n}}) {
+    ASSERT_OK_AND_ASSIGN(
+        GroupedSumBuilder part,
+        GroupedSumBuilder::Make(*layout, Col("v"), "k", schema));
+    ASSERT_OK(part.Consume(MakeKeyedBatch(layout, begin, end)));
+    parts.push_back(std::move(part));
+  }
+  GroupedSumBuilder merged = std::move(parts[0]);
+  ASSERT_OK(merged.Merge(std::move(parts[1])));
+  ASSERT_OK(merged.Merge(std::move(parts[2])));
+  ASSERT_OK_AND_ASSIGN(
+      GroupedSumBuilder wire,
+      GroupedSumBuilder::DeserializeState(merged.SerializeState()));
+  ASSERT_OK_AND_ASSIGN(auto direct,
+                       merged.Finish(gus, 0.9, BoundKind::kChebyshev));
+  ASSERT_OK_AND_ASSIGN(auto via_wire,
+                       wire.Finish(gus, 0.9, BoundKind::kChebyshev));
+
+  std::map<int64_t, SampleView> views;  // by key, the canonical order
+  for (int64_t i = 0; i < n; ++i) {
+    SampleView& view = views[KeyOf(i)];
+    if (view.lineage.empty()) {
+      view.schema = schema;
+      view.lineage.assign(2, {});
+    }
+    view.lineage[0].push_back(IdA(i));
+    view.lineage[1].push_back(IdB(i));
+    view.f.push_back(ValueOf(i));
+  }
+  SboxOptions options;
+  options.confidence_level = 0.9;
+  options.bound_kind = BoundKind::kChebyshev;
+  ASSERT_EQ(views.size(), direct.size());
+  ASSERT_EQ(views.size(), via_wire.size());
+  size_t g = 0;
+  for (const auto& [key, view] : views) {
+    SCOPED_TRACE(key);
+    ASSERT_OK_AND_ASSIGN(SboxReport want, SboxEstimate(gus, view, options));
+    for (const GroupEstimate* got : {&direct[g], &via_wire[g]}) {
+      EXPECT_TRUE(got->key == Value(key));
+      EXPECT_EQ(want.estimate, got->estimate);
+      EXPECT_EQ(want.variance, got->variance);
+      EXPECT_EQ(want.stddev, got->stddev);
+      EXPECT_EQ(want.interval.lo, got->interval.lo);
+      EXPECT_EQ(want.interval.hi, got->interval.hi);
+      EXPECT_EQ(want.interval.level, got->interval.level);
+      EXPECT_EQ(want.interval.kind, got->interval.kind);
+      EXPECT_EQ(view.num_rows(), got->sample_rows);
+    }
+    ++g;
   }
 }
 

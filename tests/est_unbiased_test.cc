@@ -67,7 +67,7 @@ TEST(UnbiasedYTest, SingleRelationBernoulliMonteCarlo) {
   ASSERT_OK_AND_ASSIGN(
       SampleView full,
       SampleView::FromRelation(r, Col("v"), g.schema()));
-  const auto y_true = ComputeAllYS(full);
+  const auto y_true = ComputeAllYS(YsInput::Of(full));
 
   Rng rng(70);
   std::vector<MeanVar> y_means(2);
@@ -75,7 +75,7 @@ TEST(UnbiasedYTest, SingleRelationBernoulliMonteCarlo) {
     auto s = BernoulliSample(r, 0.4, &rng).ValueOrDie();
     ASSERT_OK_AND_ASSIGN(
         SampleView sv, SampleView::FromRelation(s, Col("v"), g.schema()));
-    const auto Y = ComputeAllYS(sv);
+    const auto Y = ComputeAllYS(YsInput::Of(sv));
     ASSERT_OK_AND_ASSIGN(auto y_hat, UnbiasedYEstimates(g, Y));
     y_means[0].Add(y_hat[0]);
     y_means[1].Add(y_hat[1]);
@@ -121,7 +121,7 @@ TEST(UnbiasedYTest, CompactedGusMonteCarlo) {
   ASSERT_OK_AND_ASSIGN(GusParams g, GusCompact(g2, g1));
   ASSERT_OK_AND_ASSIGN(
       SampleView full, SampleView::FromRelation(r, Col("v"), g.schema()));
-  const auto y_true = ComputeAllYS(full);
+  const auto y_true = ComputeAllYS(YsInput::Of(full));
 
   Rng rng(71);
   std::vector<MeanVar> y_means(2);
@@ -130,7 +130,7 @@ TEST(UnbiasedYTest, CompactedGusMonteCarlo) {
     auto s2 = BernoulliSample(s1, 0.4, &rng).ValueOrDie();
     ASSERT_OK_AND_ASSIGN(
         SampleView sv, SampleView::FromRelation(s2, Col("v"), g.schema()));
-    const auto Y = ComputeAllYS(sv);
+    const auto Y = ComputeAllYS(YsInput::Of(sv));
     ASSERT_OK_AND_ASSIGN(auto y_hat, UnbiasedYEstimates(g, Y));
     y_means[0].Add(y_hat[0]);
     y_means[1].Add(y_hat[1]);

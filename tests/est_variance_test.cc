@@ -45,7 +45,7 @@ TEST(VarianceTest, WorClosedForm) {
       TranslateBaseSampling(SamplingSpec::WithoutReplacement(n, N), "R"));
   SampleView full = ViewOf(r, Col("v"), g.schema());
   ASSERT_OK_AND_ASSIGN(double var, ExactVariance(g, full));
-  const auto y = ComputeAllYS(full);
+  const auto y = ComputeAllYS(YsInput::Of(full));
   const double expected =
       static_cast<double>(N - n) / (n * (N - 1.0)) * (N * y[1] - y[0]);
   EXPECT_NEAR(expected, var, 1e-9 * expected);

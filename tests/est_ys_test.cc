@@ -1,5 +1,6 @@
 // Tests for the y_S statistics: hand-computed values, bit-for-bit agreement
-// with an exact, first-occurrence-ordered oracle, bilinear generalization.
+// with an exact, first-occurrence-ordered oracle over explicitly copied
+// views (selections, f ≡ 1 and g ≡ 1, outer keys), bilinear generalization.
 
 #include <gtest/gtest.h>
 
@@ -26,42 +27,34 @@ SampleView MakeHandView() {
   return v;
 }
 
+std::vector<double> AllYs(const SampleView& v) {
+  return ComputeAllYS(YsInput::Of(v));
+}
+
 TEST(YsTest, EmptyMaskIsSquaredSum) {
-  SampleView v = MakeHandView();
-  EXPECT_DOUBLE_EQ(100.0, ComputeYS(v, 0));  // (1+2+3+4)^2
+  EXPECT_DOUBLE_EQ(100.0, AllYs(MakeHandView())[0]);  // (1+2+3+4)^2
 }
 
 TEST(YsTest, FullMaskIsSumOfSquares) {
-  SampleView v = MakeHandView();
-  EXPECT_DOUBLE_EQ(1.0 + 4.0 + 9.0 + 16.0, ComputeYS(v, 0b11));
+  EXPECT_DOUBLE_EQ(1.0 + 4.0 + 9.0 + 16.0, AllYs(MakeHandView())[0b11]);
 }
 
 TEST(YsTest, GroupByFirstDimension) {
-  SampleView v = MakeHandView();
   // Group by A: {1+2}^2 + {3+4}^2 = 9 + 49.
-  EXPECT_DOUBLE_EQ(58.0, ComputeYS(v, 0b01));
+  EXPECT_DOUBLE_EQ(58.0, AllYs(MakeHandView())[0b01]);
 }
 
 TEST(YsTest, GroupBySecondDimension) {
-  SampleView v = MakeHandView();
   // Group by B: {1+3}^2 + {2+4}^2 = 16 + 36.
-  EXPECT_DOUBLE_EQ(52.0, ComputeYS(v, 0b10));
-}
-
-TEST(YsTest, ComputeAllMatchesSingle) {
-  SampleView v = MakeHandView();
-  const auto all = ComputeAllYS(v);
-  ASSERT_EQ(4u, all.size());
-  for (SubsetMask m = 0; m < 4; ++m) {
-    EXPECT_DOUBLE_EQ(ComputeYS(v, m), all[m]);
-  }
+  EXPECT_DOUBLE_EQ(52.0, AllYs(MakeHandView())[0b10]);
 }
 
 TEST(YsTest, EmptyViewAllZero) {
   SampleView v;
   v.schema = LineageSchema::Make({"A"}).ValueOrDie();
   v.lineage = {{}};
-  const auto all = ComputeAllYS(v);
+  const auto all = AllYs(v);
+  ASSERT_EQ(2u, all.size());
   EXPECT_DOUBLE_EQ(0.0, all[0]);
   EXPECT_DOUBLE_EQ(0.0, all[1]);
 }
@@ -134,6 +127,79 @@ SampleView MakeAdversarialView(int arity, int64_t rows, int pool_size,
   return v;
 }
 
+/// Rows `rows` of `v`, in that order, with f read from `f` (aligned with
+/// v's rows): the explicit copy the non-owning input forms stand for.
+SampleView CopyRows(const SampleView& v, const std::vector<int64_t>& rows,
+                    const std::vector<double>& f) {
+  SampleView out;
+  out.schema = v.schema;
+  out.lineage.assign(v.schema.arity(), {});
+  for (const int64_t r : rows) {
+    for (int d = 0; d < v.schema.arity(); ++d) {
+      out.lineage[d].push_back(v.lineage[d][r]);
+    }
+    out.f.push_back(f[r]);
+  }
+  return out;
+}
+
+/// One input form over `v`: the rows `sel` (every row when empty), f and g
+/// (null: the constant 1) and an optional outer key per row of v.
+struct Form {
+  std::vector<int64_t> sel;
+  bool f_is_one = false;
+  bool g_is_one = false;
+  std::vector<uint32_t> key;
+  uint32_t num_keys = 1;
+};
+
+/// Checks ComputeAllYS and ComputeAllYSGram on `form` against the oracle
+/// run on each key's explicitly copied rows, bit for bit.
+void ExpectMatchesOracle(const SampleView& v, const std::vector<double>& g,
+                         const Form& form) {
+  std::vector<int64_t> rows = form.sel;
+  if (rows.empty()) {
+    for (int64_t i = 0; i < v.num_rows(); ++i) rows.push_back(i);
+  }
+  YsInput in = YsInput::Of(v);
+  if (!form.sel.empty()) {
+    in.sel = form.sel.data();
+    in.rows = static_cast<int64_t>(form.sel.size());
+  }
+  if (form.f_is_one) in.f = nullptr;
+  if (!form.key.empty()) {
+    in.key = form.key.data();
+    in.num_keys = form.num_keys;
+  }
+  const std::vector<double> ones(v.f.size(), 1.0);
+  const std::vector<double>& f_col = form.f_is_one ? ones : v.f;
+  const std::vector<double>& g_col = form.g_is_one ? ones : g;
+  const std::vector<double> all = ComputeAllYS(in);
+  const YsGram gram = ComputeAllYSGram(in, form.g_is_one ? nullptr : g.data());
+  const size_t num_subsets = v.schema.num_subsets();
+  ASSERT_EQ(form.num_keys * num_subsets, all.size());
+  ASSERT_EQ(all.size(), gram.fg.size());
+  for (uint32_t k = 0; k < form.num_keys; ++k) {
+    std::vector<int64_t> key_rows;
+    for (const int64_t r : rows) {
+      if (form.key.empty() || form.key[r] == k) key_rows.push_back(r);
+    }
+    const SampleView cf = CopyRows(v, key_rows, f_col);
+    const SampleView cg = CopyRows(v, key_rows, g_col);
+    const std::vector<double> want = OracleAllYs(cf, cf.f);
+    const std::vector<double> want_fg = OracleAllYs(cf, cg.f);
+    const std::vector<double> want_gg = OracleAllYs(cg, cg.f);
+    for (SubsetMask m = 0; m < num_subsets; ++m) {
+      SCOPED_TRACE(::testing::Message() << "key " << k << " mask " << m);
+      const size_t at = k * num_subsets + m;
+      EXPECT_EQ(want[m], all[at]);
+      EXPECT_EQ(want[m], gram.ff[at]);
+      EXPECT_EQ(want_fg[m], gram.fg[at]);
+      EXPECT_EQ(want_gg[m], gram.gg[at]);
+    }
+  }
+}
+
 TEST(YsTest, MatchesOrderedOracleBitForBit) {
   uint64_t seed = 1;
   for (int arity = 1; arity <= 4; ++arity) {
@@ -148,24 +214,35 @@ TEST(YsTest, MatchesOrderedOracleBitForBit) {
       for (int64_t i = 0; i < v.num_rows(); ++i) {
         g.push_back(rng.Uniform(-3.0, 5.0));
       }
-      const std::vector<double> want = OracleAllYs(v, v.f);
-      const std::vector<double> want_fg = OracleAllYs(v, g);
-      const std::vector<double> want_gg = OracleAllYs(
-          SampleView{v.schema, v.lineage, g}, g);
-      const std::vector<double> all = ComputeAllYS(v);
-      ASSERT_OK_AND_ASSIGN(const std::vector<double> all_fg,
-                           ComputeAllYSBilinear(v, g));
-      ASSERT_OK_AND_ASSIGN(const YsGram gram, ComputeAllYSGram(v, g));
-      for (SubsetMask m = 0; m < want.size(); ++m) {
-        SCOPED_TRACE(::testing::Message() << "mask " << m);
-        EXPECT_EQ(want[m], all[m]);
-        EXPECT_EQ(want[m], ComputeYS(v, m));
-        EXPECT_EQ(want_fg[m], all_fg[m]);
-        ASSERT_OK_AND_ASSIGN(const double one_fg, ComputeYSBilinear(v, g, m));
-        EXPECT_EQ(want_fg[m], one_fg);
-        EXPECT_EQ(want[m], gram.ff[m]);
-        EXPECT_EQ(want_fg[m], gram.fg[m]);
-        EXPECT_EQ(want_gg[m], gram.gg[m]);
+      // A Section-7 style selection: about 60% of the rows, in order.
+      std::vector<int64_t> sel;
+      for (int64_t i = 0; i < v.num_rows(); ++i) {
+        if (rng.Uniform(0.0, 1.0) < 0.6) sel.push_back(i);
+      }
+      Form whole, selected, f_one, g_one;
+      selected.sel = sel;
+      f_one.f_is_one = true;
+      g_one.sel = sel;
+      g_one.g_is_one = true;
+      for (const auto& [name, form] :
+           {std::pair<const char*, const Form&>{"whole view", whole},
+            {"selection", selected},
+            {"f = 1", f_one},
+            {"g = 1 over the selection", g_one}}) {
+        SCOPED_TRACE(name);
+        ExpectMatchesOracle(v, g, form);
+      }
+      for (const uint32_t num_keys : {1u, 7u, 600u}) {
+        SCOPED_TRACE(::testing::Message() << num_keys << " keys");
+        Form keyed;
+        keyed.num_keys = num_keys;
+        for (int64_t i = 0; i < v.num_rows(); ++i) {
+          keyed.key.push_back(
+              static_cast<uint32_t>(rng.UniformInt(uint64_t{num_keys})));
+        }
+        ExpectMatchesOracle(v, g, keyed);
+        keyed.sel = sel;
+        ExpectMatchesOracle(v, g, keyed);
       }
     }
   }
@@ -183,7 +260,7 @@ TEST(YsTest, YsMonotoneUnderRefinement) {
     v.lineage[1].push_back(rng.UniformInt(uint64_t{9}));
     v.f.push_back(rng.Uniform(0.0, 1.0));
   }
-  const auto y = ComputeAllYS(v);
+  const auto y = AllYs(v);
   EXPECT_GE(y[0b00], y[0b01]);
   EXPECT_GE(y[0b00], y[0b10]);
   EXPECT_GE(y[0b01], y[0b11]);
@@ -192,37 +269,18 @@ TEST(YsTest, YsMonotoneUnderRefinement) {
 
 TEST(YsBilinearTest, DiagonalEqualsQuadratic) {
   SampleView v = MakeHandView();
-  for (SubsetMask m = 0; m < 4; ++m) {
-    ASSERT_OK_AND_ASSIGN(double bl, ComputeYSBilinear(v, v.f, m));
-    EXPECT_DOUBLE_EQ(ComputeYS(v, m), bl);
-  }
+  const YsGram gram = ComputeAllYSGram(YsInput::Of(v), v.f.data());
+  const std::vector<double> y = AllYs(v);
+  for (SubsetMask m = 0; m < 4; ++m) EXPECT_DOUBLE_EQ(y[m], gram.fg[m]);
 }
 
 TEST(YsBilinearTest, WithOnesGivesCountCrossTerm) {
-  SampleView v = MakeHandView();
-  const std::vector<double> ones(4, 1.0);
+  // A null g reads g ≡ 1.
+  const YsGram gram = ComputeAllYSGram(YsInput::Of(MakeHandView()), nullptr);
   // Mask ∅: (sum f)(sum 1) = 10 * 4.
-  ASSERT_OK_AND_ASSIGN(double y0, ComputeYSBilinear(v, ones, 0));
-  EXPECT_DOUBLE_EQ(40.0, y0);
+  EXPECT_DOUBLE_EQ(40.0, gram.fg[0]);
   // Group by A: (3)(2) + (7)(2) = 20.
-  ASSERT_OK_AND_ASSIGN(double y1, ComputeYSBilinear(v, ones, 0b01));
-  EXPECT_DOUBLE_EQ(20.0, y1);
-}
-
-TEST(YsBilinearTest, LengthMismatchFails) {
-  SampleView v = MakeHandView();
-  EXPECT_STATUS_CODE(kInvalidArgument,
-                     ComputeYSBilinear(v, {1.0}, 0).status());
-}
-
-TEST(YsBilinearTest, AllMatchesSingle) {
-  SampleView v = MakeHandView();
-  const std::vector<double> g = {2.0, -1.0, 0.5, 3.0};
-  ASSERT_OK_AND_ASSIGN(auto all, ComputeAllYSBilinear(v, g));
-  for (SubsetMask m = 0; m < 4; ++m) {
-    ASSERT_OK_AND_ASSIGN(double one, ComputeYSBilinear(v, g, m));
-    EXPECT_DOUBLE_EQ(one, all[m]);
-  }
+  EXPECT_DOUBLE_EQ(20.0, gram.fg[0b01]);
 }
 
 }  // namespace

@@ -153,7 +153,7 @@ TEST(OptimizerTest, OptimizedDesignVerifiedByMonteCarlo) {
   ASSERT_OK_AND_ASSIGN(
       SampleView exact_view,
       SampleView::FromRelation(exact, q1.aggregate, soa.top.schema()));
-  const auto y = ComputeAllYS(exact_view);
+  const auto y = ComputeAllYS(YsInput::Of(exact_view));
 
   std::vector<DesignDimension> dims = {
       {"l", static_cast<double>(data.lineitem.num_rows()), 0.05, 1.0},

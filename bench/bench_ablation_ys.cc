@@ -1,7 +1,8 @@
 // A2 — Ablation: Y_S grouping kernel. Exact grouping by projected lineage
 // ids (first-occurrence group order, one scratch for every mask); this
 // bench measures its throughput across sample sizes and group counts, the
-// whole 2^n table at Query 1's sample shape, and GROUP BY's keyed pass.
+// whole 2^n table at Query 1's sample shape, and GROUP BY's per-group
+// tables.
 
 #include <benchmark/benchmark.h>
 

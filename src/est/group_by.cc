@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <unordered_map>
 
 #include "est/variance_tail.h"
@@ -56,31 +57,43 @@ Status FindOrAddGroup(uint64_t h, const Value& key,
   return Status::OK();
 }
 
-/// Every group's Theorem-1 estimate from one keyed y_S pass: row i of
-/// `rows` belongs to group group_of[i], whose key is keys[group_of[i]].
-/// Sorted by CanonicalKeyLess. Shared by the relation and streaming paths
-/// so their numbers agree bit for bit.
+/// Every row index of `group_of`, group after group, each group's in row
+/// order (a stable counting sort); group g's rows end at ends[g].
+void RowsByGroup(const std::vector<uint32_t>& group_of, size_t num_groups,
+                 std::vector<int64_t>* order, std::vector<int64_t>* ends) {
+  ends->assign(num_groups, 0);
+  for (uint32_t g : group_of) ++(*ends)[g];
+  std::exclusive_scan(ends->begin(), ends->end(), ends->begin(), int64_t{0});
+  order->resize(group_of.size());
+  for (size_t i = 0; i < group_of.size(); ++i) {
+    (*order)[(*ends)[group_of[i]]++] = static_cast<int64_t>(i);
+  }
+}
+
+/// Every group's Theorem-1 estimate, each group's y_S read as one slice of
+/// `rows`: row i belongs to group group_of[i], whose key is
+/// keys[group_of[i]]. Sorted by CanonicalKeyLess. Shared by the relation
+/// and streaming paths so their numbers agree bit for bit.
 Result<std::vector<GroupEstimate>> EstimateGroups(
     const GusParams& gus, const SampleView& rows,
     const std::vector<uint32_t>& group_of, const std::vector<Value>& keys,
     double confidence_level, BoundKind kind) {
-  std::vector<GroupEstimate> out(keys.size());
-  // Each group's sum of f, in row order.
-  for (int64_t i = 0; i < rows.num_rows(); ++i) {
-    GroupEstimate& ge = out[group_of[i]];
-    ge.estimate += rows.f[i];
-    ++ge.sample_rows;
-  }
+  std::vector<int64_t> order, ends;
+  RowsByGroup(group_of, keys.size(), &order, &ends);
   YsInput input = YsInput::Of(rows);
-  input.key = group_of.data();
-  input.num_keys = static_cast<uint32_t>(keys.size());
-  const std::vector<double> ys = ComputeAllYS(input);
+  input.sel = order.data();
+  const std::vector<double> ys = ComputeAllYSOfSlices(input, ends);
   const size_t num_subsets = gus.schema().num_subsets();
+  std::vector<GroupEstimate> out(keys.size());
   std::vector<double> y, y_hat;
+  int64_t begin = 0;
   for (size_t g = 0; g < keys.size(); ++g) {
     GroupEstimate& ge = out[g];
     ge.key = keys[g];
+    for (int64_t i = begin; i < ends[g]; ++i) ge.estimate += rows.f[order[i]];
     ge.estimate /= gus.a();
+    ge.sample_rows = ends[g] - begin;
+    begin = ends[g];
     y.assign(ys.begin() + g * num_subsets, ys.begin() + (g + 1) * num_subsets);
     GUS_ASSIGN_OR_RETURN(const double var,
                          SampleVariance(gus, gus, y, &y_hat));
@@ -316,10 +329,8 @@ std::string GroupedSumBuilder::SerializeState() const {
   for (const std::string* s : dict) w.PutString(*s);
 
   // Each group's rows, in row order.
-  std::vector<std::vector<size_t>> rows_of(keys_.size());
-  for (size_t i = 0; i < group_of_.size(); ++i) {
-    rows_of[group_of_[i]].push_back(i);
-  }
+  std::vector<int64_t> order, ends;
+  RowsByGroup(group_of_, keys_.size(), &order, &ends);
 
   w.PutU64(ordered.size());
   for (uint32_t g : ordered) {
@@ -340,11 +351,13 @@ std::string GroupedSumBuilder::SerializeState() const {
     }
     // Groups share the builder's analysis schema, so only the row data
     // travels (no per-group schema repeat).
-    w.PutU64(rows_of[g].size());
+    const std::span<const int64_t> group_rows(
+        order.data() + (g == 0 ? 0 : ends[g - 1]), order.data() + ends[g]);
+    w.PutU64(group_rows.size());
     for (int d = 0; d < schema.arity(); ++d) {
-      for (size_t i : rows_of[g]) w.PutU64(rows_.lineage[d][i]);
+      for (int64_t i : group_rows) w.PutU64(rows_.lineage[d][i]);
     }
-    for (size_t i : rows_of[g]) w.PutDouble(rows_.f[i]);
+    for (int64_t i : group_rows) w.PutDouble(rows_.f[i]);
   }
   return w.Take();
 }

@@ -51,7 +51,7 @@ Result<std::vector<GroupEstimate>> GroupedSumEstimate(
 /// mergeable across partitions.
 ///
 /// The rows are held once, in arrival order, each with its dense group
-/// index; Finish estimates every group from one keyed y_S pass. Consuming a
+/// index; Finish hands y_S each group's rows as one slice. Consuming a
 /// batch stream and calling Finish is bit-identical to GroupedSumEstimate
 /// over the materialized relation; merging split builders in partition
 /// order is bit-identical to the unsplit builder (each group's rows stay in

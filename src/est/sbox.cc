@@ -46,9 +46,9 @@ Result<SboxReport> SboxEstimate(const GusParams& gus, const SampleView& sample,
 
   GUS_RETURN_NOT_OK(SetSboxVariance(
       gus, options, sample, sample.num_rows(),
-      [&](int64_t i) {
+      [&](int64_t i, double p) {
         return SubsampleUnit(options.subsample->seed, gus.schema().arity(),
-                             [&](int d) { return sample.lineage[d][i]; });
+                             [&](int d) { return sample.lineage[d][i]; }, p);
       },
       &report));
   return report;

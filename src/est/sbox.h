@@ -45,11 +45,13 @@ double SubsampleRate(int64_t target_rows, int64_t rows, int arity);
 /// \brief The Section 7 sub-sampler's draw for one row: the largest of its
 /// per-dimension units LineageUnitValue(HashCombine(seed, d), id(d)), one
 /// pseudo-random function per base relation. The row survives rate p iff
-/// the draw is < p, that is iff every dimension's unit is.
+/// the draw is < p, that is iff every dimension's unit is. The draw stops
+/// at the first unit >= `stop`, so SubsampleUnit(seed, arity, id, p) < p is
+/// the survival test itself.
 template <typename IdAt>
-double SubsampleUnit(uint64_t seed, int arity, IdAt id) {
+double SubsampleUnit(uint64_t seed, int arity, IdAt id, double stop = 1.0) {
   double u = 0.0;
-  for (int d = 0; d < arity; ++d) {
+  for (int d = 0; d < arity && u < stop; ++d) {
     const uint64_t dim_seed = HashCombine(seed, static_cast<uint64_t>(d));
     u = std::max(u, LineageUnitValue(dim_seed, id(d)));
   }

@@ -294,9 +294,9 @@ Result<SboxReport> StreamingSboxEstimator::Finish() {
   report.estimate = sum_f / gus_.a();
 
   // The same variance as SboxEstimate, from the retained rows' draws.
-  GUS_RETURN_NOT_OK(SetSboxVariance(gus_, options_, retained_, rows_seen_,
-                                    [this](int64_t i) { return ustar_[i]; },
-                                    &report));
+  GUS_RETURN_NOT_OK(SetSboxVariance(
+      gus_, options_, retained_, rows_seen_,
+      [this](int64_t i, double) { return ustar_[i]; }, &report));
   return report;
 }
 
@@ -366,30 +366,27 @@ Result<SboxReport> StreamingSboxEstimator::FinishDegraded(
   // row pairs, so y_S(merged) - sum_k y_S(shard k) is exactly the
   // cross-shard pair mass.
   SampleView& held = shard_states[0].retained_;
-  std::vector<uint32_t> shard;
-  std::vector<int64_t> survivors;
+  std::vector<int64_t> survivors, shard_ends;
   for (size_t k = 0; k < shard_states.size(); ++k) {
     StreamingSboxEstimator& s = shard_states[k];
+    const int64_t at = k == 0 ? 0 : held.num_rows();
     for (int64_t i = 0; i < s.retained_.num_rows(); ++i) {
       if (subsampled && s.ustar_[i] >= p_per_dim) continue;
-      survivors.push_back(static_cast<int64_t>(shard.size()) + i);
+      survivors.push_back(at + i);
     }
     if (k > 0) GUS_RETURN_NOT_OK(held.Merge(std::move(s.retained_)));
-    shard.resize(static_cast<size_t>(held.num_rows()),
-                 static_cast<uint32_t>(k));
+    shard_ends.push_back(static_cast<int64_t>(survivors.size()));
   }
   YsInput input = YsInput::Of(held);
   input.sel = survivors.data();
   input.rows = static_cast<int64_t>(survivors.size());
-  input.key = shard.data();
-  input.num_keys = static_cast<uint32_t>(shard_states.size());
-  const std::vector<double> y_shards = ComputeAllYS(input);
+  const std::vector<double> y_shards =
+      ComputeAllYSOfSlices(input, shard_ends);
   const size_t num_subsets = base.schema().num_subsets();
   std::vector<double> y_within(num_subsets, 0.0);
   for (size_t i = 0; i < y_shards.size(); ++i) {
     y_within[i % num_subsets] += y_shards[i];  // in shard order
   }
-  input.key = nullptr;
   const std::vector<double> y_merged = ComputeAllYS(input);
   report.variance_rows = input.rows;
   report.analysis_gus = analysis;

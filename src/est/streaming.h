@@ -154,9 +154,8 @@ class StreamingSboxEstimator final : public BatchSink {
   /// degraded CI is honestly wider on average than the complete one.
   ///
   /// The retained rows are concatenated once, in shard order. Over the
-  /// final Section 7 survivors, a y_S pass keyed by shard gives the
-  /// within-shard tables (summed in shard order), an unkeyed pass the
-  /// merged table.
+  /// final Section 7 survivors, each shard's slice gives its within-shard
+  /// table (summed in shard order) and all of them the merged table.
   /// Requires 2 <= surviving < total (one survivor has no between-shard
   /// variance; the caller refuses that case) and shard states over one
   /// schema/design, in shard order.

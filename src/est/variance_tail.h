@@ -39,7 +39,8 @@ Status SetVariance(double variance, double level, BoundKind kind,
 
 /// The SBox variance of `rows` (report->estimate set) after `rows_seen`
 /// rows reached the aggregate. Under Section 7, y_S reads in place the rows
-/// whose draw unit(i) is below the rate for `rows_seen` rows.
+/// whose draw unit(i, p) is below the rate p for `rows_seen` rows (a draw
+/// may stop early once it reaches p).
 template <typename UnitAt>
 Status SetSboxVariance(const GusParams& gus, const SboxOptions& options,
                        const SampleView& rows, int64_t rows_seen,
@@ -52,7 +53,7 @@ Status SetSboxVariance(const GusParams& gus, const SboxOptions& options,
     const double p_per_dim = SubsampleRate(options.subsample->target_rows,
                                            rows_seen, gus.schema().arity());
     for (int64_t i = 0; i < rows.num_rows(); ++i) {
-      if (unit(i) < p_per_dim) survivors.push_back(i);
+      if (unit(i, p_per_dim) < p_per_dim) survivors.push_back(i);
     }
     input.sel = survivors.data();
     input.rows = static_cast<int64_t>(survivors.size());

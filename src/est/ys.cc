@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 
 #include "util/hash.h"
 #include "util/logging.h"
@@ -14,59 +13,37 @@ namespace {
 constexpr uint32_t kEmpty = ~uint32_t{0};
 
 /// The groups of one agreement mask: ids[i] is row i's group, numbered 0,
-/// 1, ... in order of each group's first row. ids == nullptr is the
-/// identity (row i alone in group i). The groups of key bucket b are
-/// [first[b], first[b + 1]).
+/// 1, ... in order of each group's first row. ids == nullptr needs no ids:
+/// row i alone in group i (groups == rows), or every row in group 0
+/// (groups == 1, mask 0).
 struct Grouping {
   const uint32_t* ids = nullptr;
   uint32_t groups = 0;
-  const uint32_t* first = nullptr;
 };
 
-/// Groups an input's rows by (outer key, exact projected lineage), with one
-/// scratch for every mask. The rows are read bucketed by key (a stable
-/// counting sort; one bucket without a key), and as no group spans two
-/// buckets, each bucket gets a hash table of its own, sized to it.
+/// Groups a slice of an input's rows by exact projected lineage, with one
+/// scratch for every mask and every slice.
 class LineageGrouper {
  public:
   explicit LineageGrouper(const YsInput& in)
-      : rows_(in.rows),
+      : in_(in),
         arity_(static_cast<int>(in.lineage.size())),
-        lineage_(in.lineage),
-        sel_(in.sel),
         dims_(arity_),
         dim_ids_(arity_),
-        dim_first_(arity_),
         dim_done_(arity_, false),
         level_ids_(std::max(arity_ - 1, 0)),
-        level_first_(level_ids_.size()),
-        keys_(static_cast<size_t>(rows_)) {
+        keys_(static_cast<size_t>(in.rows)) {
     // Group ids are 32-bit and kEmpty marks a free slot.
-    GUS_CHECK(rows_ < int64_t{kEmpty});
-    if (in.key == nullptr) {
-      bucket_first_ = {0};
-      if (rows_ > 0) {
-        bucket_first_.push_back(static_cast<uint32_t>(rows_));
-        bucket_keys_ = {0};
-      }
-      return;
-    }
-    // Stable counting sort of the rows by key; empty keys get no bucket.
-    std::vector<uint32_t> next(size_t{in.num_keys} + 1, 0);
-    for (int64_t i = 0; i < rows_; ++i) ++next[in.key[ColumnRow(i)] + 1];
-    bucket_first_ = {0};
-    for (uint32_t k = 0; k < in.num_keys; ++k) {
-      if (next[k + 1] == 0) continue;
-      bucket_keys_.push_back(k);
-      bucket_first_.push_back(bucket_first_.back() + next[k + 1]);
-    }
-    for (uint32_t k = 0; k < in.num_keys; ++k) next[k + 1] += next[k];
-    order_.resize(static_cast<size_t>(rows_));
-    for (int64_t i = 0; i < rows_; ++i) {
-      const int64_t r = ColumnRow(i);
-      order_[next[in.key[r]]++] = r;
-    }
-    sel_ = order_.data();
+    GUS_CHECK(in.rows < int64_t{kEmpty});
+  }
+
+  /// Reads input rows [begin, end) from here on.
+  void Reset(int64_t begin, int64_t end) {
+    GUS_CHECK(0 <= begin && begin <= end && end <= in_.rows);
+    rows_ = end - begin;
+    sel_ = in_.sel == nullptr ? nullptr : in_.sel + begin;
+    base_ = in_.sel == nullptr ? begin : 0;
+    std::fill(dim_done_.begin(), dim_done_.end(), false);
   }
 
   /// Calls visit(mask, grouping) once for each of the 2^n masks. A mask
@@ -86,9 +63,10 @@ class LineageGrouper {
   /// indexed by group id.
   const double* Sums(const Grouping& g, const double* v,
                      std::vector<double>* sums) const {
+    if (v != nullptr) v += base_;
     // A singleton's sum 0.0 + v[i] differs from v[i] only in the sign of a
     // zero, which no product folded into y can show.
-    if (g.ids == nullptr && v != nullptr && sel_ == nullptr) return v;
+    if (g.groups == rows_ && v != nullptr && sel_ == nullptr) return v;
     sums->assign(g.groups, 0.0);
     double* s = sums->data();
     const int64_t* sel = sel_;
@@ -102,36 +80,19 @@ class LineageGrouper {
     return s;
   }
 
-  /// Entry `mask` of each key's table: its groups' a[k] * b[k], folded in
-  /// group order.
-  void Fold(SubsetMask mask, const Grouping& g, const double* a,
-            const double* b, std::vector<double>* ys) const {
-    for (size_t k = 0; k < bucket_keys_.size(); ++k) {
-      double y = 0.0;
-      for (uint32_t j = g.first[k]; j < g.first[k + 1]; ++j) y += a[j] * b[j];
-      (*ys)[(size_t{bucket_keys_[k]} << arity_) | mask] = y;
-    }
-  }
-
  private:
   static SubsetMask Bit(int d) { return SubsetMask{1} << d; }
 
-  int64_t ColumnRow(int64_t i) const { return sel_ == nullptr ? i : sel_[i]; }
-
   template <typename ValueAt>
   void AddByGroup(const Grouping& g, ValueAt value_at, double* sums) const {
-    if (g.ids == nullptr) {
+    if (g.groups == 1) {
+      // One group: sum in a register, not through a store and reload of
+      // one slot per row.
+      double t = 0.0;
+      for (int64_t i = 0; i < rows_; ++i) t += value_at(i);
+      sums[0] = t;
+    } else if (g.ids == nullptr) {
       for (int64_t i = 0; i < rows_; ++i) sums[i] += value_at(i);
-    } else if (g.groups == bucket_keys_.size()) {
-      // Each bucket is one group (mask 0, say): sum it in a register, not
-      // through a store and reload of one slot per row.
-      for (size_t b = 0; b < bucket_keys_.size(); ++b) {
-        double t = 0.0;
-        for (int64_t i = bucket_first_[b]; i < bucket_first_[b + 1]; ++i) {
-          t += value_at(i);
-        }
-        sums[b] = t;
-      }
     } else {
       for (int64_t i = 0; i < rows_; ++i) sums[g.ids[i]] += value_at(i);
     }
@@ -142,42 +103,28 @@ class LineageGrouper {
               Visit& visit) {
     for (int t = top + 1; t < arity_; ++t) {
       const SubsetMask m = prefix | Bit(t);
-      const Grouping child =
-          Combine(g, Dim(t), &level_ids_[level], &level_first_[level]);
+      const Grouping child = Combine(g, Dim(t), &level_ids_[level]);
       visit(m, child);
       Extend(m, t, child, level + 1, visit);
     }
   }
 
-  Grouping Identity() const {
-    return {nullptr, static_cast<uint32_t>(rows_), bucket_first_.data()};
-  }
+  Grouping Identity() const { return {nullptr, static_cast<uint32_t>(rows_)}; }
 
-  /// Mask 0: each bucket is one group.
-  Grouping All() {
-    const auto groups = static_cast<uint32_t>(bucket_keys_.size());
-    if (groups == rows_) return Identity();
-    all_ids_.resize(static_cast<size_t>(rows_));
-    all_first_.resize(size_t{groups} + 1);
-    std::iota(all_first_.begin(), all_first_.end(), 0u);
-    for (uint32_t b = 0; b < groups; ++b) {
-      std::fill(all_ids_.begin() + bucket_first_[b],
-                all_ids_.begin() + bucket_first_[b + 1], b);
-    }
-    return {all_ids_.data(), groups, all_first_.data()};
-  }
+  /// Mask 0: every row in group 0.
+  Grouping All() const { return {nullptr, rows_ == 0 ? 0u : 1u}; }
 
-  /// The grouping of dimension d alone, densified once per call.
+  /// The grouping of dimension d alone, densified once per slice.
   Grouping Dim(int d) {
     if (!dim_done_[d]) {
-      const uint64_t* col = lineage_[d];
+      const uint64_t* col = in_.lineage[d] + base_;
       const int64_t* sel = sel_;
       dims_[d] =
           sel == nullptr
               ? Densify(rows_, [col](int64_t i) { return col[i]; },
-                        &dim_ids_[d], &dim_first_[d])
+                        &dim_ids_[d])
               : Densify(rows_, [col, sel](int64_t i) { return col[sel[i]]; },
-                        &dim_ids_[d], &dim_first_[d]);
+                        &dim_ids_[d]);
       dim_done_[d] = true;
     }
     return dims_[d];
@@ -185,8 +132,7 @@ class LineageGrouper {
 
   /// Prefix and top dense ids are below 2^32, so
   /// prefix * groups(top) + top is an exact 64-bit key for the pair.
-  Grouping Combine(Grouping prefix, Grouping top, std::vector<uint32_t>* out,
-                   std::vector<uint32_t>* first) {
+  Grouping Combine(Grouping prefix, Grouping top, std::vector<uint32_t>* out) {
     // Singleton groups stay singletons under any refinement.
     if (prefix.ids == nullptr || top.ids == nullptr) return Identity();
     const uint32_t* p = prefix.ids;
@@ -195,71 +141,62 @@ class LineageGrouper {
     return Densify(
         std::min<uint64_t>(static_cast<uint64_t>(rows_),
                            uint64_t{prefix.groups} * width),
-        [p, q, width](int64_t i) { return p[i] * width + q[i]; }, out,
-        first);
+        [p, q, width](int64_t i) { return p[i] * width + q[i]; }, out);
   }
 
-  /// Numbers the distinct values of key_at(i) within each bucket, in order
-  /// of first row, by linear probing that compares the keys themselves.
+  /// Numbers the distinct values of key_at(i) in order of first row, by
+  /// linear probing that compares the keys themselves.
   template <typename KeyAt>
   Grouping Densify(uint64_t max_groups, KeyAt key_at,
-                   std::vector<uint32_t>* out, std::vector<uint32_t>* first) {
+                   std::vector<uint32_t>* out) {
+    const uint64_t capacity =
+        std::bit_ceil(std::max<uint64_t>(2 * max_groups, 16));
+    const uint64_t slot_mask = capacity - 1;
+    slots_.assign(capacity, kEmpty);
     out->resize(static_cast<size_t>(rows_));
-    first->resize(bucket_first_.size());
+    uint32_t* slots = slots_.data();
     uint32_t* ids = out->data();
     uint64_t* keys = keys_.data();
     uint32_t groups = 0;
-    for (size_t b = 0; b + 1 < bucket_first_.size(); ++b) {
-      const int64_t begin = bucket_first_[b], end = bucket_first_[b + 1];
-      const uint64_t capacity = std::bit_ceil(std::max<uint64_t>(
-          2 * std::min<uint64_t>(max_groups, end - begin), 16));
-      const uint64_t slot_mask = capacity - 1;
-      slots_.assign(capacity, kEmpty);
-      uint32_t* slots = slots_.data();
-      (*first)[b] = groups;
-      for (int64_t i = begin; i < end; ++i) {
-        const uint64_t key = key_at(i);
-        uint64_t s = Mix64(key) & slot_mask;
-        uint32_t gid = slots[s];
-        while (gid != kEmpty && keys[gid] != key) {
-          s = (s + 1) & slot_mask;
-          gid = slots[s];
-        }
-        if (gid == kEmpty) {
-          gid = groups++;
-          slots[s] = gid;
-          keys[gid] = key;
-        }
-        ids[i] = gid;
+    for (int64_t i = 0; i < rows_; ++i) {
+      const uint64_t key = key_at(i);
+      uint64_t s = Mix64(key) & slot_mask;
+      uint32_t gid = slots[s];
+      while (gid != kEmpty && keys[gid] != key) {
+        s = (s + 1) & slot_mask;
+        gid = slots[s];
       }
+      if (gid == kEmpty) {
+        gid = groups++;
+        slots[s] = gid;
+        keys[gid] = key;
+      }
+      ids[i] = gid;
     }
-    first->back() = groups;
     // All distinct: first-occurrence numbering is the row index.
     if (groups == rows_) return Identity();
-    return {ids, groups, first->data()};
+    return {ids, groups};
   }
 
-  const int64_t rows_;
+  const YsInput& in_;
   const int arity_;
-  const std::vector<const uint64_t*>& lineage_;
-  const int64_t* sel_;             // the rows read, in bucket order
-  std::vector<int64_t> order_;     // the keyed input's rows, by key
-  std::vector<uint32_t> bucket_first_;  // first row of each bucket, and end
-  std::vector<uint32_t> bucket_keys_;   // key of each bucket
-  std::vector<uint32_t> all_ids_, all_first_;
+  int64_t rows_ = 0;
+  const int64_t* sel_ = nullptr;  // the slice's selection, or null
+  int64_t base_ = 0;              // the slice's first column row, unselected
   std::vector<Grouping> dims_;
-  std::vector<std::vector<uint32_t>> dim_ids_, dim_first_;
+  std::vector<std::vector<uint32_t>> dim_ids_;
   std::vector<bool> dim_done_;
   // Level k - 2 holds masks of popcount k >= 2.
-  std::vector<std::vector<uint32_t>> level_ids_, level_first_;
+  std::vector<std::vector<uint32_t>> level_ids_;
   std::vector<uint32_t> slots_;  // group id per slot, or kEmpty
   std::vector<uint64_t> keys_;   // key per group id
 };
 
-/// Zeroed tables, one per key.
-std::vector<double> KeyTables(const YsInput& in) {
-  const size_t keys = in.key == nullptr ? 1 : in.num_keys;
-  return std::vector<double>(keys << in.lineage.size(), 0.0);
+/// The groups' a[j] * b[j], folded in group order.
+double Fold(const Grouping& g, const double* a, const double* b) {
+  double y = 0.0;
+  for (uint32_t j = 0; j < g.groups; ++j) y += a[j] * b[j];
+  return y;
 }
 
 }  // namespace
@@ -273,29 +210,45 @@ YsInput YsInput::Of(const SampleView& view) {
 }
 
 std::vector<double> ComputeAllYS(const YsInput& in) {
+  return ComputeAllYSOfSlices(in, {&in.rows, 1});
+}
+
+std::vector<double> ComputeAllYSOfSlices(const YsInput& in,
+                                         std::span<const int64_t> ends) {
   // Even the full mask groups by lineage: block-sampled relations share a
   // lineage id across all rows of a block, so agreement on the entire
   // lineage schema does not imply row identity.
-  std::vector<double> ys = KeyTables(in);
+  const size_t num_subsets = size_t{1} << in.lineage.size();
+  std::vector<double> ys(ends.size() * num_subsets, 0.0);
   LineageGrouper grouper(in);
   std::vector<double> sums;
-  grouper.ForEachMask([&](SubsetMask m, const Grouping& g) {
-    const double* s = grouper.Sums(g, in.f, &sums);
-    grouper.Fold(m, g, s, s, &ys);
-  });
+  int64_t begin = 0;
+  for (size_t k = 0; k < ends.size(); ++k) {
+    grouper.Reset(begin, ends[k]);
+    double* table = ys.data() + k * num_subsets;
+    grouper.ForEachMask([&](SubsetMask m, const Grouping& g) {
+      const double* s = grouper.Sums(g, in.f, &sums);
+      table[m] = Fold(g, s, s);
+    });
+    begin = ends[k];
+  }
   return ys;
 }
 
 YsGram ComputeAllYSGram(const YsInput& in, const double* g) {
-  YsGram gram{KeyTables(in), KeyTables(in), KeyTables(in)};
+  const size_t num_subsets = size_t{1} << in.lineage.size();
+  YsGram gram{std::vector<double>(num_subsets),
+              std::vector<double>(num_subsets),
+              std::vector<double>(num_subsets)};
   LineageGrouper grouper(in);
+  grouper.Reset(0, in.rows);
   std::vector<double> sums_f, sums_g;
   grouper.ForEachMask([&](SubsetMask m, const Grouping& grouping) {
     const double* sf = grouper.Sums(grouping, in.f, &sums_f);
     const double* sg = grouper.Sums(grouping, g, &sums_g);
-    grouper.Fold(m, grouping, sf, sf, &gram.ff);
-    grouper.Fold(m, grouping, sf, sg, &gram.fg);
-    grouper.Fold(m, grouping, sg, sg, &gram.gg);
+    gram.ff[m] = Fold(grouping, sf, sf);
+    gram.fg[m] = Fold(grouping, sf, sg);
+    gram.gg[m] = Fold(grouping, sg, sg);
   });
   return gram;
 }

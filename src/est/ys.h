@@ -11,26 +11,23 @@
 // between the SUM and COUNT estimators; y_S = y_S^{f,f}.
 //
 // Input. A YsInput reads the rows where they already are: one pointer per
-// lineage column, an f pointer (null reads f ≡ 1, COUNT), an optional row
-// selection (the Section 7 survivors) and an optional dense outer key
-// (a GROUP BY group, a shard). Nothing is copied to feed the kernel.
+// lineage column, an f pointer (null reads f ≡ 1, COUNT) and an optional
+// row selection (the Section 7 survivors). Nothing is copied to feed the
+// kernel.
 //
 // Grouping is exact: rows fall into one group iff their projected lineage
-// ids (and outer keys) are equal, compared id for id (no hash of the tuple
-// stands in for it, so distinct tuples never merge). Groups are numbered in
-// order of their first input row, the sums within a group accumulate in
-// input-row order, and the squares (products) fold in group-number order.
-// Every number is therefore a function of the input rows in their order
-// alone. All engines hand the estimator the same rows in the same order,
-// so they all compute the same bits.
+// ids are equal, compared id for id (no hash of the tuple stands in for it,
+// so distinct tuples never merge). Groups are numbered in order of their
+// first input row, the sums within a group accumulate in input-row order,
+// and the squares (products) fold in group-number order. Every number is
+// therefore a function of the input rows in their order alone. All engines
+// hand the estimator the same rows in the same order, so they all compute
+// the same bits.
 //
-// Keyed fold. With an outer key, mask S groups (key, S) in one pass: the
-// rows are read bucketed by key (a stable counting sort, so each key's rows
-// keep their input order), and since no group spans two keys each bucket
-// is grouped by S with a hash table of its own. Each key's products fold
-// into that key's table in group-number order. A key's groups are numbered
-// in order of their first row among that key's rows, so key k's table is
-// bit for bit the table of the input restricted to key k's rows.
+// Slices. ComputeAllYSOfSlices cuts the input rows into consecutive slices
+// (a GROUP BY group's rows, a shard's) and gives each slice the table
+// ComputeAllYS gives that slice alone, reusing one scratch for all of
+// them.
 //
 // One call groups every mask with one scratch: each single-dimension
 // grouping densifies the raw ids once, and a larger mask m densifies the
@@ -43,6 +40,7 @@
 #define GUS_EST_YS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "est/sample_view.h"
@@ -61,17 +59,19 @@ struct YsInput {
   int64_t rows = 0;
   /// Optional row selection into the columns, in input order.
   const int64_t* sel = nullptr;
-  /// Optional outer key per column row, each below num_keys.
-  const uint32_t* key = nullptr;
-  uint32_t num_keys = 1;
 
   /// Every row of `view`, in order.
   static YsInput Of(const SampleView& view);
 };
 
-/// \brief All 2^n statistics of each key: entry (k << n) | mask is
-/// y_mask over key k's rows (k = 0 alone without a key).
+/// \brief All 2^n statistics: entry mask is y_mask over the input rows.
 std::vector<double> ComputeAllYS(const YsInput& in);
+
+/// \brief ComputeAllYS of each slice of the input rows: slice k is rows
+/// [k ? ends[k - 1] : 0, ends[k]) and its table is entries
+/// [k << n, (k + 1) << n). `ends` is nondecreasing, at most in.rows.
+std::vector<double> ComputeAllYSOfSlices(const YsInput& in,
+                                         std::span<const int64_t> ends);
 
 /// The three tables of a ratio's delta method, laid out as ComputeAllYS's.
 struct YsGram {

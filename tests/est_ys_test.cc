@@ -144,17 +144,17 @@ SampleView CopyRows(const SampleView& v, const std::vector<int64_t>& rows,
 }
 
 /// One input form over `v`: the rows `sel` (every row when empty), f and g
-/// (null: the constant 1) and an optional outer key per row of v.
+/// (null: the constant 1) and optional slice ends over those rows.
 struct Form {
   std::vector<int64_t> sel;
   bool f_is_one = false;
   bool g_is_one = false;
-  std::vector<uint32_t> key;
-  uint32_t num_keys = 1;
+  std::vector<int64_t> ends;
 };
 
-/// Checks ComputeAllYS and ComputeAllYSGram on `form` against the oracle
-/// run on each key's explicitly copied rows, bit for bit.
+/// Checks ComputeAllYS, ComputeAllYSGram and, with slice ends,
+/// ComputeAllYSOfSlices on `form` against the oracle run on explicitly
+/// copied rows (each slice's alone), bit for bit.
 void ExpectMatchesOracle(const SampleView& v, const std::vector<double>& g,
                          const Form& form) {
   std::vector<int64_t> rows = form.sel;
@@ -167,37 +167,66 @@ void ExpectMatchesOracle(const SampleView& v, const std::vector<double>& g,
     in.rows = static_cast<int64_t>(form.sel.size());
   }
   if (form.f_is_one) in.f = nullptr;
-  if (!form.key.empty()) {
-    in.key = form.key.data();
-    in.num_keys = form.num_keys;
-  }
   const std::vector<double> ones(v.f.size(), 1.0);
   const std::vector<double>& f_col = form.f_is_one ? ones : v.f;
   const std::vector<double>& g_col = form.g_is_one ? ones : g;
-  const std::vector<double> all = ComputeAllYS(in);
-  const YsGram gram = ComputeAllYSGram(in, form.g_is_one ? nullptr : g.data());
   const size_t num_subsets = v.schema.num_subsets();
-  ASSERT_EQ(form.num_keys * num_subsets, all.size());
-  ASSERT_EQ(all.size(), gram.fg.size());
-  for (uint32_t k = 0; k < form.num_keys; ++k) {
-    std::vector<int64_t> key_rows;
-    for (const int64_t r : rows) {
-      if (form.key.empty() || form.key[r] == k) key_rows.push_back(r);
-    }
-    const SampleView cf = CopyRows(v, key_rows, f_col);
-    const SampleView cg = CopyRows(v, key_rows, g_col);
+  {
+    const std::vector<double> all = ComputeAllYS(in);
+    const YsGram gram =
+        ComputeAllYSGram(in, form.g_is_one ? nullptr : g.data());
+    ASSERT_EQ(num_subsets, all.size());
+    ASSERT_EQ(num_subsets, gram.fg.size());
+    const SampleView cf = CopyRows(v, rows, f_col);
+    const SampleView cg = CopyRows(v, rows, g_col);
     const std::vector<double> want = OracleAllYs(cf, cf.f);
     const std::vector<double> want_fg = OracleAllYs(cf, cg.f);
     const std::vector<double> want_gg = OracleAllYs(cg, cg.f);
     for (SubsetMask m = 0; m < num_subsets; ++m) {
-      SCOPED_TRACE(::testing::Message() << "key " << k << " mask " << m);
-      const size_t at = k * num_subsets + m;
-      EXPECT_EQ(want[m], all[at]);
-      EXPECT_EQ(want[m], gram.ff[at]);
-      EXPECT_EQ(want_fg[m], gram.fg[at]);
-      EXPECT_EQ(want_gg[m], gram.gg[at]);
+      SCOPED_TRACE(::testing::Message() << "mask " << m);
+      EXPECT_EQ(want[m], all[m]);
+      EXPECT_EQ(want[m], gram.ff[m]);
+      EXPECT_EQ(want_fg[m], gram.fg[m]);
+      EXPECT_EQ(want_gg[m], gram.gg[m]);
     }
   }
+  if (form.ends.empty()) return;
+  const std::vector<double> sliced = ComputeAllYSOfSlices(in, form.ends);
+  ASSERT_EQ(form.ends.size() * num_subsets, sliced.size());
+  int64_t begin = 0;
+  for (size_t k = 0; k < form.ends.size(); ++k) {
+    const std::vector<int64_t> slice_rows(rows.begin() + begin,
+                                          rows.begin() + form.ends[k]);
+    begin = form.ends[k];
+    const SampleView cf = CopyRows(v, slice_rows, f_col);
+    const std::vector<double> want = OracleAllYs(cf, cf.f);
+    for (SubsetMask m = 0; m < num_subsets; ++m) {
+      SCOPED_TRACE(::testing::Message() << "slice " << k << " mask " << m);
+      EXPECT_EQ(want[m], sliced[k * num_subsets + m]);
+    }
+  }
+}
+
+/// The slices form GROUP BY builds: `rows` (every row of v when empty)
+/// stably sorted by a random key below num_keys, one slice per key (empty
+/// keys give empty slices).
+Form KeySlices(const SampleView& v, std::vector<int64_t> rows,
+               uint32_t num_keys, Rng* rng) {
+  if (rows.empty()) {
+    for (int64_t i = 0; i < v.num_rows(); ++i) rows.push_back(i);
+  }
+  std::vector<uint32_t> key(rows.size());
+  for (uint32_t& k : key) {
+    k = static_cast<uint32_t>(rng->UniformInt(uint64_t{num_keys}));
+  }
+  Form form;
+  for (uint32_t k = 0; k < num_keys; ++k) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (key[i] == k) form.sel.push_back(rows[i]);
+    }
+    form.ends.push_back(static_cast<int64_t>(form.sel.size()));
+  }
+  return form;
 }
 
 TEST(YsTest, MatchesOrderedOracleBitForBit) {
@@ -233,16 +262,11 @@ TEST(YsTest, MatchesOrderedOracleBitForBit) {
         ExpectMatchesOracle(v, g, form);
       }
       for (const uint32_t num_keys : {1u, 7u, 600u}) {
-        SCOPED_TRACE(::testing::Message() << num_keys << " keys");
-        Form keyed;
-        keyed.num_keys = num_keys;
-        for (int64_t i = 0; i < v.num_rows(); ++i) {
-          keyed.key.push_back(
-              static_cast<uint32_t>(rng.UniformInt(uint64_t{num_keys})));
-        }
-        ExpectMatchesOracle(v, g, keyed);
-        keyed.sel = sel;
-        ExpectMatchesOracle(v, g, keyed);
+        SCOPED_TRACE(::testing::Message() << num_keys << " key slices");
+        ExpectMatchesOracle(v, g, KeySlices(v, {}, num_keys, &rng));
+        Form selected_slices = KeySlices(v, sel, num_keys, &rng);
+        selected_slices.f_is_one = true;
+        ExpectMatchesOracle(v, g, selected_slices);
       }
     }
   }

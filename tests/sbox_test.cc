@@ -4,12 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
+#include "algebra/translate.h"
 #include "data/tpch_gen.h"
 #include "data/workload.h"
+#include "est/streaming.h"
 #include "est/variance.h"
 #include "mc/monte_carlo.h"
+#include "rel/column_batch.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace gus {
 namespace {
@@ -189,6 +194,51 @@ TEST(SboxTest, SubsampleNotTriggeredBelowTarget) {
   ASSERT_OK_AND_ASSIGN(SboxReport report,
                        SboxEstimate(soa.top, view, options));
   EXPECT_EQ(report.sample_rows, report.variance_rows);
+}
+
+TEST(SboxTest, SubsampledEstimateMatchesStreamingFinish) {
+  // SboxEstimate stops a row's Section 7 draw at the first unit that
+  // reaches the rate; the streaming estimator keeps the whole draw. Both
+  // must keep the same survivors, so their reports agree bit for bit.
+  auto layout = std::make_shared<BatchLayout>();
+  layout->schema = Schema({{"f", ValueType::kFloat64}});
+  layout->lineage_schema = {"R", "S"};
+  const LineageSchema schema = LineageSchema::Make({"R", "S"}).ValueOrDie();
+  SampleView view;
+  view.schema = schema;
+  view.lineage.assign(2, {});
+  ColumnBatch batch(layout);
+  Rng rng(31);
+  const int64_t n = 3000;
+  for (int64_t i = 0; i < n; ++i) {
+    const double f = static_cast<double>(rng.UniformInt(uint64_t{64})) / 8.0;
+    const uint64_t r = rng.UniformInt(uint64_t{900});
+    const uint64_t s = rng.UniformInt(uint64_t{400});
+    ASSERT_OK(batch.mutable_column(0)->AppendValue(Value(f)));
+    batch.mutable_lineage()->push_back(r);
+    batch.mutable_lineage()->push_back(s);
+    view.f.push_back(f);
+    view.lineage[0].push_back(r);
+    view.lineage[1].push_back(s);
+  }
+  batch.SetNumRows(n);
+  const GusParams gus =
+      MultiDimBernoulliGus(schema, {{"R", 0.5}, {"S", 0.25}}).ValueOrDie();
+  SboxOptions options;
+  options.subsample = SubsampleConfig{/*target_rows=*/200, /*seed=*/99};
+
+  ASSERT_OK_AND_ASSIGN(SboxReport direct, SboxEstimate(gus, view, options));
+  ASSERT_OK_AND_ASSIGN(
+      StreamingSboxEstimator streaming,
+      StreamingSboxEstimator::Make(*layout, Col("f"), gus, options));
+  ASSERT_OK(streaming.Consume(batch));
+  ASSERT_OK_AND_ASSIGN(SboxReport streamed, streaming.Finish());
+
+  EXPECT_LT(direct.variance_rows, n);  // the sub-sampler really engaged
+  EXPECT_EQ(direct.variance_rows, streamed.variance_rows);
+  EXPECT_EQ(direct.estimate, streamed.estimate);
+  EXPECT_EQ(direct.variance, streamed.variance);
+  EXPECT_EQ(direct.y_hat, streamed.y_hat);
 }
 
 TEST(NaiveIidTest, PointEstimateMatchesSbox) {

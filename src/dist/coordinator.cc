@@ -366,9 +366,12 @@ std::vector<ShardOutcome> SuperviseShards(int num_shards,
       if (!IsRetryableShardFailure(outcome.status)) return;
     }
   };
+  // The last shard's loop runs on the calling thread, so one shard
+  // spawns nothing.
   std::vector<std::thread> loops;
   loops.reserve(outcomes.size());
-  for (int k = 0; k < num_shards; ++k) loops.emplace_back(supervise, k);
+  for (int k = 0; k + 1 < num_shards; ++k) loops.emplace_back(supervise, k);
+  if (num_shards > 0) supervise(num_shards - 1);
   for (std::thread& loop : loops) loop.join();
   return outcomes;
 }

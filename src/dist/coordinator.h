@@ -49,7 +49,7 @@ Status ValidateShardSamplerStates(
 
 /// \brief Serially pre-writes the lazy, not thread-safe columnar caches of
 /// every in-memory relation `plan` scans, so concurrent shard workers or
-/// daemon request threads can then share `catalog` read-only.
+/// daemon request workers can then share `catalog` read-only.
 ///
 /// Segment-backed relations stay on disk (their scans stream through the
 /// thread-safe pinned cache). The fingerprint cache is left to
@@ -81,10 +81,11 @@ using ShardAttemptFn = std::function<Result<std::string>(int shard)>;
 ///
 /// Runs `attempt(k)` for each shard k in [0, num_shards), each loop on its
 /// own plain thread — never a shared-pool task, whose held batch would
-/// stall an attempt that leases the pool. Retryable failures are
-/// re-attempted up to `retry.max_attempts` times after a deterministic
-/// backoff (jitter forked from (shard, attempt), so a fixed fault plan
-/// replays the same schedule); a fatal one ends the loop at once.
+/// stall an attempt that leases the pool — except the last shard's, which
+/// runs on the calling thread. Retryable failures are re-attempted up to
+/// `retry.max_attempts` times after a deterministic backoff (jitter
+/// forked from (shard, attempt), so a fixed fault plan replays the same
+/// schedule); a fatal one ends the loop at once.
 /// `attempt` must be safe to call concurrently for distinct shards.
 std::vector<ShardOutcome> SuperviseShards(int num_shards,
                                           const ShardRetryPolicy& retry,

@@ -1,6 +1,8 @@
 #include "serve/daemon.h"
 
+#include <algorithm>
 #include <optional>
+#include <system_error>
 #include <utility>
 
 #include "dist/coordinator.h"
@@ -11,6 +13,7 @@
 #include "stream/admission.h"
 #include "util/fault_inject.h"
 #include "util/hash.h"
+#include "util/thread_pool.h"
 
 namespace gus {
 
@@ -27,6 +30,21 @@ uint64_t ServedQueryFingerprint(const ServedQuery& query) {
     w.PutU64(query.sbox.subsample->seed);
   }
   return HashBytes(kFnv1aOffset, w.buffer().data(), w.buffer().size());
+}
+
+int WorkerDaemon::MaxRequestWorkers() {
+  // At least four, so a few slow shards never hold a small host's daemon.
+  static const int bound = std::max(4, ThreadPool::HardwareThreads());
+  return bound;
+}
+
+void WorkerDaemon::LiveConnection::Reply(ServeHeader header, ServeMsg type,
+                                         std::string_view body) {
+  header.type = type;
+  std::lock_guard<std::mutex> lock(write_mu);
+  // A failed write means the connection died; the reader notices on its
+  // next recv, so the error needs no separate handling.
+  (void)socket->SendFrame(EncodeServeMessage(header, body));
 }
 
 WorkerDaemon::WorkerDaemon(Catalog catalog) : catalog_(std::move(catalog)) {}
@@ -61,7 +79,7 @@ Result<Endpoint> WorkerDaemon::Start(const Endpoint& listen) {
   stopping_.store(false, std::memory_order_release);
   // Load once, serve many: the whole point of the daemon. The columnar
   // conversion, content fingerprints, and shard split geometry for every
-  // registered query are computed here, serially, so request threads
+  // registered query are computed here, serially, so request workers
   // afterwards share them read-only.
   if (!external_columnar_) {
     columnar_ = std::make_unique<ColumnarCatalog>(&catalog_);
@@ -104,7 +122,7 @@ void WorkerDaemon::Stop() {
     if (conn->socket != nullptr) conn->socket->Close();
   }
   std::thread accept = std::move(accept_thread_);
-  std::vector<std::unique_ptr<LiveConnection>> conns =
+  std::vector<std::shared_ptr<LiveConnection>> conns =
       std::move(connections_);
   connections_.clear();
   // The listener object must outlive the accept thread (it may be blocked
@@ -115,101 +133,154 @@ void WorkerDaemon::Stop() {
   for (auto& conn : conns) {
     if (conn->reader.joinable()) conn->reader.join();
   }
+  // No reader is left to dispatch: drop what waits; each worker exits
+  // once its request, if any, ends.
+  std::vector<std::unique_ptr<RequestWorker>> workers;
+  {
+    std::lock_guard<std::mutex> work(work_mu_);
+    queued_.clear();
+    workers.swap(workers_);
+  }
+  for (auto& worker : workers) worker->cv.notify_one();
+  for (auto& worker : workers) worker->thread.join();
+  idle_.clear();  // every thread that could touch it is joined
+}
+
+void WorkerDaemon::ReapConnections() {
+  std::erase_if(connections_, [](const std::shared_ptr<LiveConnection>& c) {
+    if (!c->finished) return false;
+    c->reader.join();
+    return true;
+  });
 }
 
 void WorkerDaemon::AcceptLoop(SocketListener* listener) {
   for (;;) {
     Result<std::unique_ptr<SocketConnection>> accepted = listener->Accept();
     if (!accepted.ok()) return;  // Close() ended the loop
-    auto conn = std::make_unique<LiveConnection>();
+    auto conn = std::make_shared<LiveConnection>();
     conn->socket = std::move(accepted).ValueOrDie();
-    conn->write_mu = std::make_shared<std::mutex>();
-    LiveConnection* raw = conn.get();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_.load(std::memory_order_acquire)) {
-        conn->socket->Close();
-        return;
-      }
-      conn->reader = std::thread([this, raw] { ConnectionLoop(raw); });
-      connections_.push_back(std::move(conn));
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stopping_.load(std::memory_order_acquire)) {
+      conn->socket->Close();
+      return;
     }
+    ReapConnections();
+    try {
+      conn->reader = std::thread([this, conn] { ConnectionLoop(conn); });
+    } catch (const std::system_error&) {
+      continue;  // refuse this peer (its socket closes here), serve the rest
+    }
+    connections_.push_back(std::move(conn));
   }
 }
 
-void WorkerDaemon::ConnectionLoop(LiveConnection* conn) {
-  std::shared_ptr<SocketConnection> socket = conn->socket;
-  std::shared_ptr<std::mutex> write_mu = conn->write_mu;
-  const auto reply = [socket, write_mu](const ServeHeader& header,
-                                        std::string_view body) {
-    std::lock_guard<std::mutex> lock(*write_mu);
-    // A failed response write means the connection died; the reader loop
-    // notices on its next recv, so the error needs no separate handling.
-    (void)socket->SendFrame(EncodeServeMessage(header, body));
-  };
+void WorkerDaemon::ConnectionLoop(const std::shared_ptr<LiveConnection>& conn) {
   for (;;) {
     bool clean_eof = false;
-    Result<std::string> frame = socket->RecvFrame(&clean_eof);
+    Result<std::string> frame = conn->socket->RecvFrame(&clean_eof);
     if (!frame.ok()) break;  // clean close and wire damage both end it
     Result<std::pair<ServeHeader, std::string_view>> decoded =
         DecodeServeMessage(frame.ValueOrDie());
     if (!decoded.ok()) {
-      ServeHeader err;
-      err.type = ServeMsg::kError;
-      reply(err, StatusToBytes(decoded.status()));
+      conn->Reply(ServeHeader{}, ServeMsg::kError,
+                  StatusToBytes(decoded.status()));
       continue;
     }
-    const ServeHeader header = decoded.ValueOrDie().first;
-    const std::string body(decoded.ValueOrDie().second);
+    const auto& [header, body] = decoded.ValueOrDie();
     switch (header.type) {
       case ServeMsg::kExecRequest: {
-        // Each request gets its own worker thread: responses leave in
-        // completion order, so one connection multiplexes sessions
-        // without head-of-line blocking.
-        conn->workers.emplace_back([this, header, body, reply] {
-          ServeHeader response = header;
-          Result<ExecShardRequest> req = ExecShardRequestFromBytes(body);
-          Result<std::string> bundle =
-              req.ok() ? HandleExec(req.ValueOrDie())
-                       : Result<std::string>(req.status());
-          if (bundle.ok()) {
-            response.type = ServeMsg::kExecResponse;
-            reply(response, bundle.ValueOrDie());
-          } else {
-            response.type = ServeMsg::kError;
-            reply(response, StatusToBytes(bundle.status()));
-          }
-        });
-        break;
-      }
-      case ServeMsg::kPlanInfoRequest: {
-        ServeHeader response = header;
-        Result<std::string> info = HandlePlanInfo(body);
-        if (info.ok()) {
-          response.type = ServeMsg::kPlanInfoResponse;
-          reply(response, info.ValueOrDie());
-        } else {
-          response.type = ServeMsg::kError;
-          reply(response, StatusToBytes(info.status()));
+        const Status taken = Dispatch(ExecJob{header, std::string(body), conn});
+        if (!taken.ok()) {
+          conn->Reply(header, ServeMsg::kError, StatusToBytes(taken));
         }
         break;
       }
-      default: {
-        ServeHeader response = header;
-        response.type = ServeMsg::kError;
-        reply(response,
-              StatusToBytes(Status::InvalidArgument(
-                  "daemon cannot handle this message type")));
+      case ServeMsg::kPlanInfoRequest: {
+        Result<std::string> info = HandlePlanInfo(body);
+        if (info.ok()) {
+          conn->Reply(header, ServeMsg::kPlanInfoResponse, info.ValueOrDie());
+        } else {
+          conn->Reply(header, ServeMsg::kError, StatusToBytes(info.status()));
+        }
         break;
       }
+      default:
+        conn->Reply(header, ServeMsg::kError,
+                    StatusToBytes(Status::InvalidArgument(
+                        "daemon cannot handle this message type")));
+        break;
     }
   }
-  for (std::thread& worker : conn->workers) {
-    if (worker.joinable()) worker.join();
+  conn->socket->Close();
+  std::lock_guard<std::mutex> lock(mu_);
+  ReapConnections();  // the ones that ended before this one
+  conn->finished = true;
+}
+
+Status WorkerDaemon::Dispatch(ExecJob job) {
+  std::unique_lock<std::mutex> lock(work_mu_);
+  if (!idle_.empty()) {
+    RequestWorker* worker = idle_.back();
+    idle_.pop_back();
+    worker->job = std::move(job);
+    lock.unlock();
+    worker->cv.notify_one();
+  } else if (workers_.size() < static_cast<size_t>(MaxRequestWorkers())) {
+    auto worker = std::make_unique<RequestWorker>();
+    worker->job = std::move(job);
+    try {
+      worker->thread =
+          std::thread(&WorkerDaemon::WorkerLoop, this, worker.get());
+    } catch (const std::system_error& e) {
+      return Status::Unavailable(
+          std::string("daemon cannot start a request worker: ") + e.what());
+    }
+    workers_.push_back(std::move(worker));
+  } else if (queued_.size() < kQueuedPerWorker * workers_.size()) {
+    queued_.push_back(std::move(job));
+  } else {
+    return Status::Unavailable(
+        "daemon overloaded: every request worker is busy, the queue is full");
+  }
+  return Status::OK();
+}
+
+void WorkerDaemon::WorkerLoop(RequestWorker* self) {
+  for (;;) {
+    std::unique_lock<std::mutex> lock(work_mu_);
+    self->cv.wait(lock, [&] {
+      return self->job.has_value() ||
+             stopping_.load(std::memory_order_acquire);
+    });
+    if (!self->job.has_value()) return;
+    ExecJob job = std::move(*self->job);
+    self->job.reset();
+    lock.unlock();
+    Result<std::string> bundle = HandleExec(job.body);
+    lock.lock();
+    // Take the next request, or go idle before the reply leaves: a
+    // client's next request then finds this worker instead of starting
+    // another (it waits at most for this send to finish).
+    if (!queued_.empty()) {
+      self->job = std::move(queued_.front());
+      queued_.pop_front();
+    } else {
+      idle_.push_back(self);
+    }
+    lock.unlock();
+    if (bundle.ok()) {
+      job.conn->Reply(job.header, ServeMsg::kExecResponse, *bundle);
+    } else {
+      job.conn->Reply(job.header, ServeMsg::kError,
+                      StatusToBytes(bundle.status()));
+    }
   }
 }
 
-Result<std::string> WorkerDaemon::HandleExec(const ExecShardRequest& req) {
+Result<std::string> WorkerDaemon::HandleExec(std::string_view body) {
+  GUS_ASSIGN_OR_RETURN(const ExecShardRequest req,
+                       ExecShardRequestFromBytes(body));
   // The PR 8 fault site: GUS_FAULT="serve.execute[@shard]=..." can fail,
   // delay, or kill a daemon mid-request.
   GUS_RETURN_NOT_OK(

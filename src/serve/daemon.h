@@ -6,12 +6,14 @@
 // caches for every registered query, then serves shard requests over
 // persistent framed connections (serve/protocol.h) until stopped.
 //
-// Concurrency model: one reader thread per connection; each exec request
-// runs on its own worker thread and writes its response under the
-// connection's write lock when it finishes — so responses interleave in
-// completion order, and one slow shard never blocks another session's
-// request on the same connection (the session header is what lets the
-// coordinator sort the answers out).
+// Concurrency model: one reader thread per connection. Exec requests go
+// to a bounded set of request workers started on demand, the most
+// recently idle first; with all busy they wait in a bounded FIFO, and
+// past that are refused at once with a retryable Unavailable. A worker
+// replies under the connection's write lock, so responses interleave in
+// completion order and one slow shard never blocks another session while
+// a worker is free (the session header sorts the answers out). An ended
+// connection is joined by the next accept or the next one to end.
 //
 // Fault participation (the PR 8 model): every exec request passes the
 // "serve.execute" fault site — GUS_FAULT plans can fail, delay, or kill
@@ -26,10 +28,13 @@
 #define GUS_SERVE_DAEMON_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -97,8 +102,8 @@ class WorkerDaemon {
   Result<Endpoint> Start(const Endpoint& listen);
 
   /// \brief Stops serving: closes the listener and every live
-  /// connection (clients see EOF mid-whatever), joins all threads.
-  /// Idempotent.
+  /// connection (clients see EOF mid-whatever), drops queued requests,
+  /// joins all threads. Idempotent.
   void Stop();
 
   /// Exec requests that ran to a response (cache tests pin this to prove
@@ -106,23 +111,57 @@ class WorkerDaemon {
   int64_t requests_served() const {
     return requests_served_.load(std::memory_order_relaxed);
   }
+  /// Request workers started and not yet joined (<= MaxRequestWorkers()).
+  int request_workers() const {
+    std::lock_guard<std::mutex> lock(work_mu_);
+    return static_cast<int>(workers_.size());
+  }
+  /// Connections held: live ones plus at most the last one to end.
+  int connections() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return static_cast<int>(connections_.size());
+  }
+
+  /// One request worker per hardware thread, at least four.
+  static int MaxRequestWorkers();
+  /// Requests that may wait in the FIFO, per worker, when all are busy.
+  static constexpr size_t kQueuedPerWorker = 32;
 
   const Endpoint& endpoint() const { return endpoint_; }
 
  private:
   struct LiveConnection {
-    std::shared_ptr<SocketConnection> socket;
-    std::shared_ptr<std::mutex> write_mu;
+    std::unique_ptr<SocketConnection> socket;
+    std::mutex write_mu;
+    bool finished = false;  // guarded by mu_; the reader is about to exit
     std::thread reader;
-    /// In-flight request threads; joined when the connection ends.
-    std::vector<std::thread> workers;
+    /// Sends one response frame under the write lock.
+    void Reply(ServeHeader header, ServeMsg type, std::string_view body);
+  };
+
+  struct ExecJob {
+    ServeHeader header;
+    std::string body;
+    std::shared_ptr<LiveConnection> conn;  // where the response goes
+  };
+
+  struct RequestWorker {
+    std::condition_variable cv;
+    std::optional<ExecJob> job;  // its own hand-off slot; under work_mu_
+    std::thread thread;
   };
 
   void AcceptLoop(SocketListener* listener);
-  void ConnectionLoop(LiveConnection* conn);
+  void ConnectionLoop(const std::shared_ptr<LiveConnection>& conn);
+  /// Joins and drops every ended connection (mu_ held).
+  void ReapConnections();
+  /// Hands `job` to the most recently idle worker, a new one, or the
+  /// FIFO; Unavailable when the FIFO is full or no thread could start.
+  Status Dispatch(ExecJob job);
+  void WorkerLoop(RequestWorker* self);
   /// Handles one exec request end-to-end; returns the response body
   /// (bundle bytes) or the error to send back.
-  Result<std::string> HandleExec(const ExecShardRequest& req);
+  Result<std::string> HandleExec(std::string_view body);
   Result<std::string> HandlePlanInfo(std::string_view body);
 
   Catalog catalog_;
@@ -133,10 +172,14 @@ class WorkerDaemon {
   std::map<std::string, ServedQuery> queries_;
   std::map<std::string, ServePlanInfo> plan_infos_;
 
-  std::mutex mu_;  // guards listener_, connections_, accept_thread_
+  mutable std::mutex mu_;  // guards listener_, connections_, accept_thread_
   std::unique_ptr<SocketListener> listener_;
   std::thread accept_thread_;
-  std::vector<std::unique_ptr<LiveConnection>> connections_;
+  std::vector<std::shared_ptr<LiveConnection>> connections_;
+  mutable std::mutex work_mu_;  // guards workers_, idle_, queued_
+  std::vector<std::unique_ptr<RequestWorker>> workers_;
+  std::vector<RequestWorker*> idle_;  // back() went idle most recently
+  std::deque<ExecJob> queued_;
   Endpoint endpoint_;
   std::atomic<bool> stopping_{false};
   std::atomic<int64_t> requests_served_{0};

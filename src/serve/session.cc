@@ -37,8 +37,13 @@ DaemonChannel::EnsureConnected() {
                                " is shut down");
   }
   if (current_ != nullptr) {
-    std::lock_guard<std::mutex> state(current_->mu);
+    std::unique_lock<std::mutex> state(current_->mu);
     if (!current_->dead) return current_;
+    state.unlock();
+    // KillConn shut its socket: its reader has exited or is on its way out.
+    current_->reader.join();
+    reader_threads_.fetch_sub(1, std::memory_order_relaxed);
+    current_.reset();
   }
   GUS_ASSIGN_OR_RETURN(std::unique_ptr<SocketConnection> socket,
                        SocketConnection::Connect(endpoint_));
@@ -46,7 +51,7 @@ DaemonChannel::EnsureConnected() {
   conn->socket = std::shared_ptr<SocketConnection>(std::move(socket));
   // The reader captures only the generation it serves (never `this`), so
   // a channel being torn down has no live references from reader threads
-  // beyond the joins Shutdown performs.
+  // beyond the joins EnsureConnected and Shutdown perform.
   conn->reader = std::thread([conn] {
     std::shared_ptr<SocketConnection> socket = conn->socket;
     for (;;) {
@@ -88,8 +93,8 @@ DaemonChannel::EnsureConnected() {
       pending->cv.notify_all();
     }
   });
+  reader_threads_.fetch_add(1, std::memory_order_relaxed);
   current_ = conn;
-  generations_.push_back(conn);
   return conn;
 }
 
@@ -180,17 +185,16 @@ Result<std::string> DaemonChannel::Call(ServeMsg request_type,
 }
 
 void DaemonChannel::Shutdown() {
-  std::vector<std::shared_ptr<ConnState>> generations;
+  std::shared_ptr<ConnState> conn;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     shutdown_ = true;
-    generations.swap(generations_);
-    current_.reset();
+    conn.swap(current_);
   }
-  for (auto& conn : generations) {
-    KillConn(conn, Status::Unavailable("channel shut down"));
-    if (conn->reader.joinable()) conn->reader.join();
-  }
+  if (conn == nullptr) return;
+  KillConn(conn, Status::Unavailable("channel shut down"));
+  conn->reader.join();
+  reader_threads_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 // ---- SessionCoordinator ----------------------------------------------------

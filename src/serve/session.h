@@ -79,11 +79,14 @@ class DaemonChannel {
                            std::string_view body, ServeMsg expected_response,
                            int64_t deadline_ms = 0);
 
-  /// Closes the connection and joins the reader threads. Idempotent;
+  /// Closes the connection and joins its reader thread. Idempotent;
   /// in-flight calls fail with Unavailable.
   void Shutdown();
 
   const Endpoint& endpoint() const { return endpoint_; }
+
+  /// Reader threads started and not yet joined (at most one).
+  int reader_threads() const { return reader_threads_.load(); }
 
  private:
   /// A parked Call() waiting for its response frame.
@@ -115,11 +118,10 @@ class DaemonChannel {
 
   const Endpoint endpoint_;
   std::atomic<uint64_t> next_request_{1};
-  std::mutex conn_mu_;  // guards current_, generations_, shutdown_
+  std::mutex conn_mu_;  // guards current_, shutdown_
   std::shared_ptr<ConnState> current_;
-  /// Every generation ever connected — kept for reader joins at Shutdown.
-  std::vector<std::shared_ptr<ConnState>> generations_;
   bool shutdown_ = false;
+  std::atomic<int> reader_threads_{0};
 };
 
 /// \brief One served query's knobs (the serving twin of ExecOptions).

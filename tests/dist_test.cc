@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algebra/translate.h"
@@ -674,6 +675,30 @@ TEST(FaultToleranceTest, RetryableVsFatalClassification) {
   EXPECT_FALSE(IsRetryableShardFailure(Status::InvalidArgument("x")));
   EXPECT_FALSE(IsRetryableShardFailure(Status::Internal("x")));
   EXPECT_FALSE(IsRetryableShardFailure(Status::OK()));
+}
+
+TEST(FaultToleranceTest, LastShardAttemptRunsOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const int num_shards : {1, 3}) {
+    std::vector<std::thread::id> ran(static_cast<size_t>(num_shards));
+    const std::vector<ShardOutcome> outcomes = SuperviseShards(
+        num_shards, ShardRetryPolicy{}, [&](int k) -> Result<std::string> {
+          ran[static_cast<size_t>(k)] = std::this_thread::get_id();
+          return std::to_string(k);
+        });
+    ASSERT_EQ(static_cast<size_t>(num_shards), outcomes.size());
+    for (int k = 0; k < num_shards; ++k) {
+      const ShardOutcome& outcome = outcomes[static_cast<size_t>(k)];
+      EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+      EXPECT_EQ(std::to_string(k), outcome.bundle);
+      EXPECT_EQ(1, outcome.attempts);
+      // The other shards still run concurrently, each on its own thread.
+      if (k + 1 < num_shards) {
+        EXPECT_NE(caller, ran[static_cast<size_t>(k)]);
+      }
+    }
+    EXPECT_EQ(caller, ran.back()) << num_shards << " shard(s)";
+  }
 }
 
 TEST(FaultToleranceTest, NoFaultMatchesShardedEstimate) {

@@ -27,6 +27,7 @@
 #include "data/workload.h"
 #include "dist/coordinator.h"
 #include "dist/shard.h"
+#include "est/wire.h"
 #include "plan/columnar_executor.h"
 #include "plan/exec_stats.h"
 #include "plan/soa_transform.h"
@@ -461,6 +462,169 @@ TEST(ServeTest, ConcurrentSessionsSurviveMidRunDaemonKill) {
   chaos.join();
   EXPECT_EQ(0, failures.load());
   coordinator.Shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Daemon resources: bounded request workers, reaped connections and
+// channel generations, back-pressure when every worker is busy
+// ---------------------------------------------------------------------
+
+/// A plan-info request body for `name`.
+std::string PlanInfoBody(const std::string& name) {
+  WireWriter w;
+  w.PutString(name);
+  return w.buffer();
+}
+
+TEST(ServeTest, SerialRequestsReuseOneRequestWorker) {
+  ServeFixture fx;
+  Fleet fleet = StartFleet(fx, 1, "serial");
+  const WorkerDaemon& daemon = *fleet.daemons[0];
+  DaemonChannel channel(fleet.endpoints[0]);
+  ExecShardRequest req;
+  req.query = "q1";
+  req.seed = 3;
+  req.num_shards = 4;
+  req.morsel_rows = 64;
+  const int kRequests = 240;
+  for (int i = 0; i < kRequests; ++i) {
+    req.shard_index = i % req.num_shards;
+    ASSERT_OK(channel
+                  .Call(ServeMsg::kExecRequest, 1,
+                        ExecShardRequestToBytes(req), ServeMsg::kExecResponse)
+                  .status());
+    // The worker goes idle before its reply leaves, so the next request
+    // finds it: one request at a time never needs a second worker.
+    ASSERT_EQ(1, daemon.request_workers()) << "after request " << i;
+  }
+  EXPECT_EQ(kRequests, daemon.requests_served());
+  channel.Shutdown();
+}
+
+TEST(ServeTest, FullRequestQueueAnswersUnavailableAndSessionsRetryThrough) {
+  ServeFixture fx;
+  const SboxReport want = fx.Local(/*seed=*/41, 4);
+  Fleet fleet = StartFleet(fx, 1, "overload");
+  const WorkerDaemon& daemon = *fleet.daemons[0];
+  const int workers = WorkerDaemon::MaxRequestWorkers();
+  const int capacity =
+      static_cast<int>(WorkerDaemon::kQueuedPerWorker) * workers;
+  const int sent = workers + capacity + 8;
+
+  // One connection, no client threads: the first `workers` requests hold
+  // every worker for 600 ms, the next `capacity` fill the queue, the last
+  // 8 find no room. An unregistered query keeps every reply short.
+  ScopedFaultPlan plan("serve.execute=delay*" + std::to_string(workers) +
+                       "+600");
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<SocketConnection> raw,
+                       SocketConnection::Connect(fleet.endpoints[0]));
+  ExecShardRequest req;
+  req.query = "no-such-query";
+  req.num_shards = 1;
+  const std::string body = ExecShardRequestToBytes(req);
+  for (int i = 0; i < sent; ++i) {
+    ServeHeader header;
+    header.type = ServeMsg::kExecRequest;
+    header.session_id = 1;
+    header.request_id = static_cast<uint64_t>(i) + 1;
+    ASSERT_OK(raw->SendFrame(EncodeServeMessage(header, body)));
+  }
+  // Reads one reply; returns its code (every reply here is a kError).
+  const auto read_reply = [&raw]() -> StatusCode {
+    Result<std::string> frame = raw->RecvFrame();
+    if (!frame.ok()) return frame.status().code();
+    auto decoded = DecodeServeMessage(frame.ValueOrDie());
+    if (!decoded.ok() || decoded.ValueOrDie().first.type != ServeMsg::kError) {
+      return StatusCode::kInternal;
+    }
+    return StatusFromBytes(decoded.ValueOrDie().second).code();
+  };
+  // Rejections are answered at once, ahead of every held request.
+  ASSERT_EQ(StatusCode::kUnavailable, read_reply());
+  EXPECT_EQ(workers, daemon.request_workers());
+
+  // The other replies drain on their own thread: the held workers cannot
+  // take the queued requests, nor this test's session, until the socket
+  // takes their replies.
+  std::map<StatusCode, int> codes;
+  std::thread drain([&] {
+    for (int i = 1; i < sent; ++i) ++codes[read_reply()];
+  });
+
+  // A session arriving into the overload is refused, backs off and lands
+  // on the unloaded answer once the held workers drain the queue.
+  SessionCoordinator coordinator(fleet.endpoints);
+  ExecStats stats;
+  ServedRequest served_req = BaseRequest(41);
+  served_req.retry.max_attempts = 60;
+  served_req.stats = &stats;
+  Result<ServedResult> served = coordinator.Execute("q1", served_req);
+  drain.join();
+  ASSERT_OK(served.status());
+  EXPECT_FALSE(served.ValueOrDie().degraded);
+  ExpectReportsIdentical(want, served.ValueOrDie().report);
+  EXPECT_GE(stats.shard_retries, 1);
+  coordinator.Shutdown();
+
+  // 8 refused in all; the held and queued requests ran (and failed on
+  // their unregistered query).
+  EXPECT_EQ(7, codes[StatusCode::kUnavailable]);
+  EXPECT_EQ(workers + capacity, codes[StatusCode::kInvalidArgument]);
+  EXPECT_EQ(workers, daemon.request_workers());
+}
+
+TEST(ServeTest, DaemonReapsEndedConnections) {
+  ServeFixture fx;
+  Fleet fleet = StartFleet(fx, 1, "reap");
+  const WorkerDaemon& daemon = *fleet.daemons[0];
+  const std::string body = PlanInfoBody("q1");
+  for (int i = 0; i < 50; ++i) {
+    DaemonChannel channel(fleet.endpoints[0]);
+    ASSERT_OK(channel
+                  .Call(ServeMsg::kPlanInfoRequest, 1, body,
+                        ServeMsg::kPlanInfoResponse)
+                  .status());
+    channel.Shutdown();
+    // The daemon's reader sees the close, then joins any connection that
+    // ended before it; only this channel's may still be held.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (daemon.connections() > 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_LE(daemon.connections(), 1) << "after channel " << i;
+  }
+}
+
+TEST(ServeTest, ChannelJoinsDeadGenerationsAcrossDaemonRestarts) {
+  ServeFixture fx;
+  Fleet fleet = StartFleet(fx, 1, "regen");
+  WorkerDaemon& daemon = *fleet.daemons[0];
+  DaemonChannel channel(fleet.endpoints[0]);
+  const std::string body = PlanInfoBody("q1");
+  for (int restart = 0; restart <= 10; ++restart) {
+    if (restart > 0) {
+      daemon.Stop();
+      ASSERT_OK(daemon.Start(fleet.endpoints[0]).status());
+    }
+    // The old generation's death may surface on the first call; the
+    // retry reconnects.
+    Result<std::string> info = Status::Unavailable("not called");
+    for (int attempt = 0; attempt < 200 && !info.ok(); ++attempt) {
+      info = channel.Call(ServeMsg::kPlanInfoRequest, 1, body,
+                          ServeMsg::kPlanInfoResponse);
+      if (!info.ok()) {
+        ASSERT_TRUE(IsRetryableShardFailure(info.status()))
+            << info.status().ToString();
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    }
+    ASSERT_OK(info.status());
+    EXPECT_EQ(1, channel.reader_threads()) << "after restart " << restart;
+  }
+  channel.Shutdown();
+  EXPECT_EQ(0, channel.reader_threads());
 }
 
 TEST(ServeTest, AllowPartialDegradesHonestlyWhenADaemonStaysDead) {

@@ -33,13 +33,13 @@ struct CoveragePair {
   double naive_width = 0.0;
 };
 
-/// Runs the plan on kEngine; the columnar path reuses `columnar` so the
-/// row->columnar catalog ingest is paid once, not per trial.
+/// Runs the plan on kEngine; the columnar path reuses `columnar` across
+/// trials.
 Relation RunPlan(const Workload& w, const Catalog& catalog,
                  ColumnarCatalog* columnar, Rng* rng, ExecMode mode) {
   if (kEngine == ExecEngine::kColumnar) {
-    return ValueOrAbort(ExecutePlanColumnar(w.plan, columnar, rng, mode))
-        .ToRelation();
+    return Relation(
+        ValueOrAbort(ExecutePlanColumnar(w.plan, columnar, rng, mode)));
   }
   return ValueOrAbort(ExecutePlan(w.plan, catalog, rng, mode));
 }

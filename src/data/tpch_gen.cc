@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <functional>
+#include <numeric>
 #include <utility>
 #include <vector>
 
+#include "rel/column_batch.h"
 #include "util/hash.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -36,6 +38,35 @@ void ParallelRows(int threads, int64_t n,
   PoolLease pool(workers);
   pool->ParallelForChunked(n, /*chunk=*/1024, workers,
                            [&](int, int64_t b, int64_t e) { fill(b, e); });
+}
+
+/// A filled int64 or float64 column.
+ColumnData ColumnOf(std::vector<int64_t> values) {
+  ColumnData col;
+  col.type = ValueType::kInt64;
+  col.i64 = std::move(values);
+  return col;
+}
+
+ColumnData ColumnOf(std::vector<double> values) {
+  ColumnData col;
+  col.type = ValueType::kFloat64;
+  col.f64 = std::move(values);
+  return col;
+}
+
+template <typename... Values>
+std::vector<ColumnData> ColumnsOf(Values... values) {
+  std::vector<ColumnData> columns;
+  (columns.push_back(ColumnOf(std::move(values))), ...);
+  return columns;
+}
+
+/// The key column 0, 1, ..., n - 1.
+std::vector<int64_t> RowIndexColumn(size_t n) {
+  std::vector<int64_t> keys(n);
+  std::iota(keys.begin(), keys.end(), int64_t{0});
+  return keys;
 }
 
 }  // namespace
@@ -72,48 +103,63 @@ TpchData GenerateTpch(const TpchConfig& config) {
   ZipfGenerator part_zipf(static_cast<uint64_t>(config.num_parts),
                           config.part_zipf_theta);
 
-  std::vector<Row> customer_rows;
-  std::vector<Row> part_rows;
-  std::vector<Row> orders_rows;
-  std::vector<Row> lineitem_rows;
+  // Every table is generated straight into its columns. The draws of one
+  // row happen in column order in both layouts; the key columns c_custkey,
+  // p_partkey and o_orderkey are the row index and draw nothing.
+  const auto customers = static_cast<size_t>(config.num_customers);
+  const auto parts = static_cast<size_t>(config.num_parts);
+  const auto orders = static_cast<size_t>(config.num_orders);
+  std::vector<int64_t> c_nationkey(customers);
+  std::vector<double> c_acctbal(customers);
+  const auto draw_customer = [&](size_t c, Rng* rng) {
+    c_nationkey[c] = rng->UniformInt(int64_t{0}, int64_t{24});
+    c_acctbal[c] = rng->Uniform(-999.99, 9999.99);
+  };
+  std::vector<double> p_retailprice(parts);
+  const auto draw_part = [&](size_t p, Rng* rng) {
+    p_retailprice[p] = rng->Uniform(900.0, 2100.0);
+  };
+  std::vector<int64_t> o_custkey(orders);
+  std::vector<double> o_totalprice(orders);
+  const auto draw_order = [&](size_t o, Rng* rng) {
+    o_custkey[o] = static_cast<int64_t>(
+        rng->UniformInt(static_cast<uint64_t>(config.num_customers)));
+    o_totalprice[o] = rng->Uniform(1000.0, 500000.0);
+  };
+  std::vector<int64_t> l_orderkey, l_linenumber, l_partkey, l_quantity;
+  std::vector<double> l_extendedprice, l_discount, l_tax;
+  const auto resize_lineitem = [&](size_t n) {
+    for (auto* col : {&l_orderkey, &l_linenumber, &l_partkey, &l_quantity}) {
+      col->resize(n);
+    }
+    for (auto* col : {&l_extendedprice, &l_discount, &l_tax}) col->resize(n);
+  };
+  // Rows [at, at + fanout) are the lines of order `o`.
+  const auto draw_lines = [&](size_t at, int64_t o, int64_t fanout,
+                              Rng* rng) {
+    for (int64_t ln = 1; ln <= fanout; ++ln, ++at) {
+      l_orderkey[at] = o;
+      l_linenumber[at] = ln;
+      l_partkey[at] = static_cast<int64_t>(part_zipf.Sample(rng) - 1);
+      l_quantity[at] = rng->UniformInt(int64_t{1}, int64_t{50});
+      l_extendedprice[at] = rng->Uniform(10.0, 105000.0);
+      l_discount[at] = rng->Uniform(0.0, 0.10);
+      l_tax[at] = rng->Uniform(0.0, 0.08);
+    }
+  };
 
   if (config.gen_threads <= 1) {
     // Legacy serial layout: one generator stream in entity order —
     // bit-identical to every instance this generator has ever produced.
     Rng rng(config.seed);
-
-    customer_rows.reserve(config.num_customers);
-    for (int64_t c = 0; c < config.num_customers; ++c) {
-      customer_rows.push_back(
-          Row{Value(c), Value(rng.UniformInt(int64_t{0}, int64_t{24})),
-              Value(rng.Uniform(-999.99, 9999.99))});
-    }
-
-    part_rows.reserve(config.num_parts);
-    for (int64_t p = 0; p < config.num_parts; ++p) {
-      part_rows.push_back(Row{Value(p), Value(rng.Uniform(900.0, 2100.0))});
-    }
-
-    orders_rows.reserve(config.num_orders);
-    for (int64_t o = 0; o < config.num_orders; ++o) {
-      orders_rows.push_back(
-          Row{Value(o),
-              Value(static_cast<int64_t>(rng.UniformInt(
-                  static_cast<uint64_t>(config.num_customers)))),
-              Value(rng.Uniform(1000.0, 500000.0))});
-    }
-
-    for (int64_t o = 0; o < config.num_orders; ++o) {
+    for (size_t c = 0; c < customers; ++c) draw_customer(c, &rng);
+    for (size_t p = 0; p < parts; ++p) draw_part(p, &rng);
+    for (size_t o = 0; o < orders; ++o) draw_order(o, &rng);
+    for (size_t o = 0; o < orders; ++o) {
       const auto fanout = static_cast<int64_t>(fanout_zipf.Sample(&rng));
-      for (int64_t ln = 1; ln <= fanout; ++ln) {
-        const auto partkey = static_cast<int64_t>(part_zipf.Sample(&rng) - 1);
-        lineitem_rows.push_back(
-            Row{Value(o), Value(ln), Value(partkey),
-                Value(rng.UniformInt(int64_t{1}, int64_t{50})),
-                Value(rng.Uniform(10.0, 105000.0)),
-                Value(rng.Uniform(0.0, 0.10)),
-                Value(rng.Uniform(0.0, 0.08))});
-      }
+      const size_t at = l_orderkey.size();
+      resize_lineitem(at + static_cast<size_t>(fanout));
+      draw_lines(at, static_cast<int64_t>(o), fanout, &rng);
     }
   } else {
     // Parallel layout: each row draws from its own forked stream, making
@@ -122,101 +168,54 @@ TpchData GenerateTpch(const TpchConfig& config) {
     // per-row draw order matches the serial path; only the stream each
     // draw comes from differs, so this is a different (equally valid)
     // instance of the same distribution.
-    const uint64_t cust_base = HashCombine(config.seed, kCustomerStream);
-    const uint64_t part_base = HashCombine(config.seed, kPartStream);
-    const uint64_t orders_base = HashCombine(config.seed, kOrdersStream);
-    const uint64_t line_base = HashCombine(config.seed, kLineitemStream);
-
-    customer_rows.resize(static_cast<size_t>(config.num_customers));
-    ParallelRows(config.gen_threads, config.num_customers,
-                 [&](int64_t b, int64_t e) {
-                   for (int64_t c = b; c < e; ++c) {
-                     Rng rng = Rng::ForkStream(cust_base,
-                                               static_cast<uint64_t>(c));
-                     customer_rows[static_cast<size_t>(c)] =
-                         Row{Value(c),
-                             Value(rng.UniformInt(int64_t{0}, int64_t{24})),
-                             Value(rng.Uniform(-999.99, 9999.99))};
-                   }
-                 });
-
-    part_rows.resize(static_cast<size_t>(config.num_parts));
-    ParallelRows(config.gen_threads, config.num_parts,
-                 [&](int64_t b, int64_t e) {
-                   for (int64_t p = b; p < e; ++p) {
-                     Rng rng = Rng::ForkStream(part_base,
-                                               static_cast<uint64_t>(p));
-                     part_rows[static_cast<size_t>(p)] =
-                         Row{Value(p), Value(rng.Uniform(900.0, 2100.0))};
-                   }
-                 });
-
-    orders_rows.resize(static_cast<size_t>(config.num_orders));
-    ParallelRows(config.gen_threads, config.num_orders,
-                 [&](int64_t b, int64_t e) {
-                   for (int64_t o = b; o < e; ++o) {
-                     Rng rng = Rng::ForkStream(orders_base,
-                                               static_cast<uint64_t>(o));
-                     orders_rows[static_cast<size_t>(o)] =
-                         Row{Value(o),
-                             Value(static_cast<int64_t>(rng.UniformInt(
-                                 static_cast<uint64_t>(
-                                     config.num_customers)))),
-                             Value(rng.Uniform(1000.0, 500000.0))};
-                   }
-                 });
+    const auto forked = [&](uint64_t stream, int64_t n, const auto& draw) {
+      const uint64_t base = HashCombine(config.seed, stream);
+      ParallelRows(config.gen_threads, n, [&](int64_t b, int64_t e) {
+        for (int64_t i = b; i < e; ++i) {
+          Rng rng = Rng::ForkStream(base, static_cast<uint64_t>(i));
+          draw(static_cast<size_t>(i), &rng);
+        }
+      });
+    };
+    forked(kCustomerStream, config.num_customers, draw_customer);
+    forked(kPartStream, config.num_parts, draw_part);
+    forked(kOrdersStream, config.num_orders, draw_order);
 
     // Lineitem is two-pass because row offsets depend on every earlier
     // order's fanout: pass 1 draws the fanouts, a serial prefix sum fixes
     // the offsets, and pass 2 re-forks each order's stream (re-drawing the
     // fanout to keep the stream position identical) and fills its rows at
     // the known offset.
-    std::vector<int64_t> fanouts(static_cast<size_t>(config.num_orders), 0);
-    ParallelRows(config.gen_threads, config.num_orders,
-                 [&](int64_t b, int64_t e) {
-                   for (int64_t o = b; o < e; ++o) {
-                     Rng rng = Rng::ForkStream(line_base,
-                                               static_cast<uint64_t>(o));
-                     fanouts[static_cast<size_t>(o)] =
-                         static_cast<int64_t>(fanout_zipf.Sample(&rng));
-                   }
-                 });
-    std::vector<int64_t> offsets(static_cast<size_t>(config.num_orders) + 1,
-                                 0);
-    for (int64_t o = 0; o < config.num_orders; ++o) {
-      offsets[static_cast<size_t>(o) + 1] =
-          offsets[static_cast<size_t>(o)] + fanouts[static_cast<size_t>(o)];
-    }
-    lineitem_rows.resize(static_cast<size_t>(offsets.back()));
-    ParallelRows(
-        config.gen_threads, config.num_orders, [&](int64_t b, int64_t e) {
-          for (int64_t o = b; o < e; ++o) {
-            Rng rng = Rng::ForkStream(line_base, static_cast<uint64_t>(o));
-            const auto fanout = static_cast<int64_t>(fanout_zipf.Sample(&rng));
-            int64_t at = offsets[static_cast<size_t>(o)];
-            for (int64_t ln = 1; ln <= fanout; ++ln, ++at) {
-              const auto partkey =
-                  static_cast<int64_t>(part_zipf.Sample(&rng) - 1);
-              lineitem_rows[static_cast<size_t>(at)] =
-                  Row{Value(o), Value(ln), Value(partkey),
-                      Value(rng.UniformInt(int64_t{1}, int64_t{50})),
-                      Value(rng.Uniform(10.0, 105000.0)),
-                      Value(rng.Uniform(0.0, 0.10)),
-                      Value(rng.Uniform(0.0, 0.08))};
-            }
-          }
-        });
+    std::vector<size_t> offsets(orders + 1, 0);
+    forked(kLineitemStream, config.num_orders, [&](size_t o, Rng* rng) {
+      offsets[o + 1] = fanout_zipf.Sample(rng);
+    });
+    for (size_t o = 0; o < orders; ++o) offsets[o + 1] += offsets[o];
+    resize_lineitem(offsets.back());
+    forked(kLineitemStream, config.num_orders, [&](size_t o, Rng* rng) {
+      const auto fanout = static_cast<int64_t>(fanout_zipf.Sample(rng));
+      draw_lines(offsets[o], static_cast<int64_t>(o), fanout, rng);
+    });
   }
 
   TpchData data;
-  data.lineitem = Relation::MakeBase("l", std::move(lineitem_schema),
-                                     std::move(lineitem_rows));
-  data.orders =
-      Relation::MakeBase("o", std::move(orders_schema), std::move(orders_rows));
-  data.customer = Relation::MakeBase("c", std::move(customer_schema),
-                                     std::move(customer_rows));
-  data.part =
-      Relation::MakeBase("p", std::move(part_schema), std::move(part_rows));
+  data.lineitem = Relation::MakeBaseFromColumns(
+      "l", std::move(lineitem_schema),
+      ColumnsOf(std::move(l_orderkey), std::move(l_linenumber),
+                std::move(l_partkey), std::move(l_quantity),
+                std::move(l_extendedprice), std::move(l_discount),
+                std::move(l_tax)));
+  data.orders = Relation::MakeBaseFromColumns(
+      "o", std::move(orders_schema),
+      ColumnsOf(RowIndexColumn(orders), std::move(o_custkey),
+                std::move(o_totalprice)));
+  data.customer = Relation::MakeBaseFromColumns(
+      "c", std::move(customer_schema),
+      ColumnsOf(RowIndexColumn(customers), std::move(c_nationkey),
+                std::move(c_acctbal)));
+  data.part = Relation::MakeBaseFromColumns(
+      "p", std::move(part_schema),
+      ColumnsOf(RowIndexColumn(parts), std::move(p_retailprice)));
   return data;
 }
 

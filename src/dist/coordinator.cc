@@ -612,8 +612,8 @@ Result<SboxReport> ShardedSboxEstimate(const PlanPtr& plan,
                                        const GusParams& gus,
                                        const SboxOptions& options,
                                        ShardTransport* transport) {
-  // In-process workers share one columnar catalog: its conversion and
-  // fingerprint caches are pre-warmed serially, after which concurrent
+  // In-process workers share one columnar catalog: its pinned columns and
+  // fingerprint cache are pre-warmed serially, after which concurrent
   // workers only read it — real multi-process workers each hold their
   // own, which changes nothing observable.
   ColumnarCatalog columnar(&catalog);

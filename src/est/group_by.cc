@@ -124,8 +124,10 @@ Result<std::vector<GroupEstimate>> GroupedSumEstimate(
   std::unordered_map<uint64_t, uint32_t> index;
   std::vector<Value> keys;
   std::vector<uint32_t> group_of(static_cast<size_t>(rel.num_rows()));
+  const std::shared_ptr<const ColumnarRelation> cols = rel.Columnar();
+  const ColumnData& key_col = cols->data().column(key_idx);
   for (int64_t i = 0; i < rel.num_rows(); ++i) {
-    const Value& key = rel.row(i)[key_idx];
+    const Value key = key_col.ValueAt(i);
     GUS_RETURN_NOT_OK(
         FindOrAddGroup(key.Hash(), key, &index, &keys, &group_of[i]));
   }

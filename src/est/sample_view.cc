@@ -48,8 +48,9 @@ Result<SampleView> SampleView::FromRelation(const Relation& rel,
       return Status::TypeError("aggregate expression must be numeric");
     }
     view.f.push_back(v.ToDouble());
+    const LineageRow lineage = rel.lineage(i);
     for (int d = 0; d < schema.arity(); ++d) {
-      view.lineage[d].push_back(rel.lineage(i)[source[d]]);
+      view.lineage[d].push_back(lineage[source[d]]);
     }
   }
   return view;

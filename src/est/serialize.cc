@@ -22,8 +22,6 @@ bool NextLine(std::istream* in, std::string* line) {
   return false;
 }
 
-}  // namespace
-
 Status WriteSboxInput(std::ostream* out, const GusParams& gus,
                       const SampleView& view) {
   if (view.schema != gus.schema()) {
@@ -56,6 +54,8 @@ Status WriteSboxInput(std::ostream* out, const GusParams& gus,
   if (!out->good()) return Status::Internal("write failed");
   return Status::OK();
 }
+
+}  // namespace
 
 Result<std::string> SboxInputToString(const GusParams& gus,
                                       const SampleView& view) {

@@ -32,11 +32,7 @@ struct SboxInput {
   SampleView view;
 };
 
-/// Writes the (gus, view) pair; the view's schema must match the GUS's.
-Status WriteSboxInput(std::ostream* out, const GusParams& gus,
-                      const SampleView& view);
-
-/// Serializes to a string (convenience over WriteSboxInput).
+/// Serializes the (gus, view) pair; the view's schema must match the GUS's.
 Result<std::string> SboxInputToString(const GusParams& gus,
                                       const SampleView& view);
 

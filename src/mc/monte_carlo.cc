@@ -4,6 +4,7 @@
 
 #include "est/variance.h"
 #include "est/ys.h"
+#include "rel/column_batch.h"
 #include "util/hash.h"
 #include "util/random.h"
 
@@ -96,10 +97,13 @@ Result<InclusionStats> MeasureInclusion(const PlanPtr& plan,
     if (found < 0) return Status::Internal("lineage schema mismatch");
     source[d] = found;
   }
+  const std::shared_ptr<const ColumnarRelation> exact_cols = exact.Columnar();
+  const ColumnBatch& exact_data = exact_cols->data();
   auto agreement_mask = [&](size_t i, size_t j) {
     SubsetMask mask = 0;
     for (int d = 0; d < n; ++d) {
-      if (exact.lineage(i)[source[d]] == exact.lineage(j)[source[d]]) {
+      if (exact_data.lineage_at(static_cast<int64_t>(i), source[d]) ==
+          exact_data.lineage_at(static_cast<int64_t>(j), source[d])) {
         mask |= SubsetMask{1} << d;
       }
     }

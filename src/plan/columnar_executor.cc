@@ -45,28 +45,20 @@ Result<const ColumnarRelation*> ColumnarCatalog::Get(const std::string& name) {
   if (it == catalog_->end()) {
     return Status::KeyError("relation '" + name + "' not in catalog");
   }
-  GUS_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnarRelation> col,
-                       it->second.Columnar());
-  return cache_.emplace(name, std::move(col)).first->second.get();
+  return cache_.emplace(name, it->second.Columnar()).first->second.get();
 }
 
 Result<uint64_t> ColumnarCatalog::Fingerprint(const std::string& name) {
   auto cached = fingerprints_.find(name);
   if (cached != fingerprints_.end()) return cached->second;
   GUS_ASSIGN_OR_RETURN(const ColumnarRelation* rel, Get(name));
-  // The relation memoizes the fingerprint of its current content. That is
-  // this catalog's snapshot unless the relation changed since Get(name).
+  // The relation memoizes the fingerprint of its current columns. Those
+  // are this catalog's snapshot unless the relation changed since Get(name).
   auto it = catalog_->find(name);
-  const bool unchanged = it != catalog_->end() && [&] {
-    auto current = it->second.Columnar();
-    return current.ok() && current->get() == rel;
-  }();
-  uint64_t h = 0;
-  if (unchanged) {
-    GUS_ASSIGN_OR_RETURN(h, it->second.Fingerprint(name));
-  } else {
-    h = ContentFingerprint(name, rel->data());
-  }
+  const uint64_t h =
+      it != catalog_->end() && it->second.Columnar().get() == rel
+          ? it->second.Fingerprint(name)
+          : ContentFingerprint(name, rel->data());
   fingerprints_.emplace(name, h);
   return h;
 }

@@ -60,14 +60,14 @@ class StoredRelation;  // store/segment_store.h
 
 /// \brief Catalog of base relations in columnar form.
 ///
-/// The base class is the in-memory form over a row-engine Catalog. A base
-/// relation converts to columnar at most once per content, however many
-/// catalogs are built over it: Get() pins the relation's shared columnar
-/// form (Relation::Columnar), and Fingerprint() reuses the fingerprint
-/// memoized next to it. Building a catalog per query is therefore cheap —
-/// the const Catalog& entry points (ExecutePlan, sqlish RunApproxQuery,
+/// The base class is the in-memory form over a Catalog. Get() pins the
+/// relation's own columns (Relation::Columnar), so nothing converts or
+/// copies, and Fingerprint() reuses the fingerprint the relation memoizes
+/// with them. Building a catalog per query is therefore cheap — the const
+/// Catalog& entry points (ExecutePlan, sqlish RunApproxQuery,
 /// ShardedSboxEstimate) do exactly that. A catalog keeps scanning the
-/// snapshot it first saw even if the relation is appended to afterwards.
+/// snapshot it first saw even if the relation is appended to afterwards:
+/// the append copies the columns the catalog pins.
 ///
 /// The virtual surface is what lets the execution engines run over other
 /// storage unchanged: SegmentCatalog (store/segment_catalog.h) overrides it
@@ -126,8 +126,8 @@ class ColumnarCatalog {
 
  private:
   const Catalog* catalog_;
-  // The relations' shared columnar forms (Relation::Columnar), pinned at
-  // first use: this catalog keeps scanning the snapshot it first saw.
+  // The relations' columns (Relation::Columnar), pinned at first use:
+  // this catalog keeps scanning the snapshot it first saw.
   std::map<std::string, std::shared_ptr<const ColumnarRelation>> cache_;
   std::map<std::string, uint64_t> fingerprints_;
 };

@@ -92,7 +92,7 @@ Result<Relation> ExecutePlan(const PlanPtr& plan, const Catalog& catalog,
           ColumnarRelation result,
           ExecutePlanColumnar(plan, &columnar, rng, mode,
                               options.batch_rows));
-      return result.ToRelation();
+      return Relation(std::move(result));
     }
     case ExecEngine::kMorselParallel:
     case ExecEngine::kSharded: {
@@ -107,7 +107,7 @@ Result<Relation> ExecutePlan(const PlanPtr& plan, const Catalog& catalog,
                             options.engine == ExecEngine::kSharded
                                 ? ShardedExecOptions(options)
                                 : options));
-      return result.ToRelation();
+      return Relation(std::move(result));
     }
     case ExecEngine::kServed:
       return Status::InvalidArgument(

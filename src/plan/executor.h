@@ -230,12 +230,11 @@ struct ExecOptions {
 /// `rng` drives every sampler in the plan (ignored in exact mode). Join
 /// nodes use the hash equi-join; product and union use their respective
 /// physical operators. With ExecEngine::kColumnar the plan runs on the
-/// batch pipeline and the result converts back to a Relation at the end.
-/// Each such call builds a short-lived ColumnarCatalog over the relations'
-/// shared columnar forms (Relation::Columnar), so a base relation converts
-/// to columnar once, on its first query, not on every call. Callers that
-/// want to stay columnar or stream hold a ColumnarCatalog and use
-/// plan/columnar_executor.h directly.
+/// batch pipeline and its result columns become the returned Relation.
+/// Each such call builds a short-lived ColumnarCatalog that scans the base
+/// relations' own columns (Relation::Columnar): nothing converts or copies
+/// per call. Callers that want to stay columnar or stream hold a
+/// ColumnarCatalog and use plan/columnar_executor.h directly.
 Result<Relation> ExecutePlan(const PlanPtr& plan, const Catalog& catalog,
                              Rng* rng, ExecMode mode = ExecMode::kSampled,
                              ExecEngine engine = ExecEngine::kRowAtATime);

@@ -167,7 +167,7 @@ struct MorselSplit {
 };
 
 /// \brief Computes the unit split without executing anything (the pivot
-/// relation is resolved, converting to columnar on first use).
+/// relation is resolved and pinned).
 Result<MorselSplit> AnalyzeMorselSplit(const PlanPtr& plan,
                                        ColumnarCatalog* catalog, ExecMode mode,
                                        const ExecOptions& options);

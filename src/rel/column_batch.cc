@@ -86,28 +86,6 @@ Status ColumnData::AppendValue(const Value& v) {
   return Status::OK();
 }
 
-void ColumnData::AppendFrom(const ColumnData& src, int64_t row) {
-  GUS_DCHECK(src.type == type);
-  switch (type) {
-    case ValueType::kInt64:
-      i64.push_back(src.i64[row]);
-      break;
-    case ValueType::kFloat64:
-      f64.push_back(src.f64[row]);
-      break;
-    case ValueType::kString:
-      if (dict == nullptr || codes.empty()) {
-        dict = src.dict;  // adopt: no rows yet, any previous dict is moot
-      }
-      if (dict == src.dict) {
-        codes.push_back(src.codes[row]);
-      } else {
-        codes.push_back(MutableDict()->Intern(src.StringAt(row)));
-      }
-      break;
-  }
-}
-
 void ColumnBatch::ResetLayout(LayoutPtr layout) {
   layout_ = std::move(layout);
   columns_.clear();
@@ -267,25 +245,6 @@ void ColumnBatch::GatherColumnsFrom(const ColumnBatch& src, const int64_t* sel,
   num_rows_ += len;
 }
 
-void ColumnBatch::AppendConcatRowFrom(const ColumnBatch& left, int64_t li,
-                                      const ColumnBatch& right, int64_t ri) {
-  const int nl = left.num_columns();
-  GUS_DCHECK(num_columns() == nl + right.num_columns());
-  for (int c = 0; c < nl; ++c) {
-    columns_[c].AppendFrom(left.columns_[c], li);
-  }
-  for (int c = 0; c < right.num_columns(); ++c) {
-    columns_[nl + c].AppendFrom(right.columns_[c], ri);
-  }
-  const int la = left.lineage_arity();
-  const auto* lbase = left.lineage_.data() + static_cast<size_t>(li) * la;
-  lineage_.insert(lineage_.end(), lbase, lbase + la);
-  const int ra = right.lineage_arity();
-  const auto* rbase = right.lineage_.data() + static_cast<size_t>(ri) * ra;
-  lineage_.insert(lineage_.end(), rbase, rbase + ra);
-  ++num_rows_;
-}
-
 void ColumnBatch::AppendConcatGather(const ColumnBatch& left,
                                      const int64_t* li,
                                      const ColumnBatch& right,
@@ -327,42 +286,6 @@ Status BatchSink::ConsumeView(const SelView& view) {
     scratch.GatherFrom(*view.data, view.sel, view.sel_len);
   }
   return Consume(scratch);
-}
-
-Result<ColumnarRelation> ColumnarRelation::FromRelation(const Relation& rel) {
-  auto layout = std::make_shared<BatchLayout>();
-  layout->schema = rel.schema();
-  layout->lineage_schema = rel.lineage_schema();
-  ColumnarRelation out{LayoutPtr(layout)};
-  ColumnBatch* data = out.mutable_data();
-  data->Reserve(rel.num_rows());
-  const int num_cols = rel.schema().num_columns();
-  const int arity = layout->lineage_arity();
-  for (int64_t i = 0; i < rel.num_rows(); ++i) {
-    const Row& row = rel.row(i);
-    for (int c = 0; c < num_cols; ++c) {
-      Status st = data->mutable_column(c)->AppendValue(row[c]);
-      if (!st.ok()) {
-        return Status::TypeError("column '" + rel.schema().column(c).name +
-                                 "': " + st.message());
-      }
-    }
-    const LineageRow& lin = rel.lineage(i);
-    GUS_CHECK(static_cast<int>(lin.size()) == arity);
-    data->mutable_lineage()->insert(data->mutable_lineage()->end(),
-                                    lin.begin(), lin.end());
-  }
-  data->SetNumRows(rel.num_rows());
-  return out;
-}
-
-Relation ColumnarRelation::ToRelation() const {
-  Relation rel(schema(), lineage_schema());
-  rel.Reserve(num_rows());
-  for (int64_t i = 0; i < num_rows(); ++i) {
-    rel.AppendRow(data_.RowAt(i), data_.LineageRowAt(i));
-  }
-  return rel;
 }
 
 void ColumnarRelation::EmitSlice(int64_t begin, int64_t len,

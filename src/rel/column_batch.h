@@ -1,26 +1,21 @@
-// Columnar storage for the batch-at-a-time execution engine.
+// Columnar storage: the layout of every Relation and of the batches the
+// columnar and morsel engines stream.
 //
-// The row engine (rel/relation.h) materializes every intermediate as
-// std::vector<Row> of variant Values plus one heap-allocated lineage vector
-// per row; the hot path of the paper's estimation pipeline only ever needs
-// the (lineage, f-value) stream, so that representation pays variant
-// dispatch and small-vector allocation for nothing. The columnar layout
-// stores one typed vector per column:
+// The hot path of the paper's estimation pipeline only ever needs the
+// (lineage, f-value) stream, so values are not kept as variant Values in
+// per-row vectors. The columnar layout stores one typed vector per column:
 //
 //   * int64   -> std::vector<int64_t>
 //   * float64 -> std::vector<double>
 //   * string  -> dictionary codes (std::vector<uint32_t>) into a shared,
 //                append-only StringDict
 //
-// plus a flat row-major lineage matrix (arity * num_rows uint64s). The
-// conversion to/from Relation is lossless — value types, bit patterns and
-// lineage survive a round trip exactly — so the two engines can interoperate
-// during the migration.
+// plus a flat row-major lineage matrix (arity * num_rows uint64s).
 //
 // A ColumnBatch is a bounded chunk of rows flowing through a pipeline; a
 // ColumnarRelation is a fully materialized table (one big batch) used at
-// pipeline breakers and for base-relation storage. BatchSink is the consumer
-// interface the streaming estimators (est/streaming.h) implement.
+// pipeline breakers and as the storage of every Relation. BatchSink is the
+// consumer interface the streaming estimators (est/streaming.h) implement.
 
 #ifndef GUS_REL_COLUMN_BATCH_H_
 #define GUS_REL_COLUMN_BATCH_H_
@@ -46,8 +41,8 @@ namespace gus {
 /// so a column may extend a copy of a shared dictionary and its existing
 /// codes keep their meaning. Interning guarantees code equality <=> string
 /// equality within one dictionary. A dictionary held by more than one
-/// column is never extended in place (ColumnData::MutableDict): base
-/// relations' columnar forms are shared read-only across threads.
+/// column is never extended in place (ColumnData::MutableDict): a
+/// relation's columns are shared read-only across threads.
 struct StringDict {
   std::vector<std::string> values;
   std::unordered_map<std::string, uint32_t> index;
@@ -112,12 +107,6 @@ struct ColumnData {
 
   /// Appends a Value; fails on type mismatch with the column type.
   Status AppendValue(const Value& v);
-
-  /// \brief Appends row `row` of `src` (same type required).
-  ///
-  /// String columns adopt the source dictionary when empty, share it when
-  /// equal, and re-intern (extending this column's dictionary) otherwise.
-  void AppendFrom(const ColumnData& src, int64_t row);
 };
 
 /// \brief A chunk of rows in columnar layout with flat row-major lineage.
@@ -177,19 +166,14 @@ class ColumnBatch {
   void GatherColumnsFrom(const ColumnBatch& src, const int64_t* sel,
                          int64_t len, const std::vector<char>& cols);
 
-  /// \brief Appends one output row of a join/product: left columns and
-  /// lineage from `left` row `li`, then right ones from `right` row `ri`.
-  /// This batch's layout must be the concatenation of the two inputs'.
-  void AppendConcatRowFrom(const ColumnBatch& left, int64_t li,
-                           const ColumnBatch& right, int64_t ri);
-
-  /// \brief Batch join emit: appends `len` concatenated rows, row k taking
-  /// the left columns/lineage from `left` row `li[k]` and the right ones
-  /// from `right` row `ri[k]`.
+  /// \brief Join emit: appends `len` concatenated rows, row k taking the
+  /// left columns/lineage from `left` row `li[k]` and the right ones from
+  /// `right` row `ri[k]`. This batch's layout must be the concatenation of
+  /// the two inputs'.
   ///
-  /// Column-at-a-time typed gathers (dispatched SIMD kernels) replace the
-  /// per-row variant walk of AppendConcatRowFrom; the dictionary adopt /
-  /// share / re-intern semantics are identical.
+  /// Column-at-a-time typed gathers (dispatched SIMD kernels). A string
+  /// column adopts the source dictionary when empty, shares it when equal,
+  /// and re-interns (extending its own dictionary) otherwise.
   void AppendConcatGather(const ColumnBatch& left, const int64_t* li,
                           const ColumnBatch& right, const int64_t* ri,
                           int64_t len);
@@ -256,15 +240,6 @@ class ColumnarRelation {
  public:
   ColumnarRelation() = default;
   explicit ColumnarRelation(LayoutPtr layout) : data_(std::move(layout)) {}
-
-  /// \brief Lossless conversion from the row representation.
-  ///
-  /// Fails with TypeError if a row Value does not match its declared column
-  /// type (the row engine never checks; the columnar one cannot avoid it).
-  static Result<ColumnarRelation> FromRelation(const Relation& rel);
-
-  /// Lossless conversion back to the row representation.
-  Relation ToRelation() const;
 
   const LayoutPtr& layout_ptr() const { return data_.layout_ptr(); }
   const BatchLayout& layout() const { return data_.layout(); }

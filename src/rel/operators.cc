@@ -3,6 +3,7 @@
 #include <unordered_set>
 
 #include "kernels/join_hash_table.h"
+#include "rel/column_batch.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -58,8 +59,9 @@ Result<Relation> Select(const Relation& input, const ExprPtr& predicate) {
   Relation out(input.schema(), input.lineage_schema());
   out.Reserve(input.num_rows());
   for (int64_t i = 0; i < input.num_rows(); ++i) {
-    GUS_ASSIGN_OR_RETURN(bool keep, EvalPredicate(bound, input.row(i)));
-    if (keep) out.AppendRow(input.row(i), input.lineage(i));
+    const Row row = input.row(i);
+    GUS_ASSIGN_OR_RETURN(bool keep, EvalPredicate(bound, row));
+    if (keep) out.AppendRow(row, input.lineage(i));
   }
   return out;
 }
@@ -88,13 +90,14 @@ Result<Relation> Project(const Relation& input,
   Relation out(Schema(std::move(cols)), input.lineage_schema());
   out.Reserve(input.num_rows());
   for (int64_t i = 0; i < input.num_rows(); ++i) {
+    const Row in = input.row(i);
     Row row;
     row.reserve(exprs.size());
     for (size_t c = 0; c < exprs.size(); ++c) {
-      GUS_ASSIGN_OR_RETURN(Value v, bound[c]->Eval(input.row(i)));
+      GUS_ASSIGN_OR_RETURN(Value v, bound[c]->Eval(in));
       row.push_back(std::move(v));
     }
-    out.AppendRow(std::move(row), input.lineage(i));
+    out.AppendRow(row, input.lineage(i));
   }
   return out;
 }
@@ -121,18 +124,22 @@ Result<Relation> HashJoin(const Relation& left, const Relation& right,
   // Key matching uses KeyEquals, so equal numeric keys join even when the
   // two columns differ in type (int64 vs float64); a true 64-bit collision
   // between distinct build keys fails loudly at build.
+  const std::shared_ptr<const ColumnarRelation> build_cols = build.Columnar();
+  const std::shared_ptr<const ColumnarRelation> probe_cols = probe.Columnar();
+  const ColumnData& build_key = build_cols->data().column(bk);
+  const ColumnData& probe_key = probe_cols->data().column(pk);
   std::vector<uint64_t> hashes(static_cast<size_t>(build.num_rows()));
   for (int64_t i = 0; i < build.num_rows(); ++i) {
-    hashes[i] = build.row(i)[bk].Hash();
+    hashes[i] = build_key.ValueAt(i).Hash();
   }
   JoinHashTable table;
   GUS_RETURN_NOT_OK(table.Build(
-      hashes.data(), build.num_rows(), [&build, bk](int64_t i, int64_t j) {
+      hashes.data(), build.num_rows(), [&build_key](int64_t i, int64_t j) {
         // Not a true collision when the keys compare equal OR are
         // bit-identical floats (e.g. two NaNs — same hash input, but
         // unequal under ==; they simply never match at probe time).
-        const Value& a = build.row(i)[bk];
-        const Value& b = build.row(j)[bk];
+        const Value a = build_key.ValueAt(i);
+        const Value b = build_key.ValueAt(j);
         if (a.KeyEquals(b)) return true;
         if (a.type() == ValueType::kFloat64 &&
             b.type() == ValueType::kFloat64) {
@@ -150,16 +157,15 @@ Result<Relation> HashJoin(const Relation& left, const Relation& right,
   // probe-sized reservation removes the bulk of the growth reallocations.
   out.Reserve(probe.num_rows());
   for (int64_t j = 0; j < probe.num_rows(); ++j) {
-    const Value& key = probe.row(j)[pk];
+    const Value key = probe_key.ValueAt(j);
     const JoinHashTable::Range cands = table.Find(key.Hash());
     for (const int64_t* p = cands.begin; p != cands.end; ++p) {
       const int64_t i = *p;
-      if (!build.row(i)[bk].KeyEquals(key)) continue;  // cross-type recheck
-      const Row& lrow = build_left ? build.row(i) : probe.row(j);
-      const Row& rrow = build_left ? probe.row(j) : build.row(i);
-      const LineageRow& llin = build_left ? build.lineage(i) : probe.lineage(j);
-      const LineageRow& rlin = build_left ? probe.lineage(j) : build.lineage(i);
-      out.AppendRow(ConcatRows(lrow, rrow), ConcatLineage(llin, rlin));
+      if (!build_key.ValueAt(i).KeyEquals(key)) continue;  // cross-type
+      const int64_t li = build_left ? i : j;
+      const int64_t ri = build_left ? j : i;
+      out.AppendRow(ConcatRows(left.row(li), right.row(ri)),
+                    ConcatLineage(left.lineage(li), right.lineage(ri)));
     }
   }
   return out;
@@ -201,8 +207,9 @@ Result<Relation> UnionDistinctLineage(const Relation& a, const Relation& b) {
   seen.reserve(static_cast<size_t>(a.num_rows() + b.num_rows()));
   auto add_all = [&](const Relation& rel) {
     for (int64_t i = 0; i < rel.num_rows(); ++i) {
-      if (seen.insert(HashLineage(rel.lineage(i))).second) {
-        out.AppendRow(rel.row(i), rel.lineage(i));
+      const LineageRow lineage = rel.lineage(i);
+      if (seen.insert(HashLineage(lineage)).second) {
+        out.AppendRow(rel.row(i), lineage);
       }
     }
   };

@@ -1,6 +1,10 @@
 #include "rel/relation.h"
 
 #include <algorithm>
+#include <atomic>
+#include <map>
+#include <mutex>
+#include <numeric>
 #include <sstream>
 
 #include "rel/column_batch.h"
@@ -8,104 +12,147 @@
 
 namespace gus {
 
-namespace {
+struct Relation::Storage {
+  explicit Storage(ColumnarRelation c) : columns(std::move(c)) {}
 
-Result<std::shared_ptr<const ColumnarRelation>> ToSharedColumnar(
-    const Relation& rel) {
-  GUS_ASSIGN_OR_RETURN(ColumnarRelation col,
-                       ColumnarRelation::FromRelation(rel));
-  return std::make_shared<const ColumnarRelation>(std::move(col));
+  ColumnarRelation columns;
+  std::mutex mu;
+  std::map<std::string, uint64_t> fingerprints;  // guarded by mu
+};
+
+Relation::Relation() : Relation(Schema(), {}) {}
+
+Relation::Relation(Schema schema, std::vector<std::string> lineage_schema)
+    : Relation(ColumnarRelation(std::make_shared<const BatchLayout>(
+          BatchLayout{std::move(schema), std::move(lineage_schema)}))) {}
+
+Relation::Relation(ColumnarRelation columns)
+    : storage_(std::make_shared<Storage>(std::move(columns))) {}
+
+const Schema& Relation::schema() const { return storage_->columns.schema(); }
+
+const std::vector<std::string>& Relation::lineage_schema() const {
+  return storage_->columns.lineage_schema();
 }
 
-}  // namespace
+int64_t Relation::num_rows() const { return storage_->columns.num_rows(); }
 
-void Relation::AppendRow(Row row, LineageRow lineage) {
-  GUS_CHECK(static_cast<int>(row.size()) == schema_.num_columns() &&
+Row Relation::row(int64_t i) const { return storage_->columns.data().RowAt(i); }
+
+LineageRow Relation::lineage(int64_t i) const {
+  return storage_->columns.data().LineageRowAt(i);
+}
+
+ColumnarRelation* Relation::MutableColumns() {
+  // Copies of this relation and ColumnarCatalog snapshots keep the
+  // content they saw; a sole owner writes in place and forgets the
+  // fingerprints of its old content.
+  if (storage_.use_count() != 1) {
+    storage_ = std::make_shared<Storage>(storage_->columns);
+  } else {
+    // use_count() is a relaxed load: order this write after the last
+    // reads of a holder that has just let go.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    storage_->fingerprints.clear();
+  }
+  return &storage_->columns;
+}
+
+void Relation::AppendRow(const Row& row, const LineageRow& lineage) {
+  GUS_CHECK(static_cast<int>(row.size()) == schema().num_columns() &&
             "row arity must match the column schema");
-  GUS_CHECK(lineage.size() == lineage_schema_.size() &&
+  GUS_CHECK(lineage.size() == lineage_schema().size() &&
             "lineage arity must match the lineage schema");
-  DetachColumnarMemo();
-  rows_.push_back(std::move(row));
-  lineage_.push_back(std::move(lineage));
+  ColumnBatch* data = MutableColumns()->mutable_data();
+  for (size_t c = 0; c < row.size(); ++c) {
+    GUS_CHECK(data->mutable_column(static_cast<int>(c))
+                  ->AppendValue(row[c])
+                  .ok() &&
+              "value type must match the column type");
+  }
+  data->mutable_lineage()->insert(data->mutable_lineage()->end(),
+                                  lineage.begin(), lineage.end());
+  data->SetNumRows(data->num_rows() + 1);
 }
 
-Status Relation::AppendRowChecked(Row row, LineageRow lineage) {
-  if (static_cast<int>(row.size()) != schema_.num_columns()) {
+Status Relation::AppendRowChecked(const Row& row, const LineageRow& lineage) {
+  const Schema& cols = schema();
+  if (static_cast<int>(row.size()) != cols.num_columns()) {
     return Status::InvalidArgument(
         "row arity " + std::to_string(row.size()) +
         " does not match the column schema arity " +
-        std::to_string(schema_.num_columns()));
+        std::to_string(cols.num_columns()));
   }
-  if (lineage.size() != lineage_schema_.size()) {
+  if (lineage.size() != lineage_schema().size()) {
     return Status::InvalidArgument(
         "lineage arity " + std::to_string(lineage.size()) +
         " does not match the lineage schema arity " +
-        std::to_string(lineage_schema_.size()));
+        std::to_string(lineage_schema().size()));
   }
-  AppendRow(std::move(row), std::move(lineage));
+  for (int c = 0; c < cols.num_columns(); ++c) {
+    if (row[c].type() != cols.column(c).type) {
+      return Status::TypeError(
+          "column '" + cols.column(c).name + "' of type " +
+          ValueTypeName(cols.column(c).type) + " cannot hold a " +
+          ValueTypeName(row[c].type()) + " value");
+    }
+  }
+  AppendRow(row, lineage);
   return Status::OK();
 }
 
-void Relation::DetachColumnarMemo() {
-  // Other holders of the memo keep the content it describes. A sole owner
-  // keeps its memo; FillColumnarLocked drops a form the appends outgrew.
-  if (memo_.use_count() != 1) memo_ = std::make_shared<ColumnarMemo>();
+void Relation::Reserve(int64_t n) {
+  MutableColumns()->mutable_data()->Reserve(n);
 }
 
-Status Relation::FillColumnarLocked() const {
-  // Rows are only ever appended, so a form with as many rows as the
-  // relation holds exactly its content.
-  if (memo_->columnar != nullptr && memo_->columnar->num_rows() == num_rows()) {
-    return Status::OK();
-  }
-  memo_->columnar.reset();
-  memo_->fingerprints.clear();
-  GUS_ASSIGN_OR_RETURN(memo_->columnar, ToSharedColumnar(*this));
-  return Status::OK();
+std::shared_ptr<const ColumnarRelation> Relation::Columnar() const {
+  return std::shared_ptr<const ColumnarRelation>(storage_,
+                                                 &storage_->columns);
 }
 
-Result<std::shared_ptr<const ColumnarRelation>> Relation::Columnar() const {
-  if (memo_ == nullptr) return ToSharedColumnar(*this);
-  std::lock_guard<std::mutex> lock(memo_->mu);
-  GUS_RETURN_NOT_OK(FillColumnarLocked());
-  return memo_->columnar;
-}
-
-Result<uint64_t> Relation::Fingerprint(const std::string& name) const {
-  if (memo_ == nullptr) {
-    GUS_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnarRelation> col,
-                         Columnar());
-    return ContentFingerprint(name, col->data());
-  }
-  std::lock_guard<std::mutex> lock(memo_->mu);
-  GUS_RETURN_NOT_OK(FillColumnarLocked());
-  auto cached = memo_->fingerprints.find(name);
-  if (cached != memo_->fingerprints.end()) return cached->second;
-  const uint64_t h = ContentFingerprint(name, memo_->columnar->data());
-  memo_->fingerprints.emplace(name, h);
-  return h;
+uint64_t Relation::Fingerprint(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(storage_->mu);
+  auto [it, added] = storage_->fingerprints.try_emplace(name, 0);
+  if (added) it->second = ContentFingerprint(name, storage_->columns.data());
+  return it->second;
 }
 
 Relation Relation::MakeBase(const std::string& name, Schema schema,
-                            std::vector<Row> rows) {
+                            const std::vector<Row>& rows) {
   Relation rel(std::move(schema), {name});
   rel.Reserve(static_cast<int64_t>(rows.size()));
   uint64_t id = 0;
-  for (auto& row : rows) {
-    rel.AppendRow(std::move(row), {id++});
-  }
+  for (const Row& row : rows) rel.AppendRow(row, {id++});
   return rel;
 }
 
 Relation Relation::MakeBaseWithIds(const std::string& name, Schema schema,
-                                   std::vector<Row> rows,
-                                   std::vector<uint64_t> ids) {
+                                   const std::vector<Row>& rows,
+                                   const std::vector<uint64_t>& ids) {
   GUS_CHECK(rows.size() == ids.size());
   Relation rel(std::move(schema), {name});
   rel.Reserve(static_cast<int64_t>(rows.size()));
-  for (size_t i = 0; i < rows.size(); ++i) {
-    rel.AppendRow(std::move(rows[i]), {ids[i]});
+  for (size_t i = 0; i < rows.size(); ++i) rel.AppendRow(rows[i], {ids[i]});
+  return rel;
+}
+
+Relation Relation::MakeBaseFromColumns(const std::string& name, Schema schema,
+                                       std::vector<ColumnData> columns) {
+  GUS_CHECK(static_cast<int>(columns.size()) == schema.num_columns());
+  const int64_t n = columns.empty() ? 0 : columns[0].size();
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    GUS_CHECK(columns[c].type == schema.column(c).type &&
+              columns[c].size() == n);
   }
+  Relation rel(std::move(schema), {name});
+  ColumnBatch* data = rel.storage_->columns.mutable_data();
+  for (size_t c = 0; c < columns.size(); ++c) {
+    *data->mutable_column(static_cast<int>(c)) = std::move(columns[c]);
+  }
+  data->mutable_lineage()->resize(static_cast<size_t>(n));
+  std::iota(data->mutable_lineage()->begin(), data->mutable_lineage()->end(),
+            uint64_t{0});
+  data->SetNumRows(n);
   return rel;
 }
 
@@ -121,23 +168,25 @@ bool Relation::LineageDisjoint(const Relation& a, const Relation& b) {
 
 std::string Relation::ToString(int64_t max_rows) const {
   std::ostringstream out;
-  out << "Relation" << schema_.ToString() << " lineage[";
-  for (size_t i = 0; i < lineage_schema_.size(); ++i) {
+  out << "Relation" << schema().ToString() << " lineage[";
+  for (size_t i = 0; i < lineage_schema().size(); ++i) {
     if (i) out << ",";
-    out << lineage_schema_[i];
+    out << lineage_schema()[i];
   }
   out << "] rows=" << num_rows() << "\n";
   const int64_t shown = std::min<int64_t>(max_rows, num_rows());
   for (int64_t r = 0; r < shown; ++r) {
+    const Row values = row(r);
+    const LineageRow ids = lineage(r);
     out << "  ";
-    for (size_t c = 0; c < rows_[r].size(); ++c) {
+    for (size_t c = 0; c < values.size(); ++c) {
       if (c) out << " | ";
-      out << rows_[r][c].ToString();
+      out << values[c].ToString();
     }
     out << "   <";
-    for (size_t l = 0; l < lineage_[r].size(); ++l) {
+    for (size_t l = 0; l < ids.size(); ++l) {
       if (l) out << ",";
-      out << lineage_[r][l];
+      out << ids[l];
     }
     out << ">\n";
   }

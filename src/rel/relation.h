@@ -5,11 +5,14 @@
 // that the GUS pairwise probabilities — which are defined on lineage
 // agreement, not content agreement — can be evaluated on result tuples.
 //
-// A Relation holds:
-//   * a column Schema and row data,
-//   * a lineage schema: the ordered list of base-relation names contributing
-//     to each row,
-//   * per-row lineage: one 64-bit id per lineage-schema entry.
+// A Relation is a table of typed values plus one lineage id per lineage-
+// schema entry (the ordered base-relation names contributing to each row).
+// Its only storage is columnar (a ColumnarRelation, rel/column_batch.h):
+// one typed vector per column and a flat lineage matrix, the form every
+// columnar engine scans. Copies of a relation share those columns; an
+// append copies them first when another copy, or a ColumnarCatalog
+// snapshot, still holds them. row(i) and lineage(i) decode one row for the
+// row-at-a-time reference engine and for tests.
 //
 // Base relations have a single-entry lineage schema (themselves) and lineage
 // id = row position (or block id for block-sampled relations — lineage is on
@@ -19,9 +22,7 @@
 #define GUS_REL_RELATION_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,7 @@
 namespace gus {
 
 class ColumnarRelation;  // rel/column_batch.h
+struct ColumnData;       // rel/column_batch.h
 
 /// Per-row lineage: one base-tuple id per lineage-schema entry.
 using LineageRow = std::vector<uint64_t>;
@@ -47,98 +49,86 @@ inline uint64_t HashLineageRow(const uint64_t* ids, size_t n) {
   return h;
 }
 
-/// \brief A table with schema, rows, and lineage.
+/// \brief A table with schema, columns, and lineage.
+///
+/// A moved-from Relation may only be assigned to or destroyed.
 class Relation {
  public:
-  Relation() = default;
-  Relation(Schema schema, std::vector<std::string> lineage_schema)
-      : schema_(std::move(schema)),
-        lineage_schema_(std::move(lineage_schema)) {}
+  /// No columns, no lineage, no rows.
+  Relation();
+  Relation(Schema schema, std::vector<std::string> lineage_schema);
+  /// Takes `columns` as this relation's storage.
+  explicit Relation(ColumnarRelation columns);
 
-  const Schema& schema() const { return schema_; }
+  const Schema& schema() const;
 
   /// Ordered base-relation names whose tuple ids each row carries.
-  const std::vector<std::string>& lineage_schema() const {
-    return lineage_schema_;
-  }
+  const std::vector<std::string>& lineage_schema() const;
 
-  int64_t num_rows() const { return static_cast<int64_t>(rows_.size()); }
-  const Row& row(int64_t i) const { return rows_[i]; }
-  const LineageRow& lineage(int64_t i) const { return lineage_[i]; }
-  const std::vector<Row>& rows() const { return rows_; }
-  const std::vector<LineageRow>& lineages() const { return lineage_; }
+  int64_t num_rows() const;
+
+  /// Row `i` decoded to Values: a new Row, not a view of the storage.
+  Row row(int64_t i) const;
+  /// Row `i`'s lineage ids (a copy).
+  LineageRow lineage(int64_t i) const;
 
   /// \brief Appends a row with its lineage.
   ///
-  /// Arities must match the column and lineage schemas; a mismatch is a
-  /// programming error and aborts via GUS_CHECK (per the Status-model
-  /// convention: user input errors surface as Status, invariant violations
-  /// check). Callers holding unvalidated data use AppendRowChecked.
-  void AppendRow(Row row, LineageRow lineage);
+  /// Arities must match the column and lineage schemas and each value's
+  /// type its column's; a mismatch is a programming error and aborts via
+  /// GUS_CHECK (per the Status-model convention: user input errors surface
+  /// as Status, invariant violations check). Callers holding unvalidated
+  /// data use AppendRowChecked.
+  void AppendRow(const Row& row, const LineageRow& lineage);
 
   /// Status-returning variant for unvalidated input: fails with
-  /// InvalidArgument instead of aborting on an arity mismatch.
-  Status AppendRowChecked(Row row, LineageRow lineage);
+  /// InvalidArgument on an arity mismatch and TypeError on a value whose
+  /// type differs from its column's, appending nothing.
+  Status AppendRowChecked(const Row& row, const LineageRow& lineage);
 
-  void Reserve(int64_t n) {
-    rows_.reserve(n);
-    lineage_.reserve(n);
-  }
+  void Reserve(int64_t n);
 
   /// \brief Builds a base relation: lineage schema = {name}, lineage id =
   /// row index.
   static Relation MakeBase(const std::string& name, Schema schema,
-                           std::vector<Row> rows);
+                           const std::vector<Row>& rows);
 
   /// \brief Base relation with caller-supplied lineage ids (e.g. block ids
   /// for block sampling, or primary-key-derived ids).
   static Relation MakeBaseWithIds(const std::string& name, Schema schema,
-                                  std::vector<Row> rows,
-                                  std::vector<uint64_t> ids);
+                                  const std::vector<Row>& rows,
+                                  const std::vector<uint64_t>& ids);
+
+  /// \brief Base relation over filled columns, one per schema column, of
+  /// its type and of equal length; lineage id = row index.
+  static Relation MakeBaseFromColumns(const std::string& name, Schema schema,
+                                      std::vector<ColumnData> columns);
 
   /// True if the two relations' lineage schemas share no base relation.
   static bool LineageDisjoint(const Relation& a, const Relation& b);
 
-  /// \brief The columnar form of this relation's rows, converted on first
-  /// use and shared by every copy of the relation.
+  /// \brief This relation's columns, shared with its copies (no
+  /// conversion, no copy).
   ///
-  /// Thread-safe: concurrent first calls convert once and all receive the
-  /// same immutable form. After AppendRow or AppendRowChecked the next
-  /// call builds a new form, while a copy (or a ColumnarCatalog) that took
-  /// the form before keeps the snapshot it saw. A failed conversion
-  /// (TypeError, see ColumnarRelation::FromRelation) is not memoized:
-  /// every call converts again and fails again.
-  Result<std::shared_ptr<const ColumnarRelation>> Columnar() const;
+  /// The pointer stays valid and its content unchanged after later
+  /// appends to this relation: those go to a copy of the columns while
+  /// the pointer is held.
+  std::shared_ptr<const ColumnarRelation> Columnar() const;
 
-  /// \brief ContentFingerprint(name, columnar data), memoized next to the
-  /// columnar form. Keyed by `name` because the fingerprint hashes it.
-  Result<uint64_t> Fingerprint(const std::string& name) const;
+  /// \brief ContentFingerprint(name, columns), memoized with the shared
+  /// columns. Keyed by `name` because the fingerprint hashes it.
+  uint64_t Fingerprint(const std::string& name) const;
 
   std::string ToString(int64_t max_rows = 10) const;
 
  private:
-  /// The lazily filled columnar form and fingerprints of one row content,
-  /// shared by copies of a relation until one of them mutates.
-  struct ColumnarMemo {
-    std::mutex mu;
-    std::shared_ptr<const ColumnarRelation> columnar;  // guarded by mu
-    std::map<std::string, uint64_t> fingerprints;      // guarded by mu
-  };
+  /// The columns and the fingerprints memoized for them.
+  struct Storage;
 
-  /// Before an append: leaves a memo that other copies also hold to them.
-  void DetachColumnarMemo();
+  /// Before a write: the columns, copied first if anyone else holds them.
+  ColumnarRelation* MutableColumns();
 
-  /// Fills memo_->columnar for the current rows, dropping a form (and its
-  /// fingerprints) built for fewer rows; memo_->mu must be held.
-  Status FillColumnarLocked() const;
-
-  Schema schema_;
-  std::vector<std::string> lineage_schema_;
-  std::vector<Row> rows_;
-  std::vector<LineageRow> lineage_;
-  // Null only in a moved-from relation, whose const calls then convert
-  // without memoizing.
-  std::shared_ptr<ColumnarMemo> memo_ = std::make_shared<ColumnarMemo>();
+  std::shared_ptr<Storage> storage_;
 };
 
 }  // namespace gus

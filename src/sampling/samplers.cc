@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "kernels/sampling_kernels.h"
+#include "rel/column_batch.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -330,11 +331,12 @@ Result<Relation> BlockBernoulliSample(const Relation& input, double p,
     return Status::InvalidArgument(
         "block sampling applies to base (single-lineage) relations");
   }
+  const std::shared_ptr<const ColumnarRelation> cols = input.Columnar();
   GUS_ASSIGN_OR_RETURN(
       std::vector<int64_t> keep,
       BlockBernoulliKeepIndices(
           input.num_rows(), p,
-          [&input](int64_t i) { return input.lineage(i)[0]; }, rng));
+          [&cols](int64_t i) { return cols->data().lineage_at(i, 0); }, rng));
   return TakeRows(input, keep);
 }
 
@@ -347,22 +349,25 @@ Result<Relation> LineageBernoulliSample(const Relation& input,
     return Status::KeyError("relation '" + relation +
                             "' not in the input's lineage schema");
   }
-  const auto dim = static_cast<size_t>(it - ls.begin());
+  const auto dim = static_cast<int>(it - ls.begin());
+  const std::shared_ptr<const ColumnarRelation> cols = input.Columnar();
   GUS_ASSIGN_OR_RETURN(
       std::vector<int64_t> keep,
       LineageBernoulliKeepIndices(
-          input.num_rows(), p, seed,
-          [&input, dim](int64_t i) { return input.lineage(i)[dim]; }));
+          input.num_rows(), p, seed, [&cols, dim](int64_t i) {
+            return cols->data().lineage_at(i, dim);
+          }));
   return TakeRows(input, keep);
 }
 
 Result<Relation> ApplySampling(const Relation& input, const SamplingSpec& spec,
                                Rng* rng) {
+  const std::shared_ptr<const ColumnarRelation> cols = input.Columnar();
   GUS_ASSIGN_OR_RETURN(
       SamplingDecision d,
       DecideSampling(spec, input.num_rows(), input.lineage_schema(),
-                     [&input](int64_t r, int dim) {
-                       return input.lineage(r)[dim];
+                     [&cols](int64_t r, int dim) {
+                       return cols->data().lineage_at(r, dim);
                      },
                      rng));
   if (d.rekey_block_lineage) {

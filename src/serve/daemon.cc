@@ -1,5 +1,8 @@
 #include "serve/daemon.h"
 
+#include <sys/socket.h>
+#include <sys/time.h>
+
 #include <algorithm>
 #include <optional>
 #include <system_error>
@@ -42,9 +45,12 @@ void WorkerDaemon::LiveConnection::Reply(ServeHeader header, ServeMsg type,
                                          std::string_view body) {
   header.type = type;
   std::lock_guard<std::mutex> lock(write_mu);
-  // A failed write means the connection died; the reader notices on its
-  // next recv, so the error needs no separate handling.
-  (void)socket->SendFrame(EncodeServeMessage(header, body));
+  // A failed write means the connection died or the peer stopped reading
+  // (the send timed out). Either way the frame is torn, so the stream is
+  // unusable: closing it ends the reader and fails later replies at once.
+  if (!socket->SendFrame(EncodeServeMessage(header, body)).ok()) {
+    socket->Close();
+  }
 }
 
 WorkerDaemon::WorkerDaemon(Catalog catalog) : catalog_(std::move(catalog)) {}
@@ -77,9 +83,9 @@ Result<Endpoint> WorkerDaemon::Start(const Endpoint& listen) {
                                    endpoint_.ToString());
   }
   stopping_.store(false, std::memory_order_release);
-  // Load once, serve many: the whole point of the daemon. The columnar
-  // conversion, content fingerprints, and shard split geometry for every
-  // registered query are computed here, serially, so request workers
+  // Load once, serve many: the whole point of the daemon. The pinned
+  // columns, content fingerprints, and shard split geometry for every
+  // registered query are set up here, serially, so request workers
   // afterwards share them read-only.
   if (!external_columnar_) {
     columnar_ = std::make_unique<ColumnarCatalog>(&catalog_);
@@ -160,6 +166,10 @@ void WorkerDaemon::AcceptLoop(SocketListener* listener) {
     if (!accepted.ok()) return;  // Close() ended the loop
     auto conn = std::make_shared<LiveConnection>();
     conn->socket = std::move(accepted).ValueOrDie();
+    const timeval send_timeout{kReplySendTimeoutMs / 1000,
+                               (kReplySendTimeoutMs % 1000) * 1000};
+    ::setsockopt(conn->socket->fd(), SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+                 sizeof(send_timeout));
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_.load(std::memory_order_acquire)) {
       conn->socket->Close();

@@ -1,10 +1,10 @@
 // The worker daemon (`gusd`): a long-lived shard worker behind a socket.
 //
 // The one-shot scatter (dist/coordinator.h) pays the catalog load and
-// warm-up on every query; a daemon pays it once. Start() ingests the
-// catalog into columnar form, pre-warms the conversion and fingerprint
-// caches for every registered query, then serves shard requests over
-// persistent framed connections (serve/protocol.h) until stopped.
+// warm-up on every query; a daemon pays it once. Start() pins the
+// catalog's columns and pre-warms the fingerprint cache for every
+// registered query, then serves shard requests over persistent framed
+// connections (serve/protocol.h) until stopped.
 //
 // Concurrency model: one reader thread per connection. Exec requests go
 // to a bounded set of request workers started on demand, the most
@@ -12,8 +12,10 @@
 // past that are refused at once with a retryable Unavailable. A worker
 // replies under the connection's write lock, so responses interleave in
 // completion order and one slow shard never blocks another session while
-// a worker is free (the session header sorts the answers out). An ended
-// connection is joined by the next accept or the next one to end.
+// a worker is free (the session header sorts the answers out). A reply
+// the peer does not take within kReplySendTimeoutMs closes its
+// connection, so a peer that stops reading holds no thread for longer.
+// An ended connection is joined by the next accept or the next one to end.
 //
 // Fault participation (the PR 8 model): every exec request passes the
 // "serve.execute" fault site — GUS_FAULT plans can fail, delay, or kill
@@ -72,8 +74,9 @@ uint64_t ServedQueryFingerprint(const ServedQuery& query);
 /// \brief A long-lived worker daemon serving registered queries.
 class WorkerDaemon {
  public:
-  /// The daemon owns a copy of the base catalog (a real deployment loads
-  /// it from storage once; tests hand it over directly).
+  /// The daemon holds a copy of the base catalog (a real deployment loads
+  /// it from storage once; tests hand it over directly). The copy shares
+  /// the relations' columns: it copies no column data.
   explicit WorkerDaemon(Catalog catalog);
 
   /// \brief Out-of-core form: the daemon serves straight from an external
@@ -116,6 +119,11 @@ class WorkerDaemon {
     std::lock_guard<std::mutex> lock(work_mu_);
     return static_cast<int>(workers_.size());
   }
+  /// Request workers waiting for a request.
+  int idle_request_workers() const {
+    std::lock_guard<std::mutex> lock(work_mu_);
+    return static_cast<int>(idle_.size());
+  }
   /// Connections held: live ones plus at most the last one to end.
   int connections() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -126,6 +134,9 @@ class WorkerDaemon {
   static int MaxRequestWorkers();
   /// Requests that may wait in the FIFO, per worker, when all are busy.
   static constexpr size_t kQueuedPerWorker = 32;
+  /// How long one send of a reply may wait for the peer to read (the
+  /// accepted sockets' SO_SNDTIMEO); past it the connection closes.
+  static constexpr int kReplySendTimeoutMs = 2000;
 
   const Endpoint& endpoint() const { return endpoint_; }
 
@@ -135,7 +146,8 @@ class WorkerDaemon {
     std::mutex write_mu;
     bool finished = false;  // guarded by mu_; the reader is about to exit
     std::thread reader;
-    /// Sends one response frame under the write lock.
+    /// Sends one response frame under the write lock; closes the
+    /// connection if the frame cannot be written.
     void Reply(ServeHeader header, ServeMsg type, std::string_view body);
   };
 

@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <utility>
 
+#include "rel/column_batch.h"
+
 namespace gus {
 
 namespace {
@@ -39,8 +41,9 @@ InferredType ClassifyField(const std::string& s) {
   return InferredType::kString;
 }
 
-Result<Value> ParseField(const std::string& s, ValueType type) {
-  switch (type) {
+/// Parses `s` as the type of `col` and appends it there.
+Status AppendField(const std::string& s, ColumnData* col) {
+  switch (col->type) {
     case ValueType::kInt64: {
       errno = 0;
       char* end = nullptr;
@@ -49,7 +52,8 @@ Result<Value> ParseField(const std::string& s, ValueType type) {
         return Status::InvalidArgument("CSV field '" + s +
                                        "' is not an int64");
       }
-      return Value(static_cast<int64_t>(v));
+      col->i64.push_back(static_cast<int64_t>(v));
+      return Status::OK();
     }
     case ValueType::kFloat64: {
       errno = 0;
@@ -59,10 +63,12 @@ Result<Value> ParseField(const std::string& s, ValueType type) {
         return Status::InvalidArgument("CSV field '" + s +
                                        "' is not a float64");
       }
-      return Value(v);
+      col->f64.push_back(v);
+      return Status::OK();
     }
     case ValueType::kString:
-      return Value(s);
+      col->codes.push_back(col->MutableDict()->Intern(s));
+      return Status::OK();
   }
   return Status::Internal("unhandled ValueType");
 }
@@ -197,20 +203,19 @@ Result<Relation> ImportCsvText(const std::string& name,
     columns.push_back(Column{names[c], types[c]});
   }
 
-  std::vector<Row> rows;
-  rows.reserve(records.size());
+  std::vector<ColumnData> data(num_cols);
+  for (size_t c = 0; c < num_cols; ++c) {
+    data[c].type = types[c];
+    data[c].Reserve(static_cast<int64_t>(records.size()));
+  }
   for (const auto& rec : records) {
-    Row row;
-    row.reserve(num_cols);
     for (size_t c = 0; c < num_cols; ++c) {
-      GUS_ASSIGN_OR_RETURN(Value v, ParseField(rec[c], types[c]));
-      row.push_back(std::move(v));
+      GUS_RETURN_NOT_OK(AppendField(rec[c], &data[c]));
     }
-    rows.push_back(std::move(row));
   }
 
-  return Relation::MakeBase(name, Schema(std::move(columns)),
-                            std::move(rows));
+  return Relation::MakeBaseFromColumns(name, Schema(std::move(columns)),
+                                       std::move(data));
 }
 
 Result<Relation> ImportCsvFile(const std::string& name,

@@ -111,7 +111,7 @@ Result<Catalog> SegmentCatalog::MaterializeRowCatalog() {
   Catalog out;
   for (const auto& [name, rel] : stored_) {
     GUS_ASSIGN_OR_RETURN(const ColumnarRelation* col, Get(name));
-    out.emplace(name, col->ToRelation());
+    out.emplace(name, Relation(*col));
   }
   return out;
 }
@@ -123,11 +123,10 @@ Status WriteCatalogSegments(const Catalog& catalog, const std::string& dir,
                                    "'");
   }
   for (const auto& [name, rel] : catalog) {
-    GUS_ASSIGN_OR_RETURN(ColumnarRelation col,
-                         ColumnarRelation::FromRelation(rel));
     GUS_ASSIGN_OR_RETURN(SegmentFileWriter::Summary summary,
                          WriteRelationSegments(
-                             name, col, dir + "/" + name + kSegmentFileExt,
+                             name, *rel.Columnar(),
+                             dir + "/" + name + kSegmentFileExt,
                              segment_rows));
     (void)summary;
   }

@@ -9,8 +9,8 @@
 //     segments first, store/pruner.h), while
 //     pipeline breakers that need a whole side resident (join builds)
 //     materialize through Get() as before.
-//   * kRowAtATime takes a row Catalog — MaterializeRowCatalog() converts
-//     once for the compatibility path.
+//   * kRowAtATime takes a Catalog — MaterializeRowCatalog() copies the
+//     decoded columns once for the compatibility path.
 //
 // Fingerprints come straight from the file headers (stamped at write time
 // with the identical ContentFingerprint chain), so the shard and serving

@@ -1,8 +1,9 @@
-// Tests for the columnar layer: lossless Relation <-> ColumnarRelation
-// round trips (randomized property test), dictionary interning, the shared
-// columnar memo on Relation, vectorized expression evaluation parity with
-// the row evaluator, and the streaming estimation sinks (SampleViewBuilder,
-// StreamingSboxEstimator) matching their materializing counterparts exactly.
+// Tests for the columnar layer: a Relation's columns reading back exactly
+// the rows appended to it (randomized property test), dictionary interning,
+// columns shared by copies of a relation, vectorized expression evaluation
+// parity with the row evaluator, and the streaming estimation sinks
+// (SampleViewBuilder, StreamingSboxEstimator) matching their materializing
+// counterparts exactly.
 
 #include <gtest/gtest.h>
 
@@ -29,8 +30,10 @@ namespace {
 
 using ::gus::testing::MakeTinyJoin;
 
+/// A random relation; `rows` and `lineage` receive what was appended.
 Relation RandomRelation(Rng* rng, int num_cols, int lineage_arity,
-                        int64_t num_rows) {
+                        int64_t num_rows, std::vector<Row>* rows,
+                        std::vector<LineageRow>* lineage) {
   // Fixed vocabulary (also avoids a GCC-12 -Wrestrict false positive on
   // temporary strings constructed into the Value variant).
   static const std::vector<std::string> kVocab = {"s0", "s1", "s2", "s3",
@@ -65,24 +68,11 @@ Relation RandomRelation(Rng* rng, int num_cols, int lineage_arity,
     for (int d = 0; d < lineage_arity; ++d) {
       lin.push_back(rng->UniformInt(uint64_t{1} << 20));
     }
-    rel.AppendRow(std::move(row), std::move(lin));
+    rel.AppendRow(row, lin);
+    rows->push_back(std::move(row));
+    lineage->push_back(std::move(lin));
   }
   return rel;
-}
-
-void ExpectRelationsEqual(const Relation& a, const Relation& b) {
-  ASSERT_TRUE(a.schema() == b.schema());
-  ASSERT_EQ(a.lineage_schema(), b.lineage_schema());
-  ASSERT_EQ(a.num_rows(), b.num_rows());
-  for (int64_t i = 0; i < a.num_rows(); ++i) {
-    ASSERT_EQ(a.row(i).size(), b.row(i).size());
-    for (size_t c = 0; c < a.row(i).size(); ++c) {
-      EXPECT_EQ(a.row(i)[c].type(), b.row(i)[c].type());
-      EXPECT_TRUE(a.row(i)[c] == b.row(i)[c])
-          << "row " << i << " col " << c;
-    }
-    EXPECT_EQ(a.lineage(i), b.lineage(i));
-  }
 }
 
 TEST(ColumnarRoundTripTest, RandomizedProperty) {
@@ -90,41 +80,42 @@ TEST(ColumnarRoundTripTest, RandomizedProperty) {
   for (int trial = 0; trial < 40; ++trial) {
     const int num_cols = 1 + static_cast<int>(rng.UniformInt(uint64_t{5}));
     const int arity = 1 + static_cast<int>(rng.UniformInt(uint64_t{3}));
-    const int64_t rows = static_cast<int64_t>(rng.UniformInt(uint64_t{300}));
-    Relation original = RandomRelation(&rng, num_cols, arity, rows);
-    ASSERT_OK_AND_ASSIGN(ColumnarRelation columnar,
-                         ColumnarRelation::FromRelation(original));
-    EXPECT_EQ(original.num_rows(), columnar.num_rows());
-    ExpectRelationsEqual(original, columnar.ToRelation());
+    const int64_t num_rows =
+        static_cast<int64_t>(rng.UniformInt(uint64_t{300}));
+    std::vector<Row> rows;
+    std::vector<LineageRow> lineage;
+    Relation original =
+        RandomRelation(&rng, num_cols, arity, num_rows, &rows, &lineage);
+    // Value types, bit patterns and lineage read back exactly.
+    ASSERT_EQ(num_rows, original.num_rows());
+    ASSERT_EQ(num_rows, original.Columnar()->num_rows());
+    for (int64_t i = 0; i < num_rows; ++i) {
+      const Row got = original.row(i);
+      ASSERT_EQ(rows[i].size(), got.size());
+      for (size_t c = 0; c < got.size(); ++c) {
+        EXPECT_EQ(rows[i][c].type(), got[c].type());
+        EXPECT_TRUE(rows[i][c] == got[c]) << "row " << i << " col " << c;
+      }
+      EXPECT_EQ(lineage[i], original.lineage(i));
+    }
   }
 }
 
 TEST(ColumnarRoundTripTest, StringsShareDictionaryCodes) {
-  Rng rng(0xC02);
   std::vector<Row> rows;
   for (int i = 0; i < 100; ++i) {
     rows.push_back(Row{Value(i % 2 ? "hot" : "cold")});
   }
   Relation rel = Relation::MakeBase(
       "S", Schema({{"tag", ValueType::kString}}), std::move(rows));
-  ASSERT_OK_AND_ASSIGN(ColumnarRelation columnar,
-                       ColumnarRelation::FromRelation(rel));
-  const ColumnData& col = columnar.data().column(0);
+  const std::shared_ptr<const ColumnarRelation> columnar = rel.Columnar();
+  const ColumnData& col = columnar->data().column(0);
   ASSERT_NE(nullptr, col.dict);
   EXPECT_EQ(2u, col.dict->values.size());  // interned, not duplicated
   EXPECT_EQ(100u, col.codes.size());
 }
 
-TEST(ColumnarRoundTripTest, TypeMismatchSurfacesAsTypeError) {
-  // The row engine never validates cell types against the schema; the
-  // columnar conversion cannot avoid it.
-  Relation rel(Schema({{"x", ValueType::kInt64}}), {"R"});
-  rel.AppendRow(Row{Value(1.5)}, LineageRow{0});
-  EXPECT_STATUS_CODE(kTypeError,
-                     ColumnarRelation::FromRelation(rel).status());
-}
-
-// ---- Shared columnar memo on Relation --------------------------------------
+// ---- Columns shared by copies of a Relation --------------------------------
 
 constexpr char kMemoQuery1[] = R"(
     SELECT SUM(l_discount*(1.0-l_tax))
@@ -140,7 +131,7 @@ Catalog MakeMemoCatalog() {
   return GenerateTpch(config).MakeCatalog();
 }
 
-/// A deep copy of `catalog` whose relations have never been converted.
+/// A deep copy of `catalog`, appended row by row: it shares no columns.
 Catalog RebuildCatalog(const Catalog& catalog) {
   Catalog fresh;
   for (const auto& [name, rel] : catalog) {
@@ -182,7 +173,7 @@ ExecOptions MorselExec(int num_threads) {
   return exec;
 }
 
-TEST(ColumnarMemoTest, ConcurrentFirstQueriesConvertOnce) {
+TEST(SharedColumnsTest, ConcurrentFirstQueriesSeeOnePointer) {
   const Catalog catalog = MakeMemoCatalog();  // never queried before
   constexpr int kThreads = 8;
   constexpr uint64_t kSeed = 7;
@@ -196,13 +187,12 @@ TEST(ColumnarMemoTest, ConcurrentFirstQueriesConvertOnce) {
       while (!go.load()) std::this_thread::yield();
       auto result = sqlish::RunApproxQuery(kMemoQuery1, catalog, kSeed, {},
                                            MorselExec(2));
-      auto columnar = catalog.at("l").Columnar();
-      if (!result.ok() || !columnar.ok()) {
-        errors[t] = result.status().ToString() + columnar.status().ToString();
+      if (!result.ok()) {
+        errors[t] = result.status().ToString();
         return;
       }
       results[t] = std::move(result).ValueOrDie();
-      handed_out[t] = columnar->get();
+      handed_out[t] = catalog.at("l").Columnar().get();
     });
   }
   go.store(true);
@@ -211,16 +201,15 @@ TEST(ColumnarMemoTest, ConcurrentFirstQueriesConvertOnce) {
   ASSERT_OK_AND_ASSIGN(
       sqlish::ApproxResult serial,
       sqlish::RunApproxQuery(kMemoQuery1, catalog, kSeed, {}, MorselExec(1)));
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ColumnarRelation> l,
-                       catalog.at("l").Columnar());
+  const ColumnarRelation* l = catalog.at("l").Columnar().get();
   for (int t = 0; t < kThreads; ++t) {
     ASSERT_EQ("", errors[t]);
     ExpectSameApprox(serial, results[t]);
-    EXPECT_EQ(l.get(), handed_out[t]);
+    EXPECT_EQ(l, handed_out[t]);
   }
 }
 
-TEST(ColumnarMemoTest, QueryAfterAppendSeesTheNewRows) {
+TEST(SharedColumnsTest, QueryAfterAppendSeesTheNewRows) {
   Catalog catalog = MakeMemoCatalog();
   constexpr uint64_t kSeed = 11;
   ColumnarCatalog before(&catalog);
@@ -251,65 +240,67 @@ TEST(ColumnarMemoTest, QueryAfterAppendSeesTheNewRows) {
   EXPECT_EQ(old_rows + 400, catalog.at("l").num_rows());
 }
 
-TEST(ColumnarMemoTest, CopiesShareTheMemoUntilOneMutates) {
+TEST(SharedColumnsTest, CopiesShareColumnsUntilOneAppends) {
   Relation a = testing::MakeSingleTable(10);
   Relation b = a;
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ColumnarRelation> from_a,
-                       a.Columnar());
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ColumnarRelation> from_b,
-                       b.Columnar());
-  EXPECT_EQ(from_a.get(), from_b.get());
+  const std::shared_ptr<const ColumnarRelation> from_a = a.Columnar();
+  EXPECT_EQ(from_a.get(), b.Columnar().get());
 
   b.AppendRow(Row{Value(11.0)}, {10});
-  ASSERT_OK_AND_ASSIGN(from_b, b.Columnar());
-  EXPECT_NE(from_a.get(), from_b.get());
-  EXPECT_EQ(11, from_b->num_rows());
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ColumnarRelation> a_again,
-                       a.Columnar());
-  EXPECT_EQ(from_a.get(), a_again.get());
-  EXPECT_EQ(10, a_again->num_rows());
+  EXPECT_NE(from_a.get(), b.Columnar().get());
+  EXPECT_EQ(11, b.num_rows());
+  EXPECT_EQ(11, b.Columnar()->num_rows());
+  EXPECT_EQ(from_a.get(), a.Columnar().get());
+  EXPECT_EQ(10, a.num_rows());
+  EXPECT_EQ(10, from_a->num_rows());
+
+  // Copying a catalog copies no column data either.
+  const Catalog catalog = MakeMemoCatalog();
+  Catalog copy = catalog;
+  for (const auto& [name, rel] : catalog) {
+    EXPECT_EQ(rel.Columnar().get(), copy.at(name).Columnar().get()) << name;
+  }
+  const ColumnarRelation* l = catalog.at("l").Columnar().get();
+  const int64_t l_rows = catalog.at("l").num_rows();
+  AppendCopies(&copy.at("l"), 3);
+  EXPECT_NE(l, copy.at("l").Columnar().get());
+  EXPECT_EQ(l_rows + 3, copy.at("l").num_rows());
+  EXPECT_EQ(l, catalog.at("l").Columnar().get());
+  EXPECT_EQ(l_rows, catalog.at("l").num_rows());
 }
 
-TEST(ColumnarMemoTest, MovedFromRelationWorksAfterReassignment) {
+TEST(SharedColumnsTest, SoleOwnerAppendsInPlaceAndForgetsFingerprints) {
   Relation a = testing::MakeSingleTable(5);
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ColumnarRelation> original,
-                       a.Columnar());
+  const ColumnarRelation* columns = a.Columnar().get();
+  const uint64_t fp = a.Fingerprint("R");
+  a.AppendRow(Row{Value(6.0)}, {5});
+  EXPECT_EQ(columns, a.Columnar().get());
+  const uint64_t grown = a.Fingerprint("R");
+  EXPECT_NE(fp, grown);
+  EXPECT_EQ(ContentFingerprint("R", testing::MakeSingleTable(6)
+                                        .Columnar()
+                                        ->data()),
+            grown);
+}
+
+TEST(SharedColumnsTest, MovedFromRelationWorksAfterReassignment) {
+  Relation a = testing::MakeSingleTable(5);
+  const std::shared_ptr<const ColumnarRelation> original = a.Columnar();
   Relation b = std::move(a);
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ColumnarRelation> moved,
-                       b.Columnar());
-  EXPECT_EQ(original.get(), moved.get());
+  EXPECT_EQ(original.get(), b.Columnar().get());
 
   a = testing::MakeSingleTable(3);
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ColumnarRelation> reassigned,
-                       a.Columnar());
-  EXPECT_EQ(3, reassigned->num_rows());
+  EXPECT_EQ(3, a.Columnar()->num_rows());
   a.AppendRow(Row{Value(4.0)}, {3});
-  ASSERT_OK_AND_ASSIGN(reassigned, a.Columnar());
+  const std::shared_ptr<const ColumnarRelation> reassigned = a.Columnar();
   EXPECT_EQ(4, reassigned->num_rows());
-  ASSERT_OK_AND_ASSIGN(const uint64_t fp, a.Fingerprint("R"));
-  EXPECT_EQ(ContentFingerprint("R", reassigned->data()), fp);
+  EXPECT_EQ(ContentFingerprint("R", reassigned->data()), a.Fingerprint("R"));
 
-  Relation c;  // default-constructed: converts to an empty form
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ColumnarRelation> empty,
-                       c.Columnar());
-  EXPECT_EQ(0, empty->num_rows());
+  Relation c;  // default-constructed: empty columns
+  EXPECT_EQ(0, c.Columnar()->num_rows());
 }
 
-TEST(ColumnarMemoTest, TypeErrorIsNeverMemoized) {
-  Relation rel(Schema({{"x", ValueType::kInt64}}), {"R"});
-  rel.AppendRow(Row{Value(1.5)}, LineageRow{0});
-  Catalog catalog;
-  catalog.emplace("R", rel);
-  for (int call = 0; call < 3; ++call) {
-    EXPECT_STATUS_CODE(kTypeError, rel.Columnar().status());
-    EXPECT_STATUS_CODE(kTypeError, rel.Fingerprint("R").status());
-    ColumnarCatalog columnar(&catalog);
-    EXPECT_STATUS_CODE(kTypeError, columnar.Get("R").status());
-    EXPECT_STATUS_CODE(kTypeError, columnar.Fingerprint("R").status());
-  }
-}
-
-TEST(ColumnarMemoTest, FingerprintsAreSharedAndTrackAppends) {
+TEST(SharedColumnsTest, FingerprintsAreSharedAndTrackAppends) {
   Catalog catalog = MakeMemoCatalog();
   ColumnarCatalog first(&catalog);
   ColumnarCatalog second(&catalog);
@@ -317,9 +308,9 @@ TEST(ColumnarMemoTest, FingerprintsAreSharedAndTrackAppends) {
   ASSERT_OK_AND_ASSIGN(const uint64_t fp_again, second.Fingerprint("l"));
   EXPECT_EQ(fp, fp_again);
   // The memoized value is the plain ContentFingerprint of the content.
-  ASSERT_OK_AND_ASSIGN(ColumnarRelation direct,
-                       ColumnarRelation::FromRelation(catalog.at("l")));
-  EXPECT_EQ(ContentFingerprint("l", direct.data()), fp);
+  EXPECT_EQ(ContentFingerprint(
+                "l", RebuildCatalog(catalog).at("l").Columnar()->data()),
+            fp);
   ASSERT_OK_AND_ASSIGN(const uint64_t other, first.Fingerprint("o"));
   EXPECT_NE(fp, other);
 
@@ -329,9 +320,7 @@ TEST(ColumnarMemoTest, FingerprintsAreSharedAndTrackAppends) {
   ColumnarCatalog after(&catalog);
   ASSERT_OK_AND_ASSIGN(const uint64_t changed, after.Fingerprint("l"));
   EXPECT_NE(fp, changed);
-  ASSERT_OK_AND_ASSIGN(const uint64_t changed_direct,
-                       catalog.at("l").Fingerprint("l"));
-  EXPECT_EQ(changed, changed_direct);
+  EXPECT_EQ(changed, catalog.at("l").Fingerprint("l"));
   // Catalogs that saw the old content keep fingerprinting that snapshot.
   ASSERT_OK_AND_ASSIGN(const uint64_t old_cached, first.Fingerprint("l"));
   ASSERT_OK_AND_ASSIGN(const uint64_t old_pinned, pinned.Fingerprint("l"));
@@ -339,32 +328,29 @@ TEST(ColumnarMemoTest, FingerprintsAreSharedAndTrackAppends) {
   EXPECT_EQ(fp, old_pinned);
 }
 
-TEST(ColumnarMemoTest, SharedDictionaryIsNeverExtendedInPlace) {
+TEST(SharedColumnsTest, SharedDictionaryIsNeverExtendedInPlace) {
   const Schema schema({{"tag", ValueType::kString}});
   const Relation base = Relation::MakeBase(
       "S", schema, {Row{Value("a")}, Row{Value("b")}});
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ColumnarRelation> shared,
-                       base.Columnar());
-  ASSERT_OK_AND_ASSIGN(
-      ColumnarRelation other,
-      ColumnarRelation::FromRelation(
-          Relation::MakeBase("S", schema, {Row{Value("c")}})));
+  const std::shared_ptr<const ColumnarRelation> shared = base.Columnar();
+  const std::shared_ptr<const ColumnarRelation> other =
+      Relation::MakeBase("S", schema, {Row{Value("c")}}).Columnar();
   const StringDict& dict = *shared->data().column(0).dict;
 
   ColumnBatch ranged(shared->layout_ptr());
   ranged.AppendRangeFrom(shared->data(), 0, 2);  // adopts the shared dict
-  ranged.AppendRangeFrom(other.data(), 0, 1);
+  ranged.AppendRangeFrom(other->data(), 0, 1);
   ColumnBatch gathered(shared->layout_ptr());
   gathered.GatherFrom(shared->data(), std::vector<int64_t>{1});
-  gathered.GatherFrom(other.data(), std::vector<int64_t>{0});
-  ColumnBatch appended(shared->layout_ptr());
-  appended.mutable_column(0)->AppendFrom(shared->data().column(0), 0);
-  appended.mutable_column(0)->AppendFrom(other.data().column(0), 0);
+  gathered.GatherFrom(other->data(), std::vector<int64_t>{0});
+  Relation copy = base;
+  copy.AppendRow(Row{Value("d")}, {2});
 
   EXPECT_EQ(2u, dict.values.size());
   EXPECT_EQ("c", ranged.column(0).StringAt(2));
   EXPECT_EQ("c", gathered.column(0).StringAt(1));
-  EXPECT_EQ("c", appended.column(0).StringAt(1));
+  EXPECT_EQ("d", copy.row(2)[0].AsString());
+  EXPECT_EQ(2, base.num_rows());
 }
 
 // ---- Vectorized expression evaluation --------------------------------------
@@ -390,9 +376,7 @@ class VectorEvalTest : public ::testing::Test {
                                       {"y", ValueType::kFloat64},
                                       {"s", ValueType::kString}}),
                               std::move(rows));
-    auto columnar = ColumnarRelation::FromRelation(rel_);
-    ASSERT_TRUE(columnar.ok());
-    columnar_ = std::move(columnar).ValueOrDie();
+    columnar_ = *rel_.Columnar();
   }
 
   /// Evaluates `expr` both ways and asserts identical per-row results

@@ -456,10 +456,8 @@ TEST(WireTest, GroupedSumRoundTripWithCollidingDictionaries) {
       {{"x", 0.5}, {"y", 1.25}, {"x", 2.0}});
   Relation rel_b = MakeStringKeyRelation(
       {{"y", 0.75}, {"z", 3.5}, {"z", 0.25}});
-  ASSERT_OK_AND_ASSIGN(ColumnarRelation col_a,
-                       ColumnarRelation::FromRelation(rel_a));
-  ASSERT_OK_AND_ASSIGN(ColumnarRelation col_b,
-                       ColumnarRelation::FromRelation(rel_b));
+  const ColumnarRelation& col_a = *rel_a.Columnar();
+  const ColumnarRelation& col_b = *rel_b.Columnar();
 
   ASSERT_OK_AND_ASSIGN(
       GroupedSumBuilder a,
@@ -500,8 +498,7 @@ TEST(WireTest, GroupedSumEmptyShardMerges) {
   LineageSchema schema = LineageSchema::Make({"R"}).ValueOrDie();
   GusParams gus = MultiDimBernoulliGus(schema, {{"R", 0.5}}).ValueOrDie();
   Relation rel = MakeStringKeyRelation({{"x", 0.5}, {"y", 1.25}});
-  ASSERT_OK_AND_ASSIGN(ColumnarRelation col,
-                       ColumnarRelation::FromRelation(rel));
+  const ColumnarRelation& col = *rel.Columnar();
   ASSERT_OK_AND_ASSIGN(
       GroupedSumBuilder a,
       GroupedSumBuilder::Make(col.layout(), Col("v"), "k", schema));

@@ -366,8 +366,7 @@ TEST(MergeTest, GroupedBuilderMergeMatchesRelationPath) {
   ASSERT_OK_AND_ASSIGN(auto expected,
                        GroupedSumEstimate(gus, joined, f, "pk"));
 
-  ASSERT_OK_AND_ASSIGN(ColumnarRelation columnar,
-                       ColumnarRelation::FromRelation(joined));
+  const ColumnarRelation& columnar = *joined.Columnar();
   ASSERT_OK_AND_ASSIGN(
       GroupedSumBuilder a,
       GroupedSumBuilder::Make(columnar.layout(), f, "pk", schema));

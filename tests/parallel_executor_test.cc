@@ -251,7 +251,7 @@ TEST(ParallelExecutorTest, StreamingReportMatchesMaterializedMorselRun) {
                         MorselOptions(4)));
   ASSERT_OK_AND_ASSIGN(
       SampleView view,
-      SampleView::FromRelation(mat.ToRelation(), Col("v"),
+      SampleView::FromRelation(Relation(mat), Col("v"),
                                soa.top.schema()));
   ASSERT_OK_AND_ASSIGN(SboxReport materialized,
                        SboxEstimate(soa.top, view, options));

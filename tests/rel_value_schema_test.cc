@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "rel/relation.h"
 #include "rel/schema.h"
 #include "rel/value.h"
 #include "test_util.h"
@@ -132,12 +133,15 @@ TEST(RelationTest, LineageDisjoint) {
   EXPECT_FALSE(Relation::LineageDisjoint(a, a2));
 }
 
-TEST(RelationTest, AppendRowEnforcesArities) {
+TEST(RelationTest, AppendRowEnforcesAritiesAndTypes) {
   Relation r(Schema({{"v", ValueType::kFloat64}}), {"R"});
   EXPECT_DEATH(r.AppendRow(Row{Value(1.0), Value(2.0)}, LineageRow{0}),
                "row arity");
   EXPECT_DEATH(r.AppendRow(Row{Value(1.0)}, LineageRow{0, 1}),
                "lineage arity");
+  EXPECT_DEATH(r.AppendRow(Row{Value(int64_t{1})}, LineageRow{0}),
+               "value type");
+  EXPECT_DEATH(r.AppendRow(Row{Value("1.0")}, LineageRow{0}), "value type");
 }
 
 TEST(RelationTest, AppendRowCheckedSurfacesStatus) {
@@ -149,6 +153,26 @@ TEST(RelationTest, AppendRowCheckedSurfacesStatus) {
                      r.AppendRowChecked(Row{Value(1.0)}, LineageRow{0, 1}));
   ASSERT_OK(r.AppendRowChecked(Row{Value(1.0)}, LineageRow{7}));
   EXPECT_EQ(1, r.num_rows());
+}
+
+TEST(RelationTest, AppendRowCheckedRejectsMistypedValues) {
+  Relation r(Schema({{"k", ValueType::kInt64}, {"s", ValueType::kString}}),
+             {"R"});
+  // The columnar engines could not hold these; neither does the relation.
+  EXPECT_STATUS_CODE(kTypeError,
+                     r.AppendRowChecked(Row{Value(1.5), Value("a")},
+                                        LineageRow{0}));
+  EXPECT_STATUS_CODE(kTypeError,
+                     r.AppendRowChecked(Row{Value(int64_t{1}), Value(2.0)},
+                                        LineageRow{0}));
+  EXPECT_STATUS_CODE(kTypeError,
+                     r.AppendRowChecked(Row{Value("5a"), Value("a")},
+                                        LineageRow{0}));
+  EXPECT_EQ(0, r.num_rows());  // a rejected row appends nothing
+  ASSERT_OK(r.AppendRowChecked(Row{Value(int64_t{5}), Value("a")},
+                               LineageRow{0}));
+  EXPECT_EQ(1, r.num_rows());
+  EXPECT_EQ(Value(int64_t{5}), r.row(0)[0]);
 }
 
 TEST(RelationTest, ToStringShowsRowsAndLineage) {

@@ -573,6 +573,88 @@ TEST(ServeTest, FullRequestQueueAnswersUnavailableAndSessionsRetryThrough) {
   EXPECT_EQ(workers, daemon.request_workers());
 }
 
+TEST(ServeTest, PeerThatNeverReadsCannotParkTheDaemon) {
+  ServeFixture fx;
+  const SboxReport want = fx.Local(/*seed=*/43, 4);
+  Fleet fleet = StartFleet(fx, 1, "noread");
+  const WorkerDaemon& daemon = *fleet.daemons[0];
+  const int workers = WorkerDaemon::MaxRequestWorkers();
+  const int sent =
+      workers + static_cast<int>(WorkerDaemon::kQueuedPerWorker) * workers +
+      4000;
+
+  // A peer floods exec requests and reads none of the replies. Once its
+  // socket buffer is full, every worker answering it blocks in a send,
+  // the queue fills, and the daemon's reader blocks on its own
+  // Unavailable replies, so the flood's sends block too.
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<SocketConnection> raw,
+                       SocketConnection::Connect(fleet.endpoints[0]));
+  std::atomic<int> written{0};
+  std::atomic<bool> flood_ended{false};
+  std::thread flood([&] {
+    ExecShardRequest req;
+    req.query = "q1";
+    req.seed = 5;
+    req.num_shards = 4;
+    req.morsel_rows = 64;
+    for (int i = 0; i < sent; ++i) {
+      req.shard_index = i % req.num_shards;
+      ServeHeader header;
+      header.type = ServeMsg::kExecRequest;
+      header.session_id = 1;
+      header.request_id = static_cast<uint64_t>(i) + 1;
+      if (!raw->SendFrame(EncodeServeMessage(header,
+                                             ExecShardRequestToBytes(req)))
+               .ok()) {
+        break;  // the daemon closed the connection
+      }
+      written.fetch_add(1);
+    }
+    flood_ended.store(true);
+  });
+  // Wait until the flood stalls: nothing more written for 200 ms.
+  for (int last = -1; written.load() != last;) {
+    last = written.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  }
+
+  // A session on another connection is refused while the workers wait on
+  // the stuck peer, then lands on the unloaded answer once the send
+  // timeout has closed that peer's connection.
+  const auto start = std::chrono::steady_clock::now();
+  SessionCoordinator coordinator(fleet.endpoints);
+  ServedRequest served_req = BaseRequest(43);
+  served_req.retry.max_attempts = 100;  // ~9 s of backoff in all
+  served_req.retry.deadline_ms = 1000;  // re-sends a request left queued
+  Result<ServedResult> served = coordinator.Execute("q1", served_req);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  coordinator.Shutdown();
+  // The daemon closed the stuck peer's connection, which failed the
+  // flood's blocked send.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flood_ended.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(flood_ended.load());
+  EXPECT_LT(written.load(), sent);
+  raw->Close();  // unblocks the flood had the daemon not closed it
+  flood.join();
+  ASSERT_OK(served.status());
+  EXPECT_FALSE(served.ValueOrDie().degraded);
+  ExpectReportsIdentical(want, served.ValueOrDie().report);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(
+                         5 * WorkerDaemon::kReplySendTimeoutMs));
+
+  // Every worker goes back to waiting for work.
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (daemon.idle_request_workers() < daemon.request_workers() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(daemon.request_workers(), daemon.idle_request_workers());
+  EXPECT_LE(daemon.request_workers(), workers);
+}
+
 TEST(ServeTest, DaemonReapsEndedConnections) {
   ServeFixture fx;
   Fleet fleet = StartFleet(fx, 1, "reap");

@@ -83,7 +83,7 @@ TEST(SegmentStoreTest, RoundTripAndFingerprintParity) {
     // Materialization reproduces the rows exactly.
     ASSERT_OK_AND_ASSIGN(const ColumnarRelation* materialized,
                          stored_catalog->Get(name));
-    const Relation back = materialized->ToRelation();
+    const Relation back(*materialized);
     ASSERT_EQ(rel.num_rows(), back.num_rows());
     for (int64_t i = 0; i < rel.num_rows(); ++i) {
       ASSERT_EQ(rel.lineage(i), back.lineage(i)) << "row " << i;
@@ -124,8 +124,7 @@ TEST(ZoneMapTest, SingleRowSegmentsAndMinEqMax) {
       "one",
       Schema({{"k", ValueType::kInt64}, {"x", ValueType::kFloat64}}),
       std::move(rows));
-  ASSERT_OK_AND_ASSIGN(ColumnarRelation crel,
-                       ColumnarRelation::FromRelation(rel));
+  const ColumnarRelation& crel = *rel.Columnar();
   const std::string dir = FreshDir("single");
   std::filesystem::create_directories(dir);
   ASSERT_OK_AND_ASSIGN(
@@ -185,8 +184,7 @@ TEST(ZoneMapTest, NaNPagesAreUnknownAndNeverPruned) {
   rows.push_back(Row{Value(1.0)});
   Relation rel = Relation::MakeBase(
       "nanrel", Schema({{"x", ValueType::kFloat64}}), std::move(rows));
-  ASSERT_OK_AND_ASSIGN(ColumnarRelation crel,
-                       ColumnarRelation::FromRelation(rel));
+  const ColumnarRelation& crel = *rel.Columnar();
   const std::string dir = FreshDir("nan");
   std::filesystem::create_directories(dir);
   ASSERT_OK(WriteRelationSegments("nanrel", crel, dir + "/nanrel.gseg",
@@ -207,8 +205,7 @@ TEST(ZoneMapTest, StringZonesAreLexicographic) {
   }
   Relation rel = Relation::MakeBase(
       "strs", Schema({{"s", ValueType::kString}}), std::move(rows));
-  ASSERT_OK_AND_ASSIGN(ColumnarRelation crel,
-                       ColumnarRelation::FromRelation(rel));
+  const ColumnarRelation& crel = *rel.Columnar();
   const std::string dir = FreshDir("strz");
   std::filesystem::create_directories(dir);
   ASSERT_OK(WriteRelationSegments("strs", crel, dir + "/strs.gseg",
@@ -318,7 +315,7 @@ std::string WriteMixedTypeSegments(const std::string& tag) {
               {"x", ValueType::kFloat64},
               {"s", ValueType::kString}}),
       std::move(rows));
-  ColumnarRelation crel = ColumnarRelation::FromRelation(rel).ValueOrDie();
+  const ColumnarRelation& crel = *rel.Columnar();
   const std::string dir = FreshDir(tag);
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/mixed.gseg";

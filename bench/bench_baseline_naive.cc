@@ -21,11 +21,6 @@ using bench::ValueOrAbort;
 
 namespace {
 
-// The whole evaluation runs on the columnar engine; sampled-mode draws are
-// engine-invariant (shared index-selection core), so the statistics are
-// identical to the row engine's — flip this to cross-check.
-constexpr ExecEngine kEngine = ExecEngine::kColumnar;
-
 struct CoveragePair {
   double gus = 0.0;
   double naive = 0.0;
@@ -33,23 +28,20 @@ struct CoveragePair {
   double naive_width = 0.0;
 };
 
-/// Runs the plan on kEngine; the columnar path reuses `columnar` across
-/// trials.
-Relation RunPlan(const Workload& w, const Catalog& catalog,
-                 ColumnarCatalog* columnar, Rng* rng, ExecMode mode) {
-  if (kEngine == ExecEngine::kColumnar) {
-    return Relation(
-        ValueOrAbort(ExecutePlanColumnar(w.plan, columnar, rng, mode)));
-  }
-  return ValueOrAbort(ExecutePlan(w.plan, catalog, rng, mode));
+/// Runs the plan on the serial columnar pipeline, reusing `columnar` across
+/// trials. Sampled-mode draws are engine-invariant (shared index-selection
+/// core), so the statistics are identical to the row engine's.
+Relation RunPlan(const Workload& w, ColumnarCatalog* columnar, Rng* rng,
+                 ExecMode mode) {
+  return Relation(
+      ValueOrAbort(ExecutePlanColumnar(w.plan, columnar, rng, mode)));
 }
 
-CoveragePair MeasureBoth(const Workload& w, const Catalog& catalog,
-                         ColumnarCatalog* columnar, int trials,
-                         uint64_t seed) {
+CoveragePair MeasureBoth(const Workload& w, ColumnarCatalog* columnar,
+                         int trials, uint64_t seed) {
   SoaResult soa = ValueOrAbort(SoaTransform(w.plan));
   Rng exact_rng(seed);
-  Relation exact = RunPlan(w, catalog, columnar, &exact_rng, ExecMode::kExact);
+  Relation exact = RunPlan(w, columnar, &exact_rng, ExecMode::kExact);
   SampleView exact_view = ValueOrAbort(
       SampleView::FromRelation(exact, w.aggregate, soa.top.schema()));
   const double truth = exact_view.SumF();
@@ -60,7 +52,7 @@ CoveragePair MeasureBoth(const Workload& w, const Catalog& catalog,
   for (int t = 0; t < trials; ++t) {
     Rng rng = master.Fork(t);
     Relation sampled =
-        RunPlan(w, catalog, columnar, &rng, ExecMode::kSampled);
+        RunPlan(w, columnar, &rng, ExecMode::kSampled);
     SampleView view = ValueOrAbort(
         SampleView::FromRelation(sampled, w.aggregate, soa.top.schema()));
     SboxReport g = ValueOrAbort(SboxEstimate(soa.top, view));
@@ -98,7 +90,7 @@ void PrintBaseline() {
     w.plan = PlanNode::Sample(SamplingSpec::Bernoulli(0.2),
                               PlanNode::Scan("o"));
     w.aggregate = Col("o_totalprice");
-    CoveragePair c = MeasureBoth(w, catalog, &columnar, trials, 500);
+    CoveragePair c = MeasureBoth(w, &columnar, trials, 500);
     table.AddRow({"B(0.2)(orders), SUM(o_totalprice)",
                   TablePrinter::Num(c.gus, 3), TablePrinter::Num(c.naive, 3),
                   TablePrinter::Num(c.gus_width, 4),
@@ -110,7 +102,7 @@ void PrintBaseline() {
     w.plan = PlanNode::Sample(SamplingSpec::WithoutReplacement(600, 1200),
                               PlanNode::Scan("o"));
     w.aggregate = Col("o_totalprice");
-    CoveragePair c = MeasureBoth(w, catalog, &columnar, trials, 501);
+    CoveragePair c = MeasureBoth(w, &columnar, trials, 501);
     table.AddRow({"WOR(600/1200)(orders)", TablePrinter::Num(c.gus, 3),
                   TablePrinter::Num(c.naive, 3),
                   TablePrinter::Num(c.gus_width, 4),
@@ -123,7 +115,7 @@ void PrintBaseline() {
     params.orders_n = 360;
     params.orders_population = 1200;
     Workload q1 = MakeQuery1(params);
-    CoveragePair c = MeasureBoth(q1, catalog, &columnar, trials, 502);
+    CoveragePair c = MeasureBoth(q1, &columnar, trials, 502);
     table.AddRow({"Query 1 (B0.3 l jn WOR 360 o)", TablePrinter::Num(c.gus, 3),
                   TablePrinter::Num(c.naive, 3),
                   TablePrinter::Num(c.gus_width, 4),
@@ -139,7 +131,7 @@ void PrintBaseline() {
                          PlanNode::Scan("o")),
         "l_orderkey", "o_orderkey");
     w.aggregate = Mul(Col("l_discount"), Col("o_totalprice"));
-    CoveragePair c = MeasureBoth(w, catalog, &columnar, trials, 503);
+    CoveragePair c = MeasureBoth(w, &columnar, trials, 503);
     table.AddRow({"l jn WOR(300/1200)(o), fanout 7",
                   TablePrinter::Num(c.gus, 3), TablePrinter::Num(c.naive, 3),
                   TablePrinter::Num(c.gus_width, 4),

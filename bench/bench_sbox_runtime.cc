@@ -343,7 +343,7 @@ void PrintThreadScaling() {
   PrintThreadScalingAt(32000, "small_", 1, 4096);
 }
 
-/// E3d — ExecOptions::batch_rows sweep on the serial columnar streaming
+/// E3d — batch_rows sweep on the serial columnar streaming
 /// path (Query 1, largest scale): the batch size trades per-batch dispatch
 /// against cache residency.
 void PrintBatchSizeSweep() {

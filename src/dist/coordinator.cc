@@ -119,43 +119,31 @@ Result<std::string> RunWithDeadline(int64_t deadline_ms,
       " ms deadline; abandoned for re-dispatch");
 }
 
+/// The retry backoff schedule (ShardRetryPolicy): 1 ms doubling per retry
+/// to a 100 ms cap, plus up to one base of jitter from a fixed stream seed.
+constexpr int64_t kBackoffBaseMs = 1;
+constexpr double kBackoffMult = 2.0;
+constexpr int64_t kBackoffMaxMs = 100;
+constexpr uint64_t kBackoffJitterSeed = 0x9E3779B97F4A7C15ull;
+
 /// Deterministic exponential backoff before re-attempt `attempt` (2-based:
 /// the first retry). Jitter comes from a forked stream keyed on
 /// (shard, attempt), so a fixed fault plan replays the same schedule.
-void SleepBackoff(const ShardRetryPolicy& retry, int64_t shard, int attempt) {
-  if (retry.backoff_base_ms <= 0) return;
+void SleepBackoff(int64_t shard, int attempt) {
   const double scaled =
-      static_cast<double>(retry.backoff_base_ms) *
-      std::pow(retry.backoff_mult, static_cast<double>(attempt - 2));
-  int64_t ms = std::min(static_cast<int64_t>(scaled), retry.backoff_max_ms);
-  Rng jitter = Rng::ForkStream(retry.jitter_seed,
+      static_cast<double>(kBackoffBaseMs) *
+      std::pow(kBackoffMult, static_cast<double>(attempt - 2));
+  int64_t ms = static_cast<int64_t>(
+      std::min(scaled, static_cast<double>(kBackoffMaxMs)));
+  Rng jitter = Rng::ForkStream(kBackoffJitterSeed,
                                static_cast<uint64_t>(shard) * 64 +
                                    static_cast<uint64_t>(attempt));
   ms += static_cast<int64_t>(
-      jitter.UniformInt(static_cast<uint64_t>(retry.backoff_base_ms) + 1));
+      jitter.UniformInt(static_cast<uint64_t>(kBackoffBaseMs) + 1));
   if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-
 }  // namespace
-
-Status WarmCatalogForPlan(const PlanPtr& plan, ColumnarCatalog* catalog) {
-  std::function<Status(const PlanPtr&)> walk =
-      [&](const PlanPtr& node) -> Status {
-    if (node->op() == PlanOp::kScan) {
-      // Resolving a scan pre-writes an in-memory relation's lazy caches
-      // and materializes nothing for a segment-backed one (that would
-      // defeat out-of-core execution).
-      return ResolveScanInput(catalog, node->relation()).status();
-    }
-    for (int c = 0; c < node->num_children(); ++c) {
-      GUS_RETURN_NOT_OK(walk(c == 0 ? node->left() : node->right()));
-    }
-    return Status::OK();
-  };
-  return walk(plan);
-}
-
 
 Result<FaultTolerantResult> FoldGatheredShardBundles(
     const std::vector<int>& shard_ids,
@@ -349,7 +337,7 @@ std::vector<ShardOutcome> SuperviseShards(int num_shards,
   const auto supervise = [&](int k) {
     ShardOutcome& outcome = outcomes[static_cast<size_t>(k)];
     for (int a = 1; a <= max_attempts; ++a) {
-      if (a > 1) SleepBackoff(retry, k, a);
+      if (a > 1) SleepBackoff(k, a);
       ++outcome.attempts;
       Result<std::string> delivered = attempt(k);
       if (delivered.ok()) {
@@ -512,7 +500,6 @@ Result<FaultTolerantResult> GatherSboxEstimate(
 Result<std::vector<ShardOutcome>> SuperviseInProcessShards(
     const PlanPtr& plan, ColumnarCatalog* columnar, const ExecOptions& exec,
     int num_shards, ShardTransport* transport, const InProcessShardFn& worker) {
-  GUS_RETURN_NOT_OK(WarmCatalogForPlan(plan, columnar));
   GUS_ASSIGN_OR_RETURN(const uint64_t expected_fingerprint,
                        PlanCatalogFingerprint(plan, columnar));
   LocalTransport local;
@@ -539,9 +526,8 @@ namespace {
 
 /// \brief The SBox one-call scatter/gather: RunShardSbox attempts under
 /// SuperviseInProcessShards, finished by FinishShardGather. `columnar` is
-/// shared with attempts abandoned at a deadline, keeping its caches alive
-/// for late finishers (the base data itself must outlive them; see
-/// JoinAbandonedShardAttempts).
+/// shared with attempts abandoned at a deadline, so late finishers keep
+/// reading it (see JoinAbandonedShardAttempts).
 Result<FaultTolerantResult> InProcessShardGather(
     const PlanPtr& plan, std::shared_ptr<ColumnarCatalog> columnar,
     uint64_t seed, ExecMode mode, const ExecOptions& exec, int num_shards,
@@ -612,10 +598,10 @@ Result<SboxReport> ShardedSboxEstimate(const PlanPtr& plan,
                                        const GusParams& gus,
                                        const SboxOptions& options,
                                        ShardTransport* transport) {
-  // In-process workers share one columnar catalog: its pinned columns and
-  // fingerprint cache are pre-warmed serially, after which concurrent
-  // workers only read it — real multi-process workers each hold their
-  // own, which changes nothing observable.
+  // In-process workers share one columnar catalog, immutable after
+  // construction, so concurrent workers only read it — real
+  // multi-process workers each hold their own, which changes nothing
+  // observable.
   ColumnarCatalog columnar(&catalog);
   return ShardedSboxEstimateOverCatalog(plan, &columnar, seed, mode, exec,
                                         num_shards, f_expr, gus, options,

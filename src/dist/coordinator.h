@@ -47,15 +47,6 @@ namespace gus {
 Status ValidateShardSamplerStates(
     const std::vector<std::string>& sampler_payloads);
 
-/// \brief Serially pre-writes the lazy, not thread-safe columnar caches of
-/// every in-memory relation `plan` scans, so concurrent shard workers or
-/// daemon request workers can then share `catalog` read-only.
-///
-/// Segment-backed relations stay on disk (their scans stream through the
-/// thread-safe pinned cache). The fingerprint cache is left to
-/// PlanCatalogFingerprint: warming it costs a full pass over the data.
-Status WarmCatalogForPlan(const PlanPtr& plan, ColumnarCatalog* catalog);
-
 /// \brief True for failures a retry can fix: lost workers, torn/missing
 /// transport frames (Unavailable, KeyError), and elapsed deadlines.
 ///
@@ -188,11 +179,11 @@ using InProcessShardFn = std::function<Result<std::string>(
     int shard, const ExecOptions& exec, uint64_t expected_fingerprint)>;
 
 /// \brief The in-process scatter behind the one-call SBox forms and the
-/// sqlish SQL gathers: warms `columnar`, then runs `worker` per shard under
-/// SuperviseShards with `exec.retry` (valid `exec` required). Each attempt
-/// runs under the deadline with `exec.stats` stripped, then is sent
-/// through `transport` (a local mailbox when null) and read back, so wire
-/// damage surfaces while the shard can still be re-dispatched.
+/// sqlish SQL gathers: fingerprints `columnar`, then runs `worker` per
+/// shard under SuperviseShards with `exec.retry` (valid `exec` required).
+/// Each attempt runs under the deadline with `exec.stats` stripped, then is
+/// sent through `transport` (a local mailbox when null) and read back, so
+/// wire damage surfaces while the shard can still be re-dispatched.
 Result<std::vector<ShardOutcome>> SuperviseInProcessShards(
     const PlanPtr& plan, ColumnarCatalog* columnar, const ExecOptions& exec,
     int num_shards, ShardTransport* transport, const InProcessShardFn& worker);

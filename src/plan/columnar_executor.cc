@@ -38,29 +38,24 @@ Result<bool> BatchSource::NextView(SelView* out) {
   return true;
 }
 
-Result<const ColumnarRelation*> ColumnarCatalog::Get(const std::string& name) {
-  auto cached = cache_.find(name);
-  if (cached != cache_.end()) return cached->second.get();
-  auto it = catalog_->find(name);
-  if (it == catalog_->end()) {
+Result<const Relation*> ColumnarCatalog::Find(const std::string& name) const {
+  auto it = snapshot_.find(name);
+  if (it == snapshot_.end()) {
     return Status::KeyError("relation '" + name + "' not in catalog");
   }
-  return cache_.emplace(name, it->second.Columnar()).first->second.get();
+  return &it->second;
+}
+
+Result<const ColumnarRelation*> ColumnarCatalog::Get(const std::string& name) {
+  GUS_ASSIGN_OR_RETURN(const Relation* rel, Find(name));
+  // The snapshot's copy holds the columns, so the pointer outlives the
+  // returned shared_ptr.
+  return rel->Columnar().get();
 }
 
 Result<uint64_t> ColumnarCatalog::Fingerprint(const std::string& name) {
-  auto cached = fingerprints_.find(name);
-  if (cached != fingerprints_.end()) return cached->second;
-  GUS_ASSIGN_OR_RETURN(const ColumnarRelation* rel, Get(name));
-  // The relation memoizes the fingerprint of its current columns. Those
-  // are this catalog's snapshot unless the relation changed since Get(name).
-  auto it = catalog_->find(name);
-  const uint64_t h =
-      it != catalog_->end() && it->second.Columnar().get() == rel
-          ? it->second.Fingerprint(name)
-          : ContentFingerprint(name, rel->data());
-  fingerprints_.emplace(name, h);
-  return h;
+  GUS_ASSIGN_OR_RETURN(const Relation* rel, Find(name));
+  return rel->Fingerprint(name);
 }
 
 Result<int64_t> ColumnarCatalog::RowCountOf(const std::string& name) {

@@ -60,14 +60,18 @@ class StoredRelation;  // store/segment_store.h
 
 /// \brief Catalog of base relations in columnar form.
 ///
-/// The base class is the in-memory form over a Catalog. Get() pins the
-/// relation's own columns (Relation::Columnar), so nothing converts or
-/// copies, and Fingerprint() reuses the fingerprint the relation memoizes
-/// with them. Building a catalog per query is therefore cheap — the const
-/// Catalog& entry points (ExecutePlan, sqlish RunApproxQuery,
-/// ShardedSboxEstimate) do exactly that. A catalog keeps scanning the
-/// snapshot it first saw even if the relation is appended to afterwards:
-/// the append copies the columns the catalog pins.
+/// The base class is the in-memory form over a Catalog, immutable after
+/// construction: the constructor snapshots a Relation copy of every entry.
+/// The copies share the relations' column blocks, so nothing converts or
+/// copies column data; Get() returns the snapshot's columns
+/// (Relation::Columnar) and Fingerprint() the fingerprint the relation
+/// memoizes with them (under its own mutex). Building a catalog per query
+/// is therefore cheap — the const Catalog& entry points (ExecutePlan,
+/// sqlish RunApproxQuery, ShardedSboxEstimate) do exactly that — and
+/// concurrent readers need no set-up. A catalog keeps scanning its
+/// snapshot even if a relation is appended to afterwards: the append
+/// copies the columns the snapshot shares; relations added to the Catalog
+/// after construction are not in the snapshot.
 ///
 /// The virtual surface is what lets the execution engines run over other
 /// storage unchanged: SegmentCatalog (store/segment_catalog.h) overrides it
@@ -78,7 +82,7 @@ class StoredRelation;  // store/segment_store.h
 /// ResolveScanInput makes the resident-vs-stored choice.
 class ColumnarCatalog {
  public:
-  explicit ColumnarCatalog(const Catalog* catalog) : catalog_(catalog) {}
+  explicit ColumnarCatalog(const Catalog* catalog) : snapshot_(*catalog) {}
   virtual ~ColumnarCatalog() = default;
 
   /// \brief The fully materialized columnar form of base relation `name`.
@@ -89,7 +93,7 @@ class ColumnarCatalog {
   virtual Result<const ColumnarRelation*> Get(const std::string& name);
 
   /// \brief Content fingerprint of base relation `name` (computed once,
-  /// cached).
+  /// memoized with the relation's columns).
   ///
   /// Hashes the schema (names + types), lineage schema, row count, every
   /// column value (strings by content, floats by bit pattern), and the
@@ -122,14 +126,13 @@ class ColumnarCatalog {
 
  protected:
   /// For derived catalogs that do not wrap a row-engine Catalog.
-  ColumnarCatalog() : catalog_(nullptr) {}
+  ColumnarCatalog() = default;
 
  private:
-  const Catalog* catalog_;
-  // The relations' columns (Relation::Columnar), pinned at first use:
-  // this catalog keeps scanning the snapshot it first saw.
-  std::map<std::string, std::shared_ptr<const ColumnarRelation>> cache_;
-  std::map<std::string, uint64_t> fingerprints_;
+  /// The relation named `name` in the snapshot, or KeyError.
+  Result<const Relation*> Find(const std::string& name) const;
+
+  const Catalog snapshot_;
 };
 
 /// \brief Rows [begin, end) of a base relation, held by one batch as its

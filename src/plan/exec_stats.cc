@@ -21,7 +21,6 @@ std::string ExecStats::ToString(const std::string& label) const {
       << prepare_sampler_ms << " ms inside)\n";
   out << "  parallel   " << parallel_ms << " ms  (sink fold " << sink_fold_ms
       << " ms inside)\n";
-  out << "  gather     " << gather_ms << " ms\n";
   out << "  pivot      " << pivot_rows << " rows -> " << morsels
       << " morsels x " << morsel_rows << " rows\n";
   out << "  emitted    " << rows_emitted << " rows, " << bytes_moved

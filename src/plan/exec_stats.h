@@ -28,7 +28,7 @@ namespace gus {
 /// range/shard primitives underneath) when ExecOptions::stats points here.
 /// Reset() is called on entry, so one instance can be reused across
 /// queries. Phase times satisfy
-///   prepare_ms + parallel_ms + gather_ms <= total_ms   (plus epsilon)
+///   prepare_ms + parallel_ms <= total_ms   (plus epsilon)
 /// and sink_fold_ms is time *inside* parallel_ms spent in ordered
 /// MergeFrom folds (it overlaps morsel work on other threads, so it is not
 /// an additive phase).
@@ -47,9 +47,6 @@ struct ExecStats {
   /// (measured on whichever thread held the folder role; overlaps
   /// parallel_ms).
   double sink_fold_ms = 0.0;
-  /// Result materialization after the fold: relation concat + dictionary
-  /// unification (zero for estimator sinks, which fold to O(sample) state).
-  double gather_ms = 0.0;
   /// Whole engine call, wall time.
   double total_ms = 0.0;
 

@@ -86,14 +86,6 @@ Result<Relation> ExecutePlan(const PlanPtr& plan, const Catalog& catalog,
   switch (options.engine) {
     case ExecEngine::kRowAtATime:
       return ExecutePlanRow(plan, catalog, rng, mode);
-    case ExecEngine::kColumnar: {
-      ColumnarCatalog columnar(&catalog);
-      GUS_ASSIGN_OR_RETURN(
-          ColumnarRelation result,
-          ExecutePlanColumnar(plan, &columnar, rng, mode,
-                              options.batch_rows));
-      return Relation(std::move(result));
-    }
     case ExecEngine::kMorselParallel:
     case ExecEngine::kSharded: {
       // Shards are contiguous ranges of the morsel engine's unit sequence,

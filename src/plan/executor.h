@@ -27,12 +27,15 @@ enum class ExecMode { kSampled, kExact };
 
 /// \brief Which physical engine runs the plan.
 ///
-/// kRowAtATime and kColumnar draw their samples through the shared
-/// index-selection core (sampling/samplers.h) and consume the Rng in the
-/// same order, so for a given (plan, catalog, seed, mode) they produce
-/// identical rows and lineage — the columnar engine just gets there without
-/// materializing row-at-a-time intermediates (see
-/// plan/columnar_executor.h).
+/// kRowAtATime is the reference oracle: each operator materializes its
+/// result as a Relation. Its samplers draw through the shared
+/// index-selection core (sampling/samplers.h), the same core the serial
+/// batch pipeline (plan/columnar_executor.h) uses, so that pipeline —
+/// which the morsel engine runs for non-pivot subtrees and for plans with
+/// no partition-safe pivot — consumes the Rng in the same order and
+/// yields identical rows and lineage for a (plan, catalog, seed, mode).
+/// Callers that want the serial pipeline itself call ExecutePlanColumnar
+/// or EstimatePlanStreaming (est/streaming.h) directly.
 ///
 /// kMorselParallel splits one base scan into fixed-size morsels and runs
 /// the columnar pipeline per partition (see plan/parallel_executor.h).
@@ -41,7 +44,7 @@ enum class ExecMode { kSampled, kExact };
 /// Rng draw, then pure functions of (seed, row/block)), unions partition
 /// by lineage with per-slice dedup, and plain Bernoulli draws from
 /// independently forked per-morsel streams. Plans whose Rng consumers are
-/// all seed-decoupled or Rng-free reproduce the serial engines' rows BIT
+/// all seed-decoupled or Rng-free reproduce the row engine's rows BIT
 /// FOR BIT — except union output, which is the identical multiset but
 /// interleaves the branches per morsel slice instead of emitting all
 /// left-branch rows first; plain Bernoulli keeps the same design with a
@@ -72,7 +75,6 @@ enum class ExecMode { kSampled, kExact };
 /// ExecutePlan rejects it.
 enum class ExecEngine {
   kRowAtATime,
-  kColumnar,
   kMorselParallel,
   kSharded,
   kServed,
@@ -80,7 +82,8 @@ enum class ExecEngine {
 
 struct ExecStats;  // plan/exec_stats.h
 
-/// Default rows per columnar pipeline batch.
+/// Rows per batch of the columnar pipelines (the serial pipeline's
+/// batch_rows argument defaults to it; the morsel engine always uses it).
 inline constexpr int64_t kDefaultBatchRows = 2048;
 
 /// Fallback rows per parallel-execution morsel (used by callers that want
@@ -96,15 +99,15 @@ inline constexpr int64_t kMaxAutoMorselRows = 131072;
 ///
 /// A shard attempt that fails *retryably* (Unavailable / DeadlineExceeded /
 /// a missing bundle — lost workers, torn transport frames, deadlines) is
-/// re-dispatched up to max_attempts times with exponential backoff; fatal
+/// re-dispatched up to max_attempts times after a fixed exponential
+/// backoff (1 ms doubling to a 100 ms cap, plus up to 1 ms of jitter drawn
+/// from a stream forked on (shard, attempt) — deterministic, so a fixed
+/// fault plan produces the identical retry schedule on every run); fatal
 /// failures (InvalidArgument: seed/catalog/wire-version divergence) are
 /// never retried, because re-executing identical divergent state cannot
-/// succeed. Backoff jitter is drawn from Rng::ForkStream(jitter_seed,
-/// shard*64 + attempt) — deterministic, so a fixed fault plan produces the
-/// identical retry schedule on every run. Retries cannot change results:
-/// a shard's unit range re-executes bit-reproducibly from the same seed
-/// (plan/parallel_executor.h), so a successful retry is byte-identical to
-/// an untroubled first attempt.
+/// succeed. Retries cannot change results: a shard's unit range
+/// re-executes bit-reproducibly from the same seed (plan/parallel_executor.h),
+/// so a successful retry is byte-identical to an untroubled first attempt.
 struct ShardRetryPolicy {
   /// Total attempts per shard (1 = no retry).
   int max_attempts = 3;
@@ -112,26 +115,15 @@ struct ShardRetryPolicy {
   /// its deadline is abandoned (counted in ExecStats::shard_deadline_hits)
   /// and the shard re-dispatched.
   int64_t deadline_ms = 0;
-  /// Backoff before re-attempt i (1-based): min(base * mult^(i-1), max)
-  /// plus up to one base of deterministic jitter, ms.
-  int64_t backoff_base_ms = 1;
-  double backoff_mult = 2.0;
-  int64_t backoff_max_ms = 100;
-  /// Stream seed for the deterministic backoff jitter.
-  uint64_t jitter_seed = 0x9E3779B97F4A7C15ull;
 
   Status Validate() const {
     if (max_attempts < 1) {
       return Status::InvalidArgument(
           "ShardRetryPolicy::max_attempts must be >= 1");
     }
-    if (deadline_ms < 0 || backoff_base_ms < 0 || backoff_max_ms < 0) {
+    if (deadline_ms < 0) {
       return Status::InvalidArgument(
-          "ShardRetryPolicy durations must be >= 0");
-    }
-    if (backoff_mult < 1.0) {
-      return Status::InvalidArgument(
-          "ShardRetryPolicy::backoff_mult must be >= 1");
+          "ShardRetryPolicy::deadline_ms must be >= 0");
     }
     return Status::OK();
   }
@@ -151,10 +143,8 @@ struct ShardRetryPolicy {
 /// here precisely because no result can depend on it.
 struct ExecOptions {
   ExecEngine engine = ExecEngine::kRowAtATime;
-  /// Worker threads for kMorselParallel (ignored by the serial engines).
+  /// Worker threads for kMorselParallel (ignored by the row engine).
   int num_threads = 1;
-  /// Rows per columnar pipeline batch (>= 1).
-  int64_t batch_rows = kDefaultBatchRows;
   /// \brief Rows per morsel for kMorselParallel.
   ///
   /// 0 (the default) sizes morsels automatically: at least four morsels
@@ -183,7 +173,7 @@ struct ExecOptions {
   /// environment variable additionally dumps the same profile to stderr
   /// whether or not this is set.
   ExecStats* stats = nullptr;
-  /// Retry/deadline/backoff discipline for the supervised shard gathers:
+  /// Retry/deadline discipline for the supervised shard gathers:
   /// FaultTolerantShardedSboxEstimate and the sqlish kSharded / kServed
   /// queries (the plain ShardedSboxEstimate forms run one attempt per
   /// shard; socket-served SBox queries carry their own in ServedRequest).
@@ -207,9 +197,6 @@ struct ExecOptions {
   bool prune_segments = true;
 
   Status Validate() const {
-    if (batch_rows < 1) {
-      return Status::InvalidArgument("ExecOptions::batch_rows must be >= 1");
-    }
     if (morsel_rows < 0) {
       return Status::InvalidArgument(
           "ExecOptions::morsel_rows must be >= 1, or 0 for auto sizing");
@@ -229,18 +216,18 @@ struct ExecOptions {
 ///
 /// `rng` drives every sampler in the plan (ignored in exact mode). Join
 /// nodes use the hash equi-join; product and union use their respective
-/// physical operators. With ExecEngine::kColumnar the plan runs on the
-/// batch pipeline and its result columns become the returned Relation.
-/// Each such call builds a short-lived ColumnarCatalog that scans the base
-/// relations' own columns (Relation::Columnar): nothing converts or copies
-/// per call. Callers that want to stay columnar or stream hold a
-/// ColumnarCatalog and use plan/columnar_executor.h directly.
+/// physical operators. kMorselParallel and kSharded build a short-lived
+/// ColumnarCatalog that scans the base relations' own columns
+/// (Relation::Columnar): nothing converts or copies per call; their
+/// merged result columns become the returned Relation. Callers that want
+/// to stay columnar or stream hold a ColumnarCatalog and use
+/// plan/columnar_executor.h directly.
 Result<Relation> ExecutePlan(const PlanPtr& plan, const Catalog& catalog,
                              Rng* rng, ExecMode mode = ExecMode::kSampled,
                              ExecEngine engine = ExecEngine::kRowAtATime);
 
-/// Full-options overload: engine, thread count, and batch/morsel sizing all
-/// come from `options`.
+/// Full-options overload: engine, thread count, and morsel sizing all come
+/// from `options`.
 Result<Relation> ExecutePlan(const PlanPtr& plan, const Catalog& catalog,
                              Rng* rng, ExecMode mode,
                              const ExecOptions& options);

@@ -675,7 +675,6 @@ struct MorselProgram {
   ProgramPtr root;
   LayoutPtr out_layout;
   int64_t morsel_rows = kDefaultMorselRows;
-  int64_t batch_rows = kDefaultBatchRows;
   ExecMode mode = ExecMode::kSampled;
   std::vector<ResolvedPivotSampler> samplers;
   /// Per-unit skip mask from the SegmentPruner (empty = nothing skipped):
@@ -837,11 +836,11 @@ Result<ProgramPtr> CompileNode(const PlanPtr& plan, ColumnarCatalog* catalog,
                                prog));
         GUS_ASSIGN_OR_RETURN(other_mat,
                              ExecutePlanColumnar(plan->right(), catalog, rng,
-                                                 mode, options.batch_rows));
+                                                 mode));
       } else {
         GUS_ASSIGN_OR_RETURN(other_mat,
                              ExecutePlanColumnar(plan->left(), catalog, rng,
-                                                 mode, options.batch_rows));
+                                                 mode));
         GUS_ASSIGN_OR_RETURN(
             child, CompileNode(plan->right(), catalog, rng, mode, options,
                                prog));
@@ -925,7 +924,7 @@ Result<std::unique_ptr<BatchSource>> InstantiateNode(
     int64_t len, Rng* rng) {
   switch (n.kind) {
     case MorselProgramNode::Kind::kScanSlice:
-      return MakeScanSliceSource(prog.pivot, prog.batch_rows, begin, len);
+      return MakeScanSliceSource(prog.pivot, kDefaultBatchRows, begin, len);
     case MorselProgramNode::Kind::kKeepSlice: {
       // The kept rows inside this slice: keep is globally sorted, so the
       // slice's sub-range is found with two binary searches.
@@ -936,12 +935,12 @@ Result<std::unique_ptr<BatchSource>> InstantiateNode(
           std::lower_bound(keep.begin(), keep.end(), begin + len) -
           keep.begin();
       return std::unique_ptr<BatchSource>(new KeepSliceSource(
-          prog.pivot, n.keep, lo, hi - lo, prog.batch_rows));
+          prog.pivot, n.keep, lo, hi - lo, kDefaultBatchRows));
     }
     case MorselProgramNode::Kind::kBlockSample:
       return std::unique_ptr<BatchSource>(new BlockSampleSource(
           prog.pivot, begin, begin + len, n.sampler_seed, n.p, n.block_size,
-          prog.batch_rows));
+          kDefaultBatchRows));
     case MorselProgramNode::Kind::kBlockRekey: {
       GUS_ASSIGN_OR_RETURN(std::unique_ptr<BatchSource> child,
                            InstantiateNode(*n.child, prog, begin, len, rng));
@@ -956,21 +955,21 @@ Result<std::unique_ptr<BatchSource>> InstantiateNode(
       GUS_ASSIGN_OR_RETURN(std::unique_ptr<BatchSource> child,
                            InstantiateNode(*n.child, prog, begin, len, rng));
       return MakeSampleSource(std::move(child), n.node->spec(), rng,
-                              prog.batch_rows, n.stream_ok);
+                              kDefaultBatchRows, n.stream_ok);
     }
     case MorselProgramNode::Kind::kJoinProbe: {
       GUS_ASSIGN_OR_RETURN(std::unique_ptr<BatchSource> child,
                            InstantiateNode(*n.child, prog, begin, len, rng));
       return std::unique_ptr<BatchSource>(
           new SharedJoinProbeSource(std::move(child), n.join,
-                                    prog.batch_rows));
+                                    kDefaultBatchRows));
     }
     case MorselProgramNode::Kind::kProduct: {
       GUS_ASSIGN_OR_RETURN(std::unique_ptr<BatchSource> child,
                            InstantiateNode(*n.child, prog, begin, len, rng));
       return std::unique_ptr<BatchSource>(
           new SharedProductSource(std::move(child), n.product,
-                                  prog.batch_rows));
+                                  kDefaultBatchRows));
     }
     case MorselProgramNode::Kind::kUnion: {
       // Both branches run over the same pivot slice; the left branch
@@ -981,7 +980,7 @@ Result<std::unique_ptr<BatchSource>> InstantiateNode(
       GUS_ASSIGN_OR_RETURN(std::unique_ptr<BatchSource> right,
                            InstantiateNode(*n.right, prog, begin, len, rng));
       return MakeUnionSource(std::move(left), std::move(right),
-                             prog.batch_rows, prog.mode);
+                             kDefaultBatchRows, prog.mode);
     }
   }
   return Status::Internal("unexpected morsel program node");
@@ -1115,7 +1114,6 @@ Result<MorselProgram> PrepareMorselProgram(const PlanPtr& plan,
                                            ExecMode mode,
                                            const ExecOptions& options) {
   MorselProgram prog;
-  prog.batch_rows = options.batch_rows;
   prog.mode = mode;
   prog.pivot_name = pivot;
   GUS_ASSIGN_OR_RETURN(PivotBacking backing,
@@ -1142,171 +1140,35 @@ Result<MorselProgram> PrepareMorselProgram(const PlanPtr& plan,
 }
 
 /// \brief Materializing sink for ExecutePlanMorsel: each morsel's batches
-/// accumulate into one part, and the ordered fold just *collects* the
-/// parts (an O(1) list splice) instead of copying them into a growing
-/// relation on the single folder thread.
-///
-/// The actual concatenation — the serial tail the old fold spent its time
-/// in — runs once at the end, parallel over parts
-/// (ConcatPartsToRelation), producing bit-identical bytes to folding with
-/// sequential AppendBatch calls.
+/// append to one relation, and the ordered fold appends the later sink's
+/// rows after this one's — fold order is morsel order, so the merged
+/// relation is the sequential AppendBatch concatenation of the morsels.
 class RelationSink final : public MergeableBatchSink {
  public:
   explicit RelationSink(LayoutPtr layout)
-      : layout_(std::move(layout)), part_(layout_) {}
+      : layout_(std::move(layout)), rows_(layout_) {}
 
   Status Consume(const ColumnBatch& batch) override {
-    part_.AppendBatch(batch);
+    rows_.AppendBatch(batch);
     return Status::OK();
   }
 
   Status MergeFrom(BatchSink* other) override {
-    auto* o = static_cast<RelationSink*>(other);
-    // Fold order == morsel order, so appending the later sink's parts
-    // after ours preserves the global part sequence.
-    if (o->part_.num_rows() > 0) parts_.push_back(std::move(o->part_));
-    for (ColumnarRelation& p : o->parts_) parts_.push_back(std::move(p));
-    o->parts_.clear();
+    rows_.AppendBatch(static_cast<RelationSink*>(other)->rows_.data());
     return Status::OK();
   }
 
   bool Recycle() override {
-    part_ = ColumnarRelation(layout_);
-    parts_.clear();
+    rows_ = ColumnarRelation(layout_);
     return true;
   }
 
-  /// This sink's own part followed by every collected one, in fold order.
-  std::vector<ColumnarRelation> TakeParts() {
-    std::vector<ColumnarRelation> out;
-    out.reserve(parts_.size() + 1);
-    out.push_back(std::move(part_));
-    for (ColumnarRelation& p : parts_) out.push_back(std::move(p));
-    parts_.clear();
-    return out;
-  }
-
-  const LayoutPtr& layout() const { return layout_; }
+  ColumnarRelation TakeRows() { return std::move(rows_); }
 
  private:
   LayoutPtr layout_;
-  ColumnarRelation part_;                // this sink's consumed rows
-  std::vector<ColumnarRelation> parts_;  // merged later parts, in order
+  ColumnarRelation rows_;
 };
-
-/// \brief Concatenates morsel parts into one relation, bit-identical to
-/// appending them sequentially (ColumnarRelation::AppendBatch part by
-/// part) but with the column copies parallel over parts.
-///
-/// The only order-sensitive work — string-dictionary unification — runs
-/// serially first, walking the parts in order and replicating
-/// AppendRangeFrom's semantics exactly: the first non-empty part's
-/// dictionary is adopted (shared), later parts with the same dictionary
-/// pointer copy codes verbatim, others intern their values in part order
-/// and get a code remap table. Every destination row range is then
-/// disjoint, so parts copy concurrently.
-ColumnarRelation ConcatPartsToRelation(const LayoutPtr& layout,
-                                       std::vector<ColumnarRelation> parts,
-                                       ThreadPool* pool, int workers) {
-  // Non-empty parts in order, with destination row offsets.
-  std::vector<const ColumnBatch*> src;
-  std::vector<int64_t> offset;
-  int64_t total = 0;
-  for (const ColumnarRelation& p : parts) {
-    if (p.num_rows() == 0) continue;
-    src.push_back(&p.data());
-    offset.push_back(total);
-    total += p.num_rows();
-  }
-  ColumnarRelation out(layout);
-  if (total == 0) return out;
-  ColumnBatch* dst = out.mutable_data();
-
-  const int num_cols = layout->schema.num_columns();
-  const int arity = layout->lineage_arity();
-  const int64_t num_parts = static_cast<int64_t>(src.size());
-
-  // Serial phase: dictionary unification in part order. remaps[p][c] is
-  // empty when part p's column c copies codes verbatim.
-  std::vector<std::vector<std::vector<uint32_t>>> remaps(
-      static_cast<size_t>(num_parts));
-  for (int c = 0; c < num_cols; ++c) {
-    if (layout->schema.column(c).type != ValueType::kString) continue;
-    ColumnData* dc = dst->mutable_column(c);
-    for (int64_t p = 0; p < num_parts; ++p) {
-      const ColumnData& from = src[p]->column(c);
-      if (dc->dict == nullptr) {
-        dc->dict = from.dict;  // first non-empty part: adopt (shared)
-      }
-      if (dc->dict != from.dict && from.dict != nullptr) {
-        remaps[p].resize(num_cols);
-        std::vector<uint32_t> remap;
-        remap.reserve(from.dict->values.size());
-        StringDict* dict = dc->MutableDict();
-        for (const std::string& s : from.dict->values) {
-          remap.push_back(dict->Intern(s));
-        }
-        remaps[p][c] = std::move(remap);
-      }
-    }
-  }
-
-  // Pre-size the destination, then copy parts into their disjoint ranges.
-  for (int c = 0; c < num_cols; ++c) {
-    ColumnData* dc = dst->mutable_column(c);
-    switch (dc->type) {
-      case ValueType::kInt64: dc->i64.resize(total); break;
-      case ValueType::kFloat64: dc->f64.resize(total); break;
-      case ValueType::kString: dc->codes.resize(total); break;
-    }
-  }
-  dst->mutable_lineage()->resize(static_cast<size_t>(total) * arity);
-  dst->SetNumRows(total);
-
-  const auto copy_part = [&](int64_t p) {
-    const ColumnBatch& from = *src[p];
-    const int64_t rows = from.num_rows();
-    const int64_t at = offset[p];
-    for (int c = 0; c < num_cols; ++c) {
-      const ColumnData& fc = from.column(c);
-      ColumnData* dc = dst->mutable_column(c);
-      switch (dc->type) {
-        case ValueType::kInt64:
-          std::copy_n(fc.i64.begin(), rows, dc->i64.begin() + at);
-          break;
-        case ValueType::kFloat64:
-          std::copy_n(fc.f64.begin(), rows, dc->f64.begin() + at);
-          break;
-        case ValueType::kString: {
-          const std::vector<uint32_t>* remap =
-              remaps[p].empty() || remaps[p][c].empty() ? nullptr
-                                                        : &remaps[p][c];
-          if (remap == nullptr) {
-            std::copy_n(fc.codes.begin(), rows, dc->codes.begin() + at);
-          } else {
-            for (int64_t i = 0; i < rows; ++i) {
-              dc->codes[at + i] = (*remap)[fc.codes[i]];
-            }
-          }
-          break;
-        }
-      }
-    }
-    std::copy_n(from.lineage().begin(), static_cast<size_t>(rows) * arity,
-                dst->mutable_lineage()->begin() +
-                    static_cast<size_t>(at) * arity);
-  };
-
-  if (pool == nullptr || workers <= 1 || num_parts <= 1) {
-    for (int64_t p = 0; p < num_parts; ++p) copy_part(p);
-  } else {
-    pool->ParallelForChunked(num_parts, /*chunk=*/1, workers,
-                             [&](int, int64_t b, int64_t e) {
-                               for (int64_t p = b; p < e; ++p) copy_part(p);
-                             });
-  }
-  return out;
-}
 
 // ---- Profiling helpers -----------------------------------------------------
 
@@ -1408,7 +1270,7 @@ Status ParallelExecuteUnitRangeToSink(
     // and the output layout never depend on the shard's range.
     GUS_ASSIGN_OR_RETURN(
         std::unique_ptr<BatchSource> pipeline,
-        CompileBatchPipeline(plan, catalog, rng, mode, options.batch_rows));
+        CompileBatchPipeline(plan, catalog, rng, mode));
     GUS_ASSIGN_OR_RETURN(std::unique_ptr<MergeableBatchSink> sink,
                          make_sink(*pipeline->layout()));
     if (stats != nullptr) {
@@ -1680,34 +1542,7 @@ Result<ColumnarRelation> ExecutePlanMorsel(const PlanPtr& plan,
             new RelationSink(LayoutPtr(std::move(ptr))));
       },
       &sink));
-  RelationSink* rel_sink = static_cast<RelationSink*>(sink.get());
-
-  // Gather phase: the fold above only spliced part lists (O(1) per morsel);
-  // the actual concat + dictionary unification copies run here, with the
-  // disjoint per-part copies parallelized.
-  const StatsClock::time_point t_gather = StatsClock::now();
-  std::vector<ColumnarRelation> parts = rel_sink->TakeParts();
-  const int64_t num_parts = static_cast<int64_t>(parts.size());
-  const int workers = static_cast<int>(std::min<int64_t>(
-      std::max(1, options.num_threads), std::max<int64_t>(num_parts, 1)));
-  ColumnarRelation result(rel_sink->layout());
-  if (workers > 1) {
-    PoolLease lease(workers);
-    result = ConcatPartsToRelation(rel_sink->layout(), std::move(parts),
-                                   lease.get(), workers);
-  } else {
-    result = ConcatPartsToRelation(rel_sink->layout(), std::move(parts),
-                                   /*pool=*/nullptr, /*workers=*/1);
-  }
-  const double gather_ms = MsBetween(t_gather, StatsClock::now());
-  if (options.stats != nullptr) {
-    options.stats->gather_ms = gather_ms;
-    options.stats->total_ms += gather_ms;
-  } else if (ProfileEnvEnabled()) {
-    std::fprintf(stderr, "[gus profile]   gather     %.3f ms (%lld parts)\n",
-                 gather_ms, static_cast<long long>(num_parts));
-  }
-  return result;
+  return static_cast<RelationSink*>(sink.get())->TakeRows();
 }
 
 }  // namespace gus

@@ -64,7 +64,7 @@ Status WorkerDaemon::RegisterQuery(const std::string& name,
                                    ServedQuery query) {
   if (listener_ != nullptr) {
     return Status::InvalidArgument(
-        "RegisterQuery must run before Start (the warm-up covers "
+        "RegisterQuery must run before Start (Start fingerprints "
         "registered queries)");
   }
   if (query.plan == nullptr || query.f_expr == nullptr) {
@@ -83,16 +83,15 @@ Result<Endpoint> WorkerDaemon::Start(const Endpoint& listen) {
                                    endpoint_.ToString());
   }
   stopping_.store(false, std::memory_order_release);
-  // Load once, serve many: the whole point of the daemon. The pinned
-  // columns, content fingerprints, and shard split geometry for every
-  // registered query are set up here, serially, so request workers
-  // afterwards share them read-only.
+  // Load once, serve many: the whole point of the daemon. The content
+  // fingerprints and shard split geometry for every registered query are
+  // computed here, serially, so request workers afterwards share them
+  // read-only.
   if (!external_columnar_) {
     columnar_ = std::make_unique<ColumnarCatalog>(&catalog_);
   }
   plan_infos_.clear();
   for (const auto& [name, query] : queries_) {
-    GUS_RETURN_NOT_OK(WarmCatalogForPlan(query.plan, columnar_.get()));
     ServePlanInfo info;
     GUS_ASSIGN_OR_RETURN(
         info.catalog_fingerprint,

@@ -1,8 +1,8 @@
 // The worker daemon (`gusd`): a long-lived shard worker behind a socket.
 //
 // The one-shot scatter (dist/coordinator.h) pays the catalog load and
-// warm-up on every query; a daemon pays it once. Start() pins the
-// catalog's columns and pre-warms the fingerprint cache for every
+// fingerprinting on every query; a daemon pays it once. Start() snapshots
+// the catalog's columns and fingerprints the relations of every
 // registered query, then serves shard requests over persistent framed
 // connections (serve/protocol.h) until stopped.
 //
@@ -96,9 +96,9 @@ class WorkerDaemon {
   /// Registers `name` before Start (not thread-safe against serving).
   Status RegisterQuery(const std::string& name, ServedQuery query);
 
-  /// \brief Loads + warms the columnar catalog for every registered
-  /// query, binds `listen`, and starts serving; returns the resolved
-  /// endpoint ("tcp:0" becomes the real port).
+  /// \brief Loads the columnar catalog and fingerprints it for every
+  /// registered query, binds `listen`, and starts serving; returns the
+  /// resolved endpoint ("tcp:0" becomes the real port).
   ///
   /// Restartable: Stop() then Start() again rebinds (the reconnect test
   /// choreography — a killed daemon coming back on its address).

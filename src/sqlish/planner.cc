@@ -284,10 +284,10 @@ void AppendGroupValues(const SelectItem& item, const std::string& group_by,
 /// (ungrouped) or one GroupedSumBuilder per item (grouped), plus the row
 /// count; merges element-wise in partition order.
 ///
-/// The one sink behind every streaming engine: kColumnar pumps its
-/// pipeline into one, kMorselParallel folds one per morsel, and the
-/// kSharded / kServed gathers ship each shard's item states on the wire and
-/// Absorb them into an empty one.
+/// The one sink behind every streaming engine: kMorselParallel folds one
+/// per morsel (a plan with no partition-safe pivot pumps the serial
+/// pipeline into a single one), and the kSharded / kServed gathers ship
+/// each shard's item states on the wire and Absorb them into an empty one.
 class ItemFanoutSink final : public MergeableBatchSink {
  public:
   static Result<std::unique_ptr<ItemFanoutSink>> Make(
@@ -436,25 +436,6 @@ Result<ApproxResult> EstimateFromBuilders(const PlannedQuery& planned,
     }
   }
   return result;
-}
-
-/// Columnar path, grouped or not: one pipeline pass pumps the batch stream
-/// into one fan-out sink; the result is never materialized.
-Result<ApproxResult> RunColumnar(const PlannedQuery& planned,
-                                 const SoaResult& soa, const Catalog& catalog,
-                                 Rng* rng, const SboxOptions& options,
-                                 int64_t batch_rows) {
-  ColumnarCatalog columnar(&catalog);
-  GUS_ASSIGN_OR_RETURN(
-      std::unique_ptr<BatchSource> pipeline,
-      CompileBatchPipeline(planned.plan, &columnar, rng, ExecMode::kSampled,
-                           batch_rows));
-  GUS_ASSIGN_OR_RETURN(std::unique_ptr<ItemFanoutSink> fanout,
-                       ItemFanoutSink::Make(*pipeline->layout(), planned.items,
-                                            soa.top.schema(),
-                                            planned.group_by));
-  GUS_RETURN_NOT_OK(PumpToSink(pipeline.get(), fanout.get()));
-  return EstimateFromBuilders(planned, soa, options, *fanout);
 }
 
 /// Morsel-parallel path, grouped or not: one parallel pass fans every
@@ -645,9 +626,6 @@ Result<ApproxResult> RunApproxQuery(const std::string& sql,
   }
   if (exec.engine == ExecEngine::kMorselParallel) {
     return RunMorselParallel(planned, soa, catalog, &rng, options, exec);
-  }
-  if (exec.engine == ExecEngine::kColumnar) {
-    return RunColumnar(planned, soa, catalog, &rng, options, exec.batch_rows);
   }
   // kRowAtATime, the reference oracle: materialize, then estimate.
   GUS_ASSIGN_OR_RETURN(

@@ -60,11 +60,10 @@ struct ApproxResult {
 /// \brief Parses, plans, executes and estimates in one call.
 ///
 /// `seed` drives the samplers; `options` control interval kind/level and
-/// Section 7 sub-sampling. With ExecEngine::kColumnar, grouped and
-/// ungrouped queries run on the batch pipeline and stream (lineage, f)
-/// straight into the per-item estimators — the result relation is never
-/// materialized; the row and columnar engines return bit-identical
-/// results for identical seeds.
+/// Section 7 sub-sampling. ExecEngine::kRowAtATime, the reference oracle,
+/// materializes the sample and then estimates; the other engines (see the
+/// full-options overload) stream (lineage, f) straight into the per-item
+/// estimators and never materialize the result relation.
 Result<ApproxResult> RunApproxQuery(const std::string& sql,
                                     const Catalog& catalog, uint64_t seed,
                                     const SboxOptions& options = {},

@@ -1,12 +1,13 @@
 // SegmentCatalog: the on-disk catalog behind the ColumnarCatalog surface.
 //
-// Opens every `.gseg` file in a directory and serves all four execution
-// engines unchanged:
+// Opens every `.gseg` file in a directory and serves every execution
+// engine unchanged:
 //
-//   * kColumnar / kMorselParallel / kSharded take a ColumnarCatalog* —
-//     scans stream segment-at-a-time through Stored() + the pinned cache
-//     (ResolveScanInput, plan/columnar_executor.h; the SegmentPruner skips
-//     segments first, store/pruner.h), while
+//   * kMorselParallel / kSharded, the worker daemon and the serial batch
+//     pipeline (ExecutePlanColumnar, EstimatePlanStreaming) take a
+//     ColumnarCatalog* — scans stream segment-at-a-time through Stored()
+//     + the pinned cache (ResolveScanInput, plan/columnar_executor.h; the
+//     SegmentPruner skips segments first, store/pruner.h), while
 //     pipeline breakers that need a whole side resident (join builds)
 //     materialize through Get() as before.
 //   * kRowAtATime takes a Catalog — MaterializeRowCatalog() copies the

@@ -215,10 +215,33 @@ TEST(SharedColumnsTest, QueryAfterAppendSeesTheNewRows) {
   ColumnarCatalog before(&catalog);
   ASSERT_OK_AND_ASSIGN(const ColumnarRelation* snapshot, before.Get("l"));
   const int64_t old_rows = snapshot->num_rows();
-  for (ExecEngine engine :
-       {ExecEngine::kColumnar, ExecEngine::kMorselParallel}) {
-    ExecOptions exec = MorselExec(2);
-    exec.engine = engine;
+  {
+    // The serial pipeline, at plan level.
+    ASSERT_OK_AND_ASSIGN(sqlish::ParsedQuery parsed,
+                         sqlish::ParseQuery(kMemoQuery1));
+    ASSERT_OK_AND_ASSIGN(sqlish::PlannedQuery planned,
+                         sqlish::PlanQuery(parsed, catalog));
+    Rng first_rng(kSeed);
+    ASSERT_OK_AND_ASSIGN(
+        Relation first,
+        testing::ExecuteColumnar(planned.plan, catalog, &first_rng));
+    AppendCopies(&catalog.at("l"), 200);
+    Rng second_rng(kSeed);
+    ASSERT_OK_AND_ASSIGN(
+        Relation second,
+        testing::ExecuteColumnar(planned.plan, catalog, &second_rng));
+    Rng fresh_rng(kSeed);
+    ASSERT_OK_AND_ASSIGN(Relation fresh,
+                         testing::ExecuteColumnar(planned.plan,
+                                                  RebuildCatalog(catalog),
+                                                  &fresh_rng));
+    EXPECT_EQ(fresh.num_rows(), second.num_rows());
+    EXPECT_EQ(fresh.Columnar()->data().lineage(),
+              second.Columnar()->data().lineage());
+    EXPECT_NE(first.num_rows(), second.num_rows());
+  }
+  {
+    const ExecOptions exec = MorselExec(2);
     ASSERT_OK_AND_ASSIGN(
         sqlish::ApproxResult first,
         sqlish::RunApproxQuery(kMemoQuery1, catalog, kSeed, {}, exec));

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -154,7 +153,7 @@ TEST(DistTest, FileTransportMatchesLocal) {
       ShardedSboxEstimate(fx.q1.plan, fx.catalog, 23, ExecMode::kSampled,
                           fx.exec, /*num_shards=*/3, fx.q1.aggregate,
                           fx.soa.top, fx.options));
-  FileTransport files(::testing::TempDir() + "/gus_dist_test");
+  FileTransport files(testing::UniqueTempDir("dist_test"));
   ASSERT_OK_AND_ASSIGN(
       SboxReport viafiles,
       ShardedSboxEstimate(fx.q1.plan, fx.catalog, 23, ExecMode::kSampled,
@@ -542,7 +541,7 @@ TEST(DistTest, GatherRejectsMissingShard) {
 TEST(DistTest, TruncatedAndCorruptShardFilesFailLoudly) {
   Query1Fixture fx;
   ColumnarCatalog columnar(&fx.catalog);
-  const std::string dir = ::testing::TempDir() + "/gus_dist_corrupt";
+  const std::string dir = testing::UniqueTempDir("dist_corrupt");
   FileTransport files(dir);
   ASSERT_OK_AND_ASSIGN(
       std::string bundle,
@@ -786,18 +785,15 @@ TEST(FaultToleranceTest, FileTransportFaultsRecover) {
       ShardedSboxEstimate(fx.q1.plan, fx.catalog, 17, ExecMode::kSampled,
                           fx.exec, /*num_shards=*/3, fx.q1.aggregate,
                           fx.soa.top, fx.options));
-  int dir_tag = 0;
   for (const char* spec :
        {"transport.file.write@1=fail", "transport.send@1=corrupt",
         "transport.send@1=drop"}) {
     SCOPED_TRACE(spec);
     ScopedFaultPlan plan(spec);
-    const std::string dir =
-        ::testing::TempDir() + "/gus_ft_files_" + std::to_string(dir_tag++);
     // A stale shard file from a previous run would satisfy the
-    // verification read-back after a dropped send, masking the retry.
-    std::filesystem::remove_all(dir);
-    FileTransport files(dir);
+    // verification read-back after a dropped send, masking the retry:
+    // the directory starts empty.
+    FileTransport files(testing::UniqueTempDir("ft_files"));
     ExecStats stats;
     ExecOptions exec = fx.exec;
     exec.stats = &stats;
@@ -1069,7 +1065,6 @@ TEST(FaultToleranceTest, PartialEstimatesAreUnbiasedMonteCarlo) {
   exec.morsel_rows = 8;  // 8 units over 64 rows: every shard data-bearing
   exec.allow_partial = true;
   exec.retry.max_attempts = 1;
-  exec.retry.backoff_base_ms = 0;
 
   const int kTrials = 500;
   std::vector<double> estimates;

@@ -147,8 +147,7 @@ TEST(FaultInjectTest, FileTransportPublishesAtomically) {
   // A Send that fails at the pre-publish fault site must leave NO final
   // shard file — only the invisible .tmp — so a coordinator polling the
   // directory never sees a half-written bundle.
-  const std::string dir = ::testing::TempDir() + "/gus_atomic_publish";
-  std::filesystem::remove_all(dir);
+  const std::string dir = testing::UniqueTempDir("atomic_publish");
   FileTransport files(dir);
   const std::string payload = "bundle-bytes-0123456789";
   {

@@ -157,14 +157,14 @@ TEST(JoinHashTableTest, NanKeysAreNotCollisionsAndNeverMatch) {
                             std::move(right_rows)));
   PlanPtr plan =
       PlanNode::Join(PlanNode::Scan("NL"), PlanNode::Scan("NR"), "k", "j");
-  for (const ExecEngine engine :
-       {ExecEngine::kRowAtATime, ExecEngine::kColumnar}) {
-    Rng rng(1);
-    ASSERT_OK_AND_ASSIGN(Relation out, ExecutePlan(plan, catalog, &rng,
-                                                   ExecMode::kSampled,
-                                                   engine));
-    EXPECT_EQ(1, out.num_rows());  // only the 3.0 = 3.0 pair joins
-  }
+  Rng row_rng(1);
+  ASSERT_OK_AND_ASSIGN(Relation row_out,
+                       ExecutePlan(plan, catalog, &row_rng, ExecMode::kSampled));
+  EXPECT_EQ(1, row_out.num_rows());  // only the 3.0 = 3.0 pair joins
+  Rng col_rng(1);
+  ASSERT_OK_AND_ASSIGN(Relation col_out,
+                       testing::ExecuteColumnar(plan, catalog, &col_rng));
+  EXPECT_EQ(1, col_out.num_rows());
 }
 
 // ---- Geometric-skip Bernoulli ---------------------------------------------
@@ -271,9 +271,8 @@ TEST(KernelParityTest, RowAndColumnarEnginesDrawIdenticalKeepSets) {
     ASSERT_OK_AND_ASSIGN(
         Relation row, ExecutePlan(plan, catalog, &row_rng,
                                   ExecMode::kSampled));
-    ASSERT_OK_AND_ASSIGN(
-        Relation col, ExecutePlan(plan, catalog, &col_rng, ExecMode::kSampled,
-                                  ExecEngine::kColumnar));
+    ASSERT_OK_AND_ASSIGN(Relation col,
+                         testing::ExecuteColumnar(plan, catalog, &col_rng));
     ASSERT_EQ(row.num_rows(), col.num_rows()) << "seed " << seed;
     for (int64_t i = 0; i < row.num_rows(); ++i) {
       EXPECT_EQ(row.lineage(i), col.lineage(i)) << "seed " << seed;

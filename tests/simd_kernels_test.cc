@@ -446,7 +446,8 @@ void ExpectValuesBitIdentical(const sqlish::ApproxResult& x,
 /// bit-identical estimates no matter which tier computes it. (The row and
 /// morsel engines may legitimately draw different PERCENT Bernoulli
 /// samples — that is Rng-partitioning, not tier, behavior — so cells are
-/// compared across tiers, not across engines.)
+/// compared across tiers, not across engines.) The serial columnar
+/// pipeline's cell compares the sampled relation instead of estimates.
 void ExpectTierMatrixParity(const std::string& sql, const Catalog& catalog,
                             uint64_t seed) {
   struct EngineCell {
@@ -458,8 +459,6 @@ void ExpectTierMatrixParity(const std::string& sql, const Catalog& catalog,
     ExecOptions exec;
     exec.engine = ExecEngine::kRowAtATime;
     cells.push_back({"row", exec});
-    exec.engine = ExecEngine::kColumnar;
-    cells.push_back({"columnar", exec});
     for (const int threads : {1, 2, 4}) {
       exec.engine = ExecEngine::kMorselParallel;
       exec.num_threads = threads;
@@ -494,6 +493,33 @@ void ExpectTierMatrixParity(const std::string& sql, const Catalog& catalog,
                                  cell.exec));
       ExpectValuesBitIdentical(reference, got);
     }
+  }
+
+  // The serial columnar pipeline, at plan level: the sampled relation's
+  // content fingerprint (floats by bit pattern, lineage included) is the
+  // same under every tier.
+  SCOPED_TRACE("columnar");
+  ASSERT_OK_AND_ASSIGN(sqlish::ParsedQuery parsed, sqlish::ParseQuery(sql));
+  ASSERT_OK_AND_ASSIGN(sqlish::PlannedQuery planned,
+                       sqlish::PlanQuery(parsed, catalog));
+  const auto sample_fingerprint = [&]() -> Result<uint64_t> {
+    Rng rng(seed);
+    GUS_ASSIGN_OR_RETURN(Relation sample,
+                         testing::ExecuteColumnar(planned.plan, catalog, &rng));
+    return sample.Fingerprint("sample");
+  };
+  uint64_t reference = 0;
+  {
+    ScopedTier force(SimdTier::kScalar);
+    ASSERT_TRUE(force.ok());
+    ASSERT_OK_AND_ASSIGN(reference, sample_fingerprint());
+  }
+  for (SimdTier tier : {SimdTier::kAvx2, SimdTier::kAvx512}) {
+    SCOPED_TRACE(simd::SimdTierName(tier));
+    ScopedTier force(tier);
+    if (!force.ok()) continue;
+    ASSERT_OK_AND_ASSIGN(const uint64_t got, sample_fingerprint());
+    EXPECT_EQ(reference, got);
   }
 }
 

@@ -127,34 +127,39 @@ TEST_F(SqlGroupByTest, GroupedJoinQueryRuns) {
   EXPECT_NE(std::string::npos, s.find("[o_custkey="));
 }
 
-TEST_F(SqlGroupByTest, ColumnarMatchesRowEngineBitForBit) {
-  // kColumnar streams the pipeline into per-item GroupedSumBuilders;
-  // kRowAtATime materializes the sample and runs GroupedSumEstimate, the
-  // reference oracle. Same seed, same draws: every group's numbers match
+TEST_F(SqlGroupByTest, MorselMatchesRowEngineBitForBit) {
+  // kMorselParallel streams every morsel into per-item GroupedSumBuilders
+  // and merges them in morsel order; kRowAtATime materializes the sample
+  // and runs GroupedSumEstimate, the reference oracle. The samplers on the
+  // pivot (l) are WOR, which the morsel engine draws exactly as the row
+  // engine does: same seed, same draws, and every group's numbers match
   // to the last bit.
+  ExecOptions exec;
+  exec.engine = ExecEngine::kMorselParallel;
+  exec.num_threads = 4;
+  exec.morsel_rows = 64;
   for (const char* sql :
        {"SELECT SUM(l_extendedprice), SUM(l_discount * o_totalprice) "
-        "FROM l TABLESAMPLE (30 PERCENT), o TABLESAMPLE (150 ROWS) "
+        "FROM l TABLESAMPLE (500 ROWS), o TABLESAMPLE (150 ROWS) "
         "WHERE l_orderkey = o_orderkey GROUP BY o_custkey",
-        "SELECT SUM(l_quantity) FROM l TABLESAMPLE (50 PERCENT) "
+        "SELECT SUM(l_quantity) FROM l TABLESAMPLE (800 ROWS) "
         "WHERE l_discount > 0.02 GROUP BY l_linenumber"}) {
     SCOPED_TRACE(sql);
     ASSERT_OK_AND_ASSIGN(ApproxResult row,
                          RunApproxQuery(sql, catalog_, 23));
-    ASSERT_OK_AND_ASSIGN(
-        ApproxResult columnar,
-        RunApproxQuery(sql, catalog_, 23, {}, ExecEngine::kColumnar));
+    ASSERT_OK_AND_ASSIGN(ApproxResult morsel,
+                         RunApproxQuery(sql, catalog_, 23, {}, exec));
     ASSERT_GT(row.values.size(), 1u);
-    ASSERT_EQ(row.values.size(), columnar.values.size());
-    EXPECT_EQ(row.sample_rows, columnar.sample_rows);
+    ASSERT_EQ(row.values.size(), morsel.values.size());
+    EXPECT_EQ(row.sample_rows, morsel.sample_rows);
     for (size_t i = 0; i < row.values.size(); ++i) {
       SCOPED_TRACE(i);
-      EXPECT_EQ(row.values[i].label, columnar.values[i].label);
-      EXPECT_EQ(row.values[i].group, columnar.values[i].group);
-      EXPECT_EQ(row.values[i].value, columnar.values[i].value);
-      EXPECT_EQ(row.values[i].stddev, columnar.values[i].stddev);
-      EXPECT_EQ(row.values[i].lo, columnar.values[i].lo);
-      EXPECT_EQ(row.values[i].hi, columnar.values[i].hi);
+      EXPECT_EQ(row.values[i].label, morsel.values[i].label);
+      EXPECT_EQ(row.values[i].group, morsel.values[i].group);
+      EXPECT_EQ(row.values[i].value, morsel.values[i].value);
+      EXPECT_EQ(row.values[i].stddev, morsel.values[i].stddev);
+      EXPECT_EQ(row.values[i].lo, morsel.values[i].lo);
+      EXPECT_EQ(row.values[i].hi, morsel.values[i].hi);
     }
   }
 }

@@ -33,14 +33,6 @@
 namespace gus {
 namespace {
 
-std::string FreshDir(const std::string& tag) {
-  static int counter = 0;
-  const std::string dir = ::testing::TempDir() + "/gus_store_" + tag + "_" +
-                          std::to_string(counter++);
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
 TpchConfig SmallTpch() {
   TpchConfig config;
   config.num_orders = 300;
@@ -56,7 +48,7 @@ TpchConfig SmallTpch() {
 TEST(SegmentStoreTest, RoundTripAndFingerprintParity) {
   const TpchData data = GenerateTpch(SmallTpch());
   Catalog catalog = data.MakeCatalog();
-  const std::string dir = FreshDir("roundtrip");
+  const std::string dir = testing::UniqueTempDir("store_roundtrip");
   ASSERT_OK(WriteCatalogSegments(catalog, dir, /*segment_rows=*/64));
 
   ASSERT_OK_AND_ASSIGN(auto stored_catalog, SegmentCatalog::Open(dir));
@@ -100,7 +92,7 @@ TEST(SegmentStoreTest, RoundTripAndFingerprintParity) {
 TEST(SegmentStoreTest, RowCatalogMaterializationMatches) {
   const TpchData data = GenerateTpch(SmallTpch());
   Catalog catalog = data.MakeCatalog();
-  const std::string dir = FreshDir("rowcat");
+  const std::string dir = testing::UniqueTempDir("store_rowcat");
   ASSERT_OK(WriteCatalogSegments(catalog, dir, /*segment_rows=*/128));
   ASSERT_OK_AND_ASSIGN(auto stored_catalog, SegmentCatalog::Open(dir));
   ASSERT_OK_AND_ASSIGN(Catalog rows, stored_catalog->MaterializeRowCatalog());
@@ -125,7 +117,7 @@ TEST(ZoneMapTest, SingleRowSegmentsAndMinEqMax) {
       Schema({{"k", ValueType::kInt64}, {"x", ValueType::kFloat64}}),
       std::move(rows));
   const ColumnarRelation& crel = *rel.Columnar();
-  const std::string dir = FreshDir("single");
+  const std::string dir = testing::UniqueTempDir("store_single");
   std::filesystem::create_directories(dir);
   ASSERT_OK_AND_ASSIGN(
       auto summary,
@@ -185,7 +177,7 @@ TEST(ZoneMapTest, NaNPagesAreUnknownAndNeverPruned) {
   Relation rel = Relation::MakeBase(
       "nanrel", Schema({{"x", ValueType::kFloat64}}), std::move(rows));
   const ColumnarRelation& crel = *rel.Columnar();
-  const std::string dir = FreshDir("nan");
+  const std::string dir = testing::UniqueTempDir("store_nan");
   std::filesystem::create_directories(dir);
   ASSERT_OK(WriteRelationSegments("nanrel", crel, dir + "/nanrel.gseg",
                                   /*segment_rows=*/8)
@@ -206,7 +198,7 @@ TEST(ZoneMapTest, StringZonesAreLexicographic) {
   Relation rel = Relation::MakeBase(
       "strs", Schema({{"s", ValueType::kString}}), std::move(rows));
   const ColumnarRelation& crel = *rel.Columnar();
-  const std::string dir = FreshDir("strz");
+  const std::string dir = testing::UniqueTempDir("store_strz");
   std::filesystem::create_directories(dir);
   ASSERT_OK(WriteRelationSegments("strs", crel, dir + "/strs.gseg",
                                   /*segment_rows=*/8)
@@ -234,7 +226,7 @@ TEST(ZoneMapTest, StringZonesAreLexicographic) {
 TEST(SegmentCacheTest, LruEvictionAndPinsSurvive) {
   const TpchData data = GenerateTpch(SmallTpch());
   Catalog catalog = data.MakeCatalog();
-  const std::string dir = FreshDir("cache");
+  const std::string dir = testing::UniqueTempDir("store_cache");
   ASSERT_OK(WriteCatalogSegments(catalog, dir, /*segment_rows=*/32));
   ASSERT_OK_AND_ASSIGN(auto stored, StoredRelation::Open(dir + "/l.gseg"));
   ASSERT_GE(stored->num_segments(), 8);
@@ -274,7 +266,7 @@ TEST(SegmentCacheTest, LruEvictionAndPinsSurvive) {
 TEST(SegmentCacheTest, ChecksumCorruptionFailsLoudly) {
   const TpchData data = GenerateTpch(SmallTpch());
   Catalog catalog = data.MakeCatalog();
-  const std::string dir = FreshDir("corrupt");
+  const std::string dir = testing::UniqueTempDir("store_corrupt");
   ASSERT_OK(WriteCatalogSegments(catalog, dir, /*segment_rows=*/64));
   const std::string path = dir + "/o.gseg";
 
@@ -316,7 +308,7 @@ std::string WriteMixedTypeSegments(const std::string& tag) {
               {"s", ValueType::kString}}),
       std::move(rows));
   const ColumnarRelation& crel = *rel.Columnar();
-  const std::string dir = FreshDir(tag);
+  const std::string dir = testing::UniqueTempDir("store_" + tag);
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/mixed.gseg";
   const Status st =
@@ -439,7 +431,7 @@ TEST(CsvImportTest, CsvToSegmentsRoundTrip) {
   ASSERT_OK_AND_ASSIGN(Relation rel, ImportCsvText("r", text));
   Catalog catalog;
   catalog["r"] = rel;
-  const std::string dir = FreshDir("csvseg");
+  const std::string dir = testing::UniqueTempDir("store_csvseg");
   ASSERT_OK(WriteCatalogSegments(catalog, dir, /*segment_rows=*/2));
   ASSERT_OK_AND_ASSIGN(auto stored_catalog, SegmentCatalog::Open(dir));
   ColumnarCatalog mem_catalog(&catalog);
@@ -512,7 +504,7 @@ TEST(PruningParityTest, PrunedRunsAreBitIdenticalAcrossEnginesAndShards) {
   const TpchData data = GenerateTpch(SmallTpch());
   Catalog catalog = data.MakeCatalog();
   const int64_t lineitem_rows = catalog.at("l").num_rows();
-  const std::string dir = FreshDir("parity");
+  const std::string dir = testing::UniqueTempDir("store_parity");
   constexpr int64_t kSegmentRows = 64;
   ASSERT_OK(WriteCatalogSegments(catalog, dir, kSegmentRows));
 
@@ -608,7 +600,7 @@ TEST(PruningParityTest, SelectiveQueryActuallySkipsSegments) {
   const TpchData data = GenerateTpch(SmallTpch());
   Catalog catalog = data.MakeCatalog();
   const int64_t lineitem_rows = catalog.at("l").num_rows();
-  const std::string dir = FreshDir("skips");
+  const std::string dir = testing::UniqueTempDir("store_skips");
   constexpr int64_t kSegmentRows = 64;
   ASSERT_OK(WriteCatalogSegments(catalog, dir, kSegmentRows));
   ASSERT_OK_AND_ASSIGN(auto stored_catalog, SegmentCatalog::Open(dir));

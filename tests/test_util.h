@@ -4,10 +4,16 @@
 #define GUS_TESTS_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <mutex>
 #include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
 
+#include "plan/columnar_executor.h"
 #include "plan/executor.h"
 #include "rel/relation.h"
 #include "util/status.h"
@@ -85,6 +91,48 @@ inline Relation MakeSingleTable(int n, const std::string& name = "R") {
   }
   return Relation::MakeBase(name, Schema({{"v", ValueType::kFloat64}}),
                             std::move(rows));
+}
+
+/// \brief `plan` run on the serial batch pipeline (ExecutePlanColumnar)
+/// over a ColumnarCatalog of `catalog`, materialized as a Relation: the
+/// plan-level reference the row engine's parity checks compare against.
+inline Result<Relation> ExecuteColumnar(
+    const PlanPtr& plan, const Catalog& catalog, Rng* rng,
+    ExecMode mode = ExecMode::kSampled,
+    int64_t batch_rows = kDefaultBatchRows) {
+  ColumnarCatalog columnar(&catalog);
+  GUS_ASSIGN_OR_RETURN(
+      ColumnarRelation result,
+      ExecutePlanColumnar(plan, &columnar, rng, mode, batch_rows));
+  return Relation(std::move(result));
+}
+
+/// \brief A fresh path under the test temp directory, named after `tag`,
+/// this process's id and a per-process counter, so concurrent test
+/// processes and repeated calls never share a directory. Anything already
+/// at the path is removed, and so is the path itself when the process
+/// exits normally.
+inline std::string UniqueTempDir(const std::string& tag) {
+  struct Handed {
+    std::mutex mu;
+    std::vector<std::string> dirs;
+    ~Handed() {
+      for (const std::string& dir : dirs) {
+        std::error_code ignored;
+        std::filesystem::remove_all(dir, ignored);
+      }
+    }
+  };
+  static Handed handed;
+  std::lock_guard<std::mutex> lock(handed.mu);
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) /
+       ("gus_" + std::to_string(::getpid()) + "_" + tag + "_" +
+        std::to_string(handed.dirs.size())))
+          .string();
+  std::filesystem::remove_all(dir);
+  handed.dirs.push_back(dir);
+  return dir;
 }
 
 }  // namespace testing

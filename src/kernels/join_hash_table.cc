@@ -350,26 +350,6 @@ std::vector<uint64_t> ColumnKeyHashes(const ColumnData& col,
   return hashes;
 }
 
-void KeyHashRange(const ColumnData& col,
-                  const std::vector<uint64_t>& dict_hashes, int64_t begin,
-                  int64_t len, uint64_t* out) {
-  switch (col.type) {
-    case ValueType::kInt64:
-      simd::HashI64Keys(col.i64.data() + begin, len, out);
-      return;
-    case ValueType::kFloat64:
-      for (int64_t i = 0; i < len; ++i) {
-        out[i] = HashFloat64Key(col.f64[begin + i]);
-      }
-      return;
-    case ValueType::kString:
-      simd::HashDictCodes(dict_hashes.data(), col.codes.data() + begin, len,
-                          out);
-      return;
-  }
-  GUS_CHECK(false && "unhandled ValueType");
-}
-
 void KeyHashRows(const ColumnData& col,
                  const std::vector<uint64_t>& dict_hashes, const int64_t* rows,
                  int64_t len, uint64_t* out) {

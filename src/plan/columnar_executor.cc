@@ -1,7 +1,6 @@
 #include "plan/columnar_executor.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -9,10 +8,10 @@
 #include "kernels/key_hash.h"
 #include "kernels/sampling_kernels.h"
 #include "plan/vector_eval.h"
+#include "rel/operators.h"
 #include "sampling/samplers.h"
 #include "store/segment_cache.h"
 #include "store/segment_store.h"
-#include "util/hash.h"
 #include "util/logging.h"
 
 namespace gus {
@@ -71,7 +70,8 @@ Result<LayoutPtr> ColumnarCatalog::LayoutOf(const std::string& name) {
 Status ScanInput::Seek(int64_t row, RowRun* run) const {
   if (row >= run->begin && row < run->end) return Status::OK();
   if (store_ == nullptr) {
-    // Aliasing constructor with no owner: the catalog owns the batch.
+    // Aliasing constructor with no owner: whoever resolved the input (the
+    // catalog, or a breaker's drained relation) owns the batch.
     run->batch = std::shared_ptr<const ColumnBatch>(
         std::shared_ptr<const ColumnBatch>(), &rel_->data());
     run->begin = 0;
@@ -86,19 +86,26 @@ Status ScanInput::Seek(int64_t row, RowRun* run) const {
   return Status::OK();
 }
 
+ScanInput ScanInput::Resident(const ColumnarRelation* rel) {
+  ScanInput input;
+  input.rel_ = rel;
+  input.layout_ = rel->layout_ptr();
+  input.num_rows_ = rel->num_rows();
+  return input;
+}
+
 Result<ScanInput> ResolveScanInput(ColumnarCatalog* catalog,
                                    const std::string& name) {
-  ScanInput input;
-  GUS_ASSIGN_OR_RETURN(input.store_, catalog->Stored(name));
-  if (input.store_ != nullptr) {
-    input.cache_ = catalog->segment_cache();
-    input.layout_ = input.store_->layout_ptr();
-    input.num_rows_ = input.store_->num_rows();
-  } else {
-    GUS_ASSIGN_OR_RETURN(input.rel_, catalog->Get(name));
-    input.layout_ = input.rel_->layout_ptr();
-    input.num_rows_ = input.rel_->num_rows();
+  GUS_ASSIGN_OR_RETURN(const StoredRelation* store, catalog->Stored(name));
+  if (store == nullptr) {
+    GUS_ASSIGN_OR_RETURN(const ColumnarRelation* rel, catalog->Get(name));
+    return ScanInput::Resident(rel);
   }
+  ScanInput input;
+  input.store_ = store;
+  input.cache_ = catalog->segment_cache();
+  input.layout_ = store->layout_ptr();
+  input.num_rows_ = store->num_rows();
   return input;
 }
 
@@ -155,6 +162,12 @@ Status PumpToSink(BatchSource* pipeline, BatchSink* sink) {
   return Status::OK();
 }
 
+// ---- Sources ---------------------------------------------------------------
+
+namespace {
+
+/// Concatenated layout of two join/product inputs; fails on column-name or
+/// lineage overlap.
 Result<LayoutPtr> ConcatBatchLayouts(const BatchLayout& left,
                                      const BatchLayout& right) {
   for (const auto& name : left.lineage_schema) {
@@ -175,10 +188,6 @@ Result<LayoutPtr> ConcatBatchLayouts(const BatchLayout& left,
                                 right.lineage_schema.end());
   return LayoutPtr(layout);
 }
-
-// ---- Sources ---------------------------------------------------------------
-
-namespace {
 
 /// Zero-copy scan: range views straight over the input's row runs — no
 /// per-batch slice copies. Views clip at run ends, which every downstream
@@ -416,71 +425,76 @@ class SampleBreakerSource final : public BatchSource {
   int64_t pos_ = 0;
 };
 
-/// Probe rows processed per batch-probe refill (hash + ProbeBatch +
-/// vectorized key recheck amortize their type dispatch over this many
-/// rows).
-constexpr int64_t kProbeChunkRows = 1024;
-
-/// Hash equi-join: breaker on both inputs (left drains first, preserving
-/// the row engine's post-order Rng consumption), streaming probe output.
-///
-/// The probe loop runs chunk-at-a-time: hash a chunk of probe rows, batch-
-/// probe the table (prefetched), then recheck key equality vectorized over
-/// the candidate pair list (FilterEqualKeyPairs) instead of per row —
-/// emission order is identical to the classic per-row loop (probe rows
-/// ascending, candidates in build input order).
-class JoinSource final : public BatchSource {
+/// The join of a streamed probe input with a SharedSide: per pulled view,
+/// hash the probe rows, batch-probe with prefetching, recheck key equality
+/// vectorized over the candidate pairs, then emit — probe rows ascending,
+/// candidates in build input order, in the step's left ++ right column
+/// order.
+class JoinProbeSource final : public BatchSource {
  public:
-  JoinSource(LayoutPtr layout, std::unique_ptr<BatchSource> left,
-             std::unique_ptr<BatchSource> right, int left_key, int right_key,
-             int64_t batch_rows)
-      : BatchSource(std::move(layout)),
-        left_(std::move(left)),
-        right_(std::move(right)),
-        left_key_(left_key),
-        right_key_(right_key),
+  JoinProbeSource(std::unique_ptr<BatchSource> child,
+                  std::shared_ptr<const SharedSide> side, int64_t batch_rows)
+      : BatchSource(side->step.out_layout),
+        child_(std::move(child)),
+        side_(std::move(side)),
+        probe_key_(side_->probe_is_left ? side_->step.left_key
+                                        : side_->step.right_key),
+        build_key_(side_->probe_is_left ? side_->step.right_key
+                                        : side_->step.left_key),
         batch_rows_(batch_rows) {}
 
   Result<bool> Next(ColumnBatch* out) override {
-    if (!drained_) GUS_RETURN_NOT_OK(DrainAndBuild());
     PrepareBatch(layout_, out);
-    const ColumnBatch& probe = probe_mat_->data();
-    const int64_t probe_rows = probe.num_rows();
-    const ColumnData& probe_key = probe.column(probe_key_);
-    const ColumnData& build_key = build_mat_->data().column(build_key_);
+    const ColumnBatch& build_data = side_->mat.data();
+    const ColumnData& build_key = build_data.column(build_key_);
     while (out->num_rows() < batch_rows_) {
       if (emit_pos_ >= static_cast<int64_t>(pair_probe_.size())) {
-        if (probe_pos_ >= probe_rows) break;
-        const int64_t chunk =
-            std::min(kProbeChunkRows, probe_rows - probe_pos_);
-        hash_scratch_.resize(static_cast<size_t>(chunk));
-        KeyHashRange(probe_key, probe_dict_hashes_, probe_pos_, chunk,
-                     hash_scratch_.data());
+        if (done_) break;
+        // Fused pull: the probe rows arrive as a selection view over the
+        // child's storage — no gather of the probe chain's output. The
+        // pair buffer never outlives the view (refilled only when empty).
+        GUS_ASSIGN_OR_RETURN(bool more, child_->NextView(&probe_));
+        if (!more) {
+          done_ = true;
+          break;
+        }
+        const ColumnData& key = probe_.data->column(probe_key_);
+        if (key.type == ValueType::kString && key.dict != probe_dict_) {
+          probe_dict_ = key.dict;
+          probe_dict_hashes_ = DictKeyHashes(key);
+        }
+        const int64_t n = probe_.num_rows();
+        hash_scratch_.resize(static_cast<size_t>(n));
+        row_scratch_.resize(static_cast<size_t>(n));
+        for (int64_t k = 0; k < n; ++k) row_scratch_[k] = probe_.row(k);
+        KeyHashRows(key, probe_dict_hashes_, row_scratch_.data(), n,
+                    hash_scratch_.data());
         pair_probe_.clear();
         pair_build_.clear();
-        table_.ProbeBatch(hash_scratch_.data(), chunk, &pair_probe_,
-                          &pair_build_);
-        for (int64_t& p : pair_probe_) p += probe_pos_;
-        FilterEqualKeyPairs(probe_key, build_key, &pair_probe_, &pair_build_);
+        side_->table.ProbeBatch(hash_scratch_.data(), n, &pair_probe_,
+                                &pair_build_);
+        for (int64_t& pr : pair_probe_) pr = row_scratch_[pr];
+        FilterEqualKeyPairs(key, build_key, &pair_probe_, &pair_build_);
         emit_pos_ = 0;
-        probe_pos_ += chunk;
         continue;
       }
-      // Batch emit: typed column gathers over the surviving pair lists
-      // instead of a per-row variant walk. Order is unchanged (pairs are
-      // consumed front to back).
+      // Batch emit over the surviving pair lists (front-to-back, so the
+      // classic per-row order is preserved).
       const int64_t pairs = static_cast<int64_t>(pair_probe_.size());
       const int64_t take =
           std::min(batch_rows_ - out->num_rows(), pairs - emit_pos_);
       const int64_t* probe_idx = pair_probe_.data() + emit_pos_;
       const int64_t* build_idx = pair_build_.data() + emit_pos_;
-      const int64_t* li = build_left_ ? build_idx : probe_idx;
-      const int64_t* ri = build_left_ ? probe_idx : build_idx;
-      out->AppendConcatGather(left_mat_.data(), li, right_mat_.data(), ri,
-                              take);
+      if (side_->probe_is_left) {
+        out->AppendConcatGather(*probe_.data, probe_idx, build_data,
+                                build_idx, take);
+      } else {
+        out->AppendConcatGather(build_data, build_idx, *probe_.data,
+                                probe_idx, take);
+      }
       emit_pos_ += take;
     }
-    if (out->num_rows() == 0 && probe_pos_ >= probe_rows &&
+    if (done_ && out->num_rows() == 0 &&
         emit_pos_ >= static_cast<int64_t>(pair_probe_.size())) {
       return false;
     }
@@ -488,88 +502,139 @@ class JoinSource final : public BatchSource {
   }
 
  private:
-  Status DrainAndBuild() {
-    GUS_ASSIGN_OR_RETURN(left_mat_, DrainSource(left_.get()));
-    GUS_ASSIGN_OR_RETURN(right_mat_, DrainSource(right_.get()));
-    // Build on the smaller input — the row engine's rule, bit for bit.
-    build_left_ = left_mat_.num_rows() <= right_mat_.num_rows();
-    build_mat_ = build_left_ ? &left_mat_ : &right_mat_;
-    probe_mat_ = build_left_ ? &right_mat_ : &left_mat_;
-    build_key_ = build_left_ ? left_key_ : right_key_;
-    probe_key_ = build_left_ ? right_key_ : left_key_;
-    const ColumnData& key = build_mat_->data().column(build_key_);
-    probe_dict_hashes_ = DictKeyHashes(probe_mat_->data().column(probe_key_));
-    GUS_RETURN_NOT_OK(table_.BuildFrom(key, build_mat_->num_rows()));
-    drained_ = true;
-    return Status::OK();
-  }
-
-  std::unique_ptr<BatchSource> left_;
-  std::unique_ptr<BatchSource> right_;
-  int left_key_;
-  int right_key_;
+  std::unique_ptr<BatchSource> child_;
+  std::shared_ptr<const SharedSide> side_;
+  int probe_key_;
+  int build_key_;
   int64_t batch_rows_;
-  bool drained_ = false;
-  ColumnarRelation left_mat_, right_mat_;
-  bool build_left_ = true;
-  const ColumnarRelation* build_mat_ = nullptr;
-  const ColumnarRelation* probe_mat_ = nullptr;
-  int build_key_ = 0, probe_key_ = 0;
+  SelView probe_;
+  DictPtr probe_dict_;
   std::vector<uint64_t> probe_dict_hashes_;
-  JoinHashTable table_;
-  int64_t probe_pos_ = 0;
   std::vector<uint64_t> hash_scratch_;
+  std::vector<int64_t> row_scratch_;
   std::vector<int64_t> pair_probe_, pair_build_;
   int64_t emit_pos_ = 0;
+  bool done_ = false;
 };
 
-/// Cross product: breaker on both inputs, left-major streaming output.
-class ProductSource final : public BatchSource {
+/// Cross product of a streamed input with a SharedSide, streamed-row-major.
+class ProductProbeSource final : public BatchSource {
  public:
-  ProductSource(LayoutPtr layout, std::unique_ptr<BatchSource> left,
-                std::unique_ptr<BatchSource> right, int64_t batch_rows)
-      : BatchSource(std::move(layout)),
+  ProductProbeSource(std::unique_ptr<BatchSource> child,
+                     std::shared_ptr<const SharedSide> side,
+                     int64_t batch_rows)
+      : BatchSource(side->step.out_layout),
+        child_(std::move(child)),
+        side_(std::move(side)),
+        batch_rows_(batch_rows) {}
+
+  Result<bool> Next(ColumnBatch* out) override {
+    if (done_) return false;
+    PrepareBatch(layout_, out);
+    const ColumnBatch& other = side_->mat.data();
+    const int64_t n_other = other.num_rows();
+    while (out->num_rows() < batch_rows_) {
+      if (i_ >= probe_.num_rows()) {
+        GUS_ASSIGN_OR_RETURN(bool more, child_->NextView(&probe_));
+        if (!more) {
+          done_ = true;
+          break;
+        }
+        i_ = 0;
+        j_ = 0;
+        continue;
+      }
+      if (n_other == 0) {
+        i_ = probe_.num_rows();
+        continue;
+      }
+      // Stage this chunk's (probe, other) index pairs, then emit them in
+      // one batched gather per column.
+      probe_scratch_.clear();
+      other_scratch_.clear();
+      const int64_t budget = batch_rows_ - out->num_rows();
+      while (static_cast<int64_t>(probe_scratch_.size()) < budget &&
+             i_ < probe_.num_rows()) {
+        probe_scratch_.push_back(probe_.row(i_));
+        other_scratch_.push_back(j_);
+        if (++j_ >= n_other) {
+          j_ = 0;
+          ++i_;
+        }
+      }
+      const auto take = static_cast<int64_t>(probe_scratch_.size());
+      if (side_->probe_is_left) {
+        out->AppendConcatGather(*probe_.data, probe_scratch_.data(), other,
+                                other_scratch_.data(), take);
+      } else {
+        out->AppendConcatGather(other, other_scratch_.data(), *probe_.data,
+                                probe_scratch_.data(), take);
+      }
+    }
+    if (done_ && out->num_rows() == 0) return false;
+    return true;
+  }
+
+ private:
+  std::unique_ptr<BatchSource> child_;
+  std::shared_ptr<const SharedSide> side_;
+  int64_t batch_rows_;
+  SelView probe_;
+  int64_t i_ = 0, j_ = 0;
+  std::vector<int64_t> probe_scratch_, other_scratch_;
+  bool done_ = false;
+};
+
+/// \brief Serial join or product: a breaker on both inputs (left drains
+/// first, preserving the row engine's post-order Rng consumption), then
+/// the probe operator streaming range views of the drained probe input.
+///
+/// A join shares its smaller input — the row engine's build rule, bit for
+/// bit — and a product its right one, so both emit in the row engine's
+/// order.
+class JoinBreakerSource final : public BatchSource {
+ public:
+  JoinBreakerSource(JoinStep step, std::unique_ptr<BatchSource> left,
+                    std::unique_ptr<BatchSource> right, int64_t batch_rows)
+      : BatchSource(step.out_layout),
+        step_(std::move(step)),
         left_(std::move(left)),
         right_(std::move(right)),
         batch_rows_(batch_rows) {}
 
   Result<bool> Next(ColumnBatch* out) override {
-    if (!drained_) {
-      GUS_ASSIGN_OR_RETURN(left_mat_, DrainSource(left_.get()));
-      GUS_ASSIGN_OR_RETURN(right_mat_, DrainSource(right_.get()));
-      drained_ = true;
-    }
-    if (i_ >= left_mat_.num_rows() || right_mat_.num_rows() == 0) {
-      return false;
-    }
-    PrepareBatch(layout_, out);
-    // Stage the (i, j) index pairs of this output chunk, then emit them in
-    // one batched gather per column.
-    li_scratch_.clear();
-    ri_scratch_.clear();
-    while (static_cast<int64_t>(li_scratch_.size()) < batch_rows_ &&
-           i_ < left_mat_.num_rows()) {
-      li_scratch_.push_back(i_);
-      ri_scratch_.push_back(j_);
-      if (++j_ >= right_mat_.num_rows()) {
-        j_ = 0;
-        ++i_;
-      }
-    }
-    out->AppendConcatGather(left_mat_.data(), li_scratch_.data(),
-                            right_mat_.data(), ri_scratch_.data(),
-                            static_cast<int64_t>(li_scratch_.size()));
-    return true;
+    if (probe_ == nullptr) GUS_RETURN_NOT_OK(DrainAndBuild());
+    return probe_->Next(out);
+  }
+
+  Result<bool> NextView(SelView* out) override {
+    if (probe_ == nullptr) GUS_RETURN_NOT_OK(DrainAndBuild());
+    return probe_->NextView(out);
   }
 
  private:
+  Status DrainAndBuild() {
+    GUS_ASSIGN_OR_RETURN(ColumnarRelation left, DrainSource(left_.get()));
+    GUS_ASSIGN_OR_RETURN(ColumnarRelation right, DrainSource(right_.get()));
+    const bool probe_is_left =
+        !step_.is_join || left.num_rows() > right.num_rows();
+    streamed_ = std::move(probe_is_left ? left : right);
+    GUS_ASSIGN_OR_RETURN(
+        std::shared_ptr<const SharedSide> side,
+        BuildSharedSide(step_, std::move(probe_is_left ? right : left),
+                        probe_is_left, /*num_threads=*/1));
+    probe_ = MakeProbeSource(
+        MakeScanSliceSource(ScanInput::Resident(&streamed_), batch_rows_),
+        std::move(side), batch_rows_);
+    return Status::OK();
+  }
+
+  JoinStep step_;
   std::unique_ptr<BatchSource> left_;
   std::unique_ptr<BatchSource> right_;
   int64_t batch_rows_;
-  bool drained_ = false;
-  ColumnarRelation left_mat_, right_mat_;
-  int64_t i_ = 0, j_ = 0;
-  std::vector<int64_t> li_scratch_, ri_scratch_;
+  ColumnarRelation streamed_;  // outlives probe_, which views it
+  std::unique_ptr<BatchSource> probe_;
 };
 
 /// Exact-mode union: the exact evaluation of both branches yields the same
@@ -644,16 +709,12 @@ class UnionSource final : public BatchSource {
     GUS_ASSIGN_OR_RETURN(a_mat_, DrainSource(left_.get()));
     GUS_ASSIGN_OR_RETURN(b_mat_, DrainSource(right_.get()));
     const int arity = layout_->lineage_arity();
-    std::unordered_set<uint64_t> seen;
-    seen.reserve(
-        static_cast<size_t>(a_mat_.num_rows() + b_mat_.num_rows()));
+    LineageRowSet seen(arity, a_mat_.num_rows() + b_mat_.num_rows());
     auto add_all = [&](const ColumnarRelation& mat,
                        std::vector<int64_t>* sel) {
-      const auto& lineage = mat.data().lineage();
+      const uint64_t* lineage = mat.data().lineage().data();
       for (int64_t i = 0; i < mat.num_rows(); ++i) {
-        const uint64_t h = HashLineageRow(
-            lineage.data() + static_cast<size_t>(i) * arity, arity);
-        if (seen.insert(h).second) sel->push_back(i);
+        if (seen.Insert(lineage + i * arity)) sel->push_back(i);
       }
     };
     add_all(a_mat_, &sel_a_);
@@ -672,6 +733,47 @@ class UnionSource final : public BatchSource {
 };
 
 }  // namespace
+
+Result<JoinStep> ResolveJoinStep(const PlanNode& plan, const BatchLayout& left,
+                                 const BatchLayout& right) {
+  JoinStep step;
+  GUS_ASSIGN_OR_RETURN(step.out_layout, ConcatBatchLayouts(left, right));
+  step.is_join = plan.op() == PlanOp::kJoin;
+  if (step.is_join) {
+    GUS_ASSIGN_OR_RETURN(step.left_key, left.schema.IndexOf(plan.left_key()));
+    GUS_ASSIGN_OR_RETURN(step.right_key,
+                         right.schema.IndexOf(plan.right_key()));
+  }
+  return step;
+}
+
+Result<std::shared_ptr<const SharedSide>> BuildSharedSide(
+    JoinStep step, ColumnarRelation mat, bool probe_is_left,
+    int num_threads) {
+  auto side = std::make_shared<SharedSide>();
+  side->step = std::move(step);
+  side->probe_is_left = probe_is_left;
+  side->mat = std::move(mat);
+  if (side->step.is_join) {
+    const int key =
+        probe_is_left ? side->step.right_key : side->step.left_key;
+    GUS_RETURN_NOT_OK(side->table.BuildFrom(side->mat.data().column(key),
+                                            side->mat.num_rows(),
+                                            num_threads));
+  }
+  return std::shared_ptr<const SharedSide>(std::move(side));
+}
+
+std::unique_ptr<BatchSource> MakeProbeSource(
+    std::unique_ptr<BatchSource> probe, std::shared_ptr<const SharedSide> side,
+    int64_t batch_rows) {
+  if (side->step.is_join) {
+    return std::unique_ptr<BatchSource>(
+        new JoinProbeSource(std::move(probe), std::move(side), batch_rows));
+  }
+  return std::unique_ptr<BatchSource>(
+      new ProductProbeSource(std::move(probe), std::move(side), batch_rows));
+}
 
 std::unique_ptr<BatchSource> MakeScanSliceSource(ScanInput input,
                                                  int64_t batch_rows,
@@ -693,14 +795,7 @@ Result<std::unique_ptr<BatchSource>> MakeUnionSource(
     return std::unique_ptr<BatchSource>(
         new ExactUnionSource(std::move(left), std::move(right)));
   }
-  if (!(left->layout()->schema == right->layout()->schema)) {
-    return Status::InvalidArgument("union inputs must share a column schema");
-  }
-  if (left->layout()->lineage_schema != right->layout()->lineage_schema) {
-    return Status::InvalidArgument(
-        "union inputs must share a lineage schema (samples of the same "
-        "expression, paper Prop. 7)");
-  }
+  GUS_RETURN_NOT_OK(CheckUnionLayouts(*left->layout(), *right->layout()));
   return std::unique_ptr<BatchSource>(
       new UnionSource(std::move(left), std::move(right), batch_rows));
 }
@@ -818,24 +913,7 @@ Result<std::unique_ptr<BatchSource>> CompileBatchPipeline(
       return std::unique_ptr<BatchSource>(
           new SelectSource(std::move(child), std::move(bound)));
     }
-    case PlanOp::kJoin: {
-      GUS_ASSIGN_OR_RETURN(
-          std::unique_ptr<BatchSource> left,
-          CompileBatchPipeline(plan->left(), catalog, rng, mode, batch_rows));
-      GUS_ASSIGN_OR_RETURN(
-          std::unique_ptr<BatchSource> right,
-          CompileBatchPipeline(plan->right(), catalog, rng, mode, batch_rows));
-      GUS_ASSIGN_OR_RETURN(
-          LayoutPtr layout,
-          ConcatBatchLayouts(*left->layout(), *right->layout()));
-      GUS_ASSIGN_OR_RETURN(int lk,
-                           left->layout()->schema.IndexOf(plan->left_key()));
-      GUS_ASSIGN_OR_RETURN(int rk,
-                           right->layout()->schema.IndexOf(plan->right_key()));
-      return std::unique_ptr<BatchSource>(
-          new JoinSource(std::move(layout), std::move(left), std::move(right),
-                         lk, rk, batch_rows));
-    }
+    case PlanOp::kJoin:
     case PlanOp::kProduct: {
       GUS_ASSIGN_OR_RETURN(
           std::unique_ptr<BatchSource> left,
@@ -844,10 +922,10 @@ Result<std::unique_ptr<BatchSource>> CompileBatchPipeline(
           std::unique_ptr<BatchSource> right,
           CompileBatchPipeline(plan->right(), catalog, rng, mode, batch_rows));
       GUS_ASSIGN_OR_RETURN(
-          LayoutPtr layout,
-          ConcatBatchLayouts(*left->layout(), *right->layout()));
-      return std::unique_ptr<BatchSource>(new ProductSource(
-          std::move(layout), std::move(left), std::move(right), batch_rows));
+          JoinStep step,
+          ResolveJoinStep(*plan, *left->layout(), *right->layout()));
+      return std::unique_ptr<BatchSource>(new JoinBreakerSource(
+          std::move(step), std::move(left), std::move(right), batch_rows));
     }
     case PlanOp::kUnion: {
       GUS_ASSIGN_OR_RETURN(

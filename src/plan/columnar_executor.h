@@ -15,11 +15,14 @@
 //                   kernels (kernels/sampling_kernels.h); fixed-size and
 //                   block samplers stay pipeline breakers through the
 //                   shared index-selection core (sampling/samplers.h)
-//   join            breaker on both inputs (build on the smaller, exactly
-//                   like the row engine) into a flat open-addressing
-//                   JoinHashTable (kernels/join_hash_table.h), streaming
-//                   probe output
-//   product/union   breakers; union dedups by lineage hash, streaming out
+//   join/product    one probe operator over a SharedSide: one input
+//                   materialized once (a join's with its flat
+//                   open-addressing JoinHashTable, kernels/join_hash_table.h)
+//                   and the other streamed through it. The serial pipeline
+//                   drains both inputs first and shares a join's smaller
+//                   input (the row engine's build rule) or a product's
+//                   right one; the morsel engine shares the non-pivot side
+//   union           breaker; dedups by exact lineage ids, streaming out
 //
 // Fused chains of scan/select/streaming-sample exchange SelViews —
 // selection vectors over borrowed batches — and gather exactly once, at
@@ -46,6 +49,7 @@
 #include <string>
 #include <vector>
 
+#include "kernels/join_hash_table.h"
 #include "kernels/key_hash.h"
 #include "plan/executor.h"
 #include "plan/plan_node.h"
@@ -139,7 +143,7 @@ class ColumnarCatalog {
 /// rows [0, end - begin).
 struct RowRun {
   /// A faulted segment stays alive while a leaf holds its run; a resident
-  /// relation's run borrows the catalog-owned batch (non-owning alias).
+  /// relation's run borrows the relation's batch (non-owning alias).
   std::shared_ptr<const ColumnBatch> batch;
   int64_t begin = 0;
   int64_t end = 0;  ///< begin == end: no run yet
@@ -166,6 +170,10 @@ class ScanInput {
   /// Points `run` at the run holding global row `row`
   /// (0 <= row < num_rows()); a no-op when `run` already covers it.
   Status Seek(int64_t row, RowRun* run) const;
+
+  /// The rows of a resident relation as one run; `rel` must outlive the
+  /// input.
+  static ScanInput Resident(const ColumnarRelation* rel);
 
  private:
   friend Result<ScanInput> ResolveScanInput(ColumnarCatalog* catalog,
@@ -265,12 +273,57 @@ std::unique_ptr<BatchSource> MakeBlockRekeySource(
     std::unique_ptr<BatchSource> child, int64_t block_size,
     int64_t base_row = 0);
 
+/// The static shape of a join or product step: its output layout
+/// (left ++ right) and, for a join, each input's key column.
+struct JoinStep {
+  LayoutPtr out_layout;
+  bool is_join = false;  // false: cross product
+  int left_key = -1;     // join key column in the left input's layout
+  int right_key = -1;    // join key column in the right input's layout
+};
+
+/// Resolves the step of `plan` (a join or product node) over inputs laid
+/// out `left` and `right`; fails on column-name or lineage overlap and on a
+/// missing key column.
+Result<JoinStep> ResolveJoinStep(const PlanNode& plan, const BatchLayout& left,
+                                 const BatchLayout& right);
+
+/// \brief One input of a join or product step, materialized once and shared
+/// read-only by every source streaming the other input through it (each
+/// morsel worker's, or the serial pipeline's one).
+struct SharedSide {
+  JoinStep step;
+  bool probe_is_left = true;  // the streamed input is the step's left one
+  ColumnarRelation mat;       // the shared input
+  JoinHashTable table;        // join only: built over mat's key column
+};
+
+/// \brief Builds the shared side of `step` from its materialized input
+/// `mat` (the step's right input when `probe_is_left`, else its left).
+///
+/// A join's hash table builds partition-parallel over `num_threads`
+/// workers, byte-identical at every count.
+Result<std::shared_ptr<const SharedSide>> BuildSharedSide(
+    JoinStep step, ColumnarRelation mat, bool probe_is_left, int num_threads);
+
+/// \brief The join or product of the streamed `probe` input with `side`,
+/// in the step's left ++ right column order.
+///
+/// A join hashes each pulled view's keys, batch-probes the shared table and
+/// rechecks key equality vectorized over the candidate pairs; its rows come
+/// out probe rows ascending, candidates in build input order. A product
+/// comes out probe-major, shared rows in input order.
+std::unique_ptr<BatchSource> MakeProbeSource(
+    std::unique_ptr<BatchSource> probe, std::shared_ptr<const SharedSide> side,
+    int64_t batch_rows);
+
 /// \brief Union of two branch pipelines.
 ///
-/// Sampled mode: bag union keeping each lineage once (first occurrence,
-/// left branch first — the Prop. 7 GUS union); validates that the branches
-/// share column and lineage schemas. Exact mode: the left branch's rows
-/// with the right branch drained for its error effects. The morsel engine
+/// Sampled mode: bag union keeping each lineage once (compared by exact
+/// ids; first occurrence, left branch first — the Prop. 7 GUS union);
+/// validates the branches with CheckUnionLayouts (rel/operators.h). Exact
+/// mode: the left branch's rows with the right branch drained for its
+/// error effects. The morsel engine
 /// instantiates this per pivot slice: lineage determines the slice, so
 /// slice-local dedup equals global dedup.
 Result<std::unique_ptr<BatchSource>> MakeUnionSource(
@@ -298,11 +351,6 @@ Result<ColumnarRelation> DrainSource(BatchSource* src);
 /// Views that already cover a whole producer-owned batch pass through
 /// without a copy; everything else gathers once into an internal scratch.
 Status PumpToSink(BatchSource* pipeline, BatchSink* sink);
-
-/// Concatenated layout of two join/product inputs; fails on column-name or
-/// lineage overlap.
-Result<LayoutPtr> ConcatBatchLayouts(const BatchLayout& left,
-                                     const BatchLayout& right);
 
 /// Resets `out` to `layout` (or just clears it when already laid out).
 void PrepareBatch(const LayoutPtr& layout, ColumnBatch* out);

@@ -11,10 +11,9 @@
 #include <utility>
 #include <vector>
 
-#include "kernels/join_hash_table.h"
-#include "plan/exec_stats.h"
-#include "kernels/key_hash.h"
 #include "kernels/sampling_kernels.h"
+#include "plan/exec_stats.h"
+#include "rel/operators.h"
 #include "sampling/samplers.h"
 #include "store/pruner.h"
 #include "store/segment_cache.h"
@@ -147,27 +146,6 @@ Result<std::string> ChoosePivotRelation(const std::vector<std::string>& cands,
   return best;
 }
 
-// ---- Shared (built-once) pipeline state ------------------------------------
-
-/// Shared, read-only per-join state probed concurrently by every morsel
-/// (the JoinHashTable is immutable after Build — no synchronization; the
-/// build itself runs partition-parallel over directory regions).
-struct SharedJoinBuild {
-  ColumnarRelation build_mat;  // the non-pivot side, materialized once
-  JoinHashTable table;
-  int build_key = 0;  // key column within build_mat's schema
-  int probe_key = 0;  // key column within the pivot-side layout
-  bool pivot_is_left = true;
-  LayoutPtr out_layout;
-};
-
-/// Shared non-pivot side of a product step.
-struct SharedProductSide {
-  ColumnarRelation other_mat;
-  bool pivot_is_left = true;
-  LayoutPtr out_layout;
-};
-
 // ---- The compiled per-morsel program ---------------------------------------
 
 struct MorselProgramNode;
@@ -184,9 +162,8 @@ struct MorselProgramNode {
     kBlockRekey,   // exact-mode block lineage re-key over the slice
     kSelect,
     kStreamSample,  // Bernoulli / lineage-seeded Bernoulli
-    kJoinProbe,
-    kProduct,
-    kUnion,  // both branches over the same slice, slice-local dedup
+    kProbe,         // join or product against the shared non-pivot side
+    kUnion,         // both branches over the same slice, slice-local dedup
   };
 
   Kind kind = Kind::kScanSlice;
@@ -196,11 +173,10 @@ struct MorselProgramNode {
   uint64_t sampler_seed = 0;                         // kBlockSample
   double p = 0.0;                                    // kBlockSample
   int64_t block_size = 0;  // kBlockSample / kBlockRekey
-  std::shared_ptr<SharedJoinBuild> join;       // kJoinProbe
-  std::shared_ptr<SharedProductSide> product;  // kProduct
-  ProgramPtr child;                            // input (left for kUnion)
-  ProgramPtr right;                            // kUnion only
-  LayoutPtr layout;                            // this node's output layout
+  std::shared_ptr<const SharedSide> shared;  // kProbe
+  ProgramPtr child;                          // input (left for kUnion)
+  ProgramPtr right;                          // kUnion only
+  LayoutPtr layout;                          // this node's output layout
 };
 
 /// Program mirror of FragmentHasStreamingRngSampler: is this subtree,
@@ -214,8 +190,7 @@ bool ProgramFragmentHasStreamingRng(const MorselProgramNode& n) {
       // Seed-decoupled or Rng-free: transparent to the fragment.
       return false;
     case MorselProgramNode::Kind::kSelect:
-    case MorselProgramNode::Kind::kJoinProbe:
-    case MorselProgramNode::Kind::kProduct:
+    case MorselProgramNode::Kind::kProbe:
       // The pivot side streams through probes, so the fragment continues.
       return ProgramFragmentHasStreamingRng(*n.child);
     case MorselProgramNode::Kind::kStreamSample:
@@ -257,162 +232,6 @@ uint64_t FingerprintBlockSampler(uint64_t seed, int64_t block_size, double p) {
 }
 
 // ---- Per-morsel physical sources -------------------------------------------
-
-/// Streams the probe (pivot) side of a morsel through a shared, pre-built
-/// hash table: per pulled view, hash the probe rows, batch-probe with
-/// prefetching, recheck key equality vectorized over the candidate pairs,
-/// then emit — same output order as the classic per-row loop (probe rows
-/// ascending, candidates in build input order), in the plan's left++right
-/// column order.
-class SharedJoinProbeSource final : public BatchSource {
- public:
-  SharedJoinProbeSource(std::unique_ptr<BatchSource> child,
-                        std::shared_ptr<SharedJoinBuild> build,
-                        int64_t batch_rows)
-      : BatchSource(build->out_layout),
-        child_(std::move(child)),
-        build_(std::move(build)),
-        batch_rows_(batch_rows) {}
-
-  Result<bool> Next(ColumnBatch* out) override {
-    PrepareBatch(layout_, out);
-    const ColumnBatch& build_data = build_->build_mat.data();
-    const ColumnData& build_key = build_data.column(build_->build_key);
-    while (out->num_rows() < batch_rows_) {
-      if (emit_pos_ >= static_cast<int64_t>(pair_probe_.size())) {
-        if (done_) break;
-        // Fused pull: the probe rows arrive as a selection view over the
-        // child's storage — no gather of the pivot chain's output. The
-        // pair buffer never outlives the view (refilled only when empty).
-        GUS_ASSIGN_OR_RETURN(bool more, child_->NextView(&probe_));
-        if (!more) {
-          done_ = true;
-          break;
-        }
-        const ColumnData& key = probe_.data->column(build_->probe_key);
-        if (key.type == ValueType::kString && key.dict != probe_dict_) {
-          probe_dict_ = key.dict;
-          probe_dict_hashes_ = DictKeyHashes(key);
-        }
-        const int64_t n = probe_.num_rows();
-        hash_scratch_.resize(static_cast<size_t>(n));
-        row_scratch_.resize(static_cast<size_t>(n));
-        for (int64_t k = 0; k < n; ++k) row_scratch_[k] = probe_.row(k);
-        KeyHashRows(key, probe_dict_hashes_, row_scratch_.data(), n,
-                    hash_scratch_.data());
-        pair_probe_.clear();
-        pair_build_.clear();
-        build_->table.ProbeBatch(hash_scratch_.data(), n, &pair_probe_,
-                                 &pair_build_);
-        for (int64_t& pr : pair_probe_) pr = row_scratch_[pr];
-        FilterEqualKeyPairs(key, build_key, &pair_probe_, &pair_build_);
-        emit_pos_ = 0;
-        continue;
-      }
-      // Batch emit over the surviving pair lists (front-to-back, so the
-      // classic per-row order is preserved).
-      const int64_t pairs = static_cast<int64_t>(pair_probe_.size());
-      const int64_t take =
-          std::min(batch_rows_ - out->num_rows(), pairs - emit_pos_);
-      const int64_t* probe_idx = pair_probe_.data() + emit_pos_;
-      const int64_t* build_idx = pair_build_.data() + emit_pos_;
-      if (build_->pivot_is_left) {
-        out->AppendConcatGather(*probe_.data, probe_idx, build_data,
-                                build_idx, take);
-      } else {
-        out->AppendConcatGather(build_data, build_idx, *probe_.data,
-                                probe_idx, take);
-      }
-      emit_pos_ += take;
-    }
-    if (done_ && out->num_rows() == 0 &&
-        emit_pos_ >= static_cast<int64_t>(pair_probe_.size())) {
-      return false;
-    }
-    return true;
-  }
-
- private:
-  std::unique_ptr<BatchSource> child_;
-  std::shared_ptr<SharedJoinBuild> build_;
-  int64_t batch_rows_;
-  SelView probe_;
-  DictPtr probe_dict_;
-  std::vector<uint64_t> probe_dict_hashes_;
-  std::vector<uint64_t> hash_scratch_;
-  std::vector<int64_t> row_scratch_;
-  std::vector<int64_t> pair_probe_, pair_build_;
-  int64_t emit_pos_ = 0;
-  bool done_ = false;
-};
-
-/// Cross product of the streaming pivot side with the shared other side.
-class SharedProductSource final : public BatchSource {
- public:
-  SharedProductSource(std::unique_ptr<BatchSource> child,
-                      std::shared_ptr<SharedProductSide> side,
-                      int64_t batch_rows)
-      : BatchSource(side->out_layout),
-        child_(std::move(child)),
-        side_(std::move(side)),
-        batch_rows_(batch_rows) {}
-
-  Result<bool> Next(ColumnBatch* out) override {
-    if (done_) return false;
-    PrepareBatch(layout_, out);
-    const ColumnBatch& other = side_->other_mat.data();
-    const int64_t n_other = other.num_rows();
-    while (out->num_rows() < batch_rows_) {
-      if (i_ >= pivot_.num_rows()) {
-        GUS_ASSIGN_OR_RETURN(bool more, child_->NextView(&pivot_));
-        if (!more) {
-          done_ = true;
-          break;
-        }
-        i_ = 0;
-        j_ = 0;
-        continue;
-      }
-      if (n_other == 0) {
-        i_ = pivot_.num_rows();
-        continue;
-      }
-      // Stage this chunk's (pivot, other) index pairs, then emit them in
-      // one batched gather per column.
-      pivot_scratch_.clear();
-      other_scratch_.clear();
-      const int64_t budget = batch_rows_ - out->num_rows();
-      while (static_cast<int64_t>(pivot_scratch_.size()) < budget &&
-             i_ < pivot_.num_rows()) {
-        pivot_scratch_.push_back(pivot_.row(i_));
-        other_scratch_.push_back(j_);
-        if (++j_ >= n_other) {
-          j_ = 0;
-          ++i_;
-        }
-      }
-      const auto take = static_cast<int64_t>(pivot_scratch_.size());
-      if (side_->pivot_is_left) {
-        out->AppendConcatGather(*pivot_.data, pivot_scratch_.data(), other,
-                                other_scratch_.data(), take);
-      } else {
-        out->AppendConcatGather(other, other_scratch_.data(), *pivot_.data,
-                                pivot_scratch_.data(), take);
-      }
-    }
-    if (done_ && out->num_rows() == 0) return false;
-    return true;
-  }
-
- private:
-  std::unique_ptr<BatchSource> child_;
-  std::shared_ptr<SharedProductSide> side_;
-  int64_t batch_rows_;
-  SelView pivot_;
-  int64_t i_ = 0, j_ = 0;
-  std::vector<int64_t> pivot_scratch_, other_scratch_;
-  bool done_ = false;
-};
 
 /// \brief The longest prefix of the sorted global row ids [ids, ids + n)
 /// that one run holds, as a selection view over that run's batch (`run`
@@ -845,48 +664,20 @@ Result<ProgramPtr> CompileNode(const PlanPtr& plan, ColumnarCatalog* catalog,
             child, CompileNode(plan->right(), catalog, rng, mode, options,
                                prog));
       }
+      GUS_ASSIGN_OR_RETURN(
+          JoinStep step,
+          pivot_left
+              ? ResolveJoinStep(*plan, *child->layout, other_mat.layout())
+              : ResolveJoinStep(*plan, other_mat.layout(), *child->layout));
       auto node = std::make_unique<MorselProgramNode>();
-      const BatchLayout& pivot_side = *child->layout;
-      const BatchLayout& other_side = other_mat.layout();
-      if (plan->op() == PlanOp::kJoin) {
-        auto build = std::make_shared<SharedJoinBuild>();
-        build->build_mat = std::move(other_mat);
-        const std::string& pivot_key =
-            pivot_left ? plan->left_key() : plan->right_key();
-        const std::string& build_key =
-            pivot_left ? plan->right_key() : plan->left_key();
-        GUS_ASSIGN_OR_RETURN(build->probe_key,
-                             pivot_side.schema.IndexOf(pivot_key));
-        GUS_ASSIGN_OR_RETURN(
-            build->build_key,
-            build->build_mat.layout().schema.IndexOf(build_key));
-        build->pivot_is_left = pivot_left;
-        GUS_ASSIGN_OR_RETURN(
-            build->out_layout,
-            pivot_left
-                ? ConcatBatchLayouts(pivot_side, build->build_mat.layout())
-                : ConcatBatchLayouts(build->build_mat.layout(), pivot_side));
-        const ColumnData& key =
-            build->build_mat.data().column(build->build_key);
-        // Partition-parallel build: per-worker region inserts merged
-        // without rehashing, byte-identical at every thread count.
-        GUS_RETURN_NOT_OK(build->table.BuildFrom(
-            key, build->build_mat.num_rows(), options.num_threads));
-        node->kind = MorselProgramNode::Kind::kJoinProbe;
-        node->layout = build->out_layout;
-        node->join = std::move(build);
-      } else {
-        auto side = std::make_shared<SharedProductSide>();
-        side->other_mat = std::move(other_mat);
-        side->pivot_is_left = pivot_left;
-        GUS_ASSIGN_OR_RETURN(
-            side->out_layout,
-            pivot_left ? ConcatBatchLayouts(pivot_side, other_side)
-                       : ConcatBatchLayouts(other_side, pivot_side));
-        node->kind = MorselProgramNode::Kind::kProduct;
-        node->layout = side->out_layout;
-        node->product = std::move(side);
-      }
+      node->kind = MorselProgramNode::Kind::kProbe;
+      // A join's partition-parallel build: per-worker region inserts
+      // merged without rehashing, byte-identical at every thread count.
+      GUS_ASSIGN_OR_RETURN(node->shared,
+                           BuildSharedSide(std::move(step),
+                                           std::move(other_mat), pivot_left,
+                                           options.num_threads));
+      node->layout = node->shared->step.out_layout;
       node->child = std::move(child);
       return node;
     }
@@ -898,15 +689,7 @@ Result<ProgramPtr> CompileNode(const PlanPtr& plan, ColumnarCatalog* catalog,
           ProgramPtr right,
           CompileNode(plan->right(), catalog, rng, mode, options, prog));
       if (mode == ExecMode::kSampled) {
-        if (!(left->layout->schema == right->layout->schema)) {
-          return Status::InvalidArgument(
-              "union inputs must share a column schema");
-        }
-        if (left->layout->lineage_schema != right->layout->lineage_schema) {
-          return Status::InvalidArgument(
-              "union inputs must share a lineage schema (samples of the "
-              "same expression, paper Prop. 7)");
-        }
+        GUS_RETURN_NOT_OK(CheckUnionLayouts(*left->layout, *right->layout));
       }
       auto node = std::make_unique<MorselProgramNode>();
       node->kind = MorselProgramNode::Kind::kUnion;
@@ -957,19 +740,10 @@ Result<std::unique_ptr<BatchSource>> InstantiateNode(
       return MakeSampleSource(std::move(child), n.node->spec(), rng,
                               kDefaultBatchRows, n.stream_ok);
     }
-    case MorselProgramNode::Kind::kJoinProbe: {
+    case MorselProgramNode::Kind::kProbe: {
       GUS_ASSIGN_OR_RETURN(std::unique_ptr<BatchSource> child,
                            InstantiateNode(*n.child, prog, begin, len, rng));
-      return std::unique_ptr<BatchSource>(
-          new SharedJoinProbeSource(std::move(child), n.join,
-                                    kDefaultBatchRows));
-    }
-    case MorselProgramNode::Kind::kProduct: {
-      GUS_ASSIGN_OR_RETURN(std::unique_ptr<BatchSource> child,
-                           InstantiateNode(*n.child, prog, begin, len, rng));
-      return std::unique_ptr<BatchSource>(
-          new SharedProductSource(std::move(child), n.product,
-                                  kDefaultBatchRows));
+      return MakeProbeSource(std::move(child), n.shared, kDefaultBatchRows);
     }
     case MorselProgramNode::Kind::kUnion: {
       // Both branches run over the same pivot slice; the left branch
@@ -1064,12 +838,9 @@ void CollectPruneAlts(const MorselProgramNode& n, const MorselProgram& prog,
       // forked stream is never consumed by anyone.
       return;
     }
-    case MorselProgramNode::Kind::kJoinProbe:
-    case MorselProgramNode::Kind::kProduct: {
+    case MorselProgramNode::Kind::kProbe: {
       CollectPruneAlts(*n.child, prog, out);
-      const bool pivot_left = n.kind == MorselProgramNode::Kind::kJoinProbe
-                                  ? n.join->pivot_is_left
-                                  : n.product->pivot_is_left;
+      const bool pivot_left = n.shared->probe_is_left;
       const int out_cols = n.layout->schema.num_columns();
       for (AltBuild& a : *out) {
         const std::vector<int> inner = std::move(a.colmap);

@@ -6,8 +6,9 @@
 // off the pivot path (join build sides, product counterparts) executes once,
 // serially, with the caller's Rng, exactly like the serial columnar engine;
 // each morsel then runs the remaining pipeline — scan slice, vectorized
-// selects, per-partition samplers, probes against the shared join hash
-// tables, per-slice union dedup — on whatever worker picks it up.
+// selects, per-partition samplers, join and product probes against the
+// shared sides (the serial pipeline's own operators, columnar_executor.h),
+// per-slice union dedup — on whatever worker picks it up.
 //
 // Pivot-eligibility (the full matrix lives in ARCHITECTURE.md):
 //   * select — stateless per row;

@@ -1,7 +1,5 @@
 #include "rel/operators.h"
 
-#include <unordered_set>
-
 #include "kernels/join_hash_table.h"
 #include "rel/column_batch.h"
 #include "util/hash.h"
@@ -46,10 +44,6 @@ Row ConcatRows(const Row& a, const Row& b) {
   Row out = a;
   out.insert(out.end(), b.begin(), b.end());
   return out;
-}
-
-uint64_t HashLineage(const LineageRow& lin) {
-  return HashLineageRow(lin.data(), lin.size());
 }
 
 }  // namespace
@@ -192,29 +186,36 @@ Result<Relation> CrossProduct(const Relation& left, const Relation& right) {
   return out;
 }
 
-Result<Relation> UnionDistinctLineage(const Relation& a, const Relation& b) {
-  if (!(a.schema() == b.schema())) {
+Status CheckUnionLayouts(const BatchLayout& a, const BatchLayout& b) {
+  if (!(a.schema == b.schema)) {
     return Status::InvalidArgument("union inputs must share a column schema");
   }
-  if (a.lineage_schema() != b.lineage_schema()) {
+  if (a.lineage_schema != b.lineage_schema) {
     return Status::InvalidArgument(
         "union inputs must share a lineage schema (samples of the same "
         "expression, paper Prop. 7)");
   }
+  return Status::OK();
+}
+
+Result<Relation> UnionDistinctLineage(const Relation& a, const Relation& b) {
+  const std::shared_ptr<const ColumnarRelation> a_cols = a.Columnar();
+  const std::shared_ptr<const ColumnarRelation> b_cols = b.Columnar();
+  GUS_RETURN_NOT_OK(CheckUnionLayouts(a_cols->layout(), b_cols->layout()));
   Relation out(a.schema(), a.lineage_schema());
   out.Reserve(a.num_rows() + b.num_rows());
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(static_cast<size_t>(a.num_rows() + b.num_rows()));
-  auto add_all = [&](const Relation& rel) {
+  const int arity = a_cols->layout().lineage_arity();
+  LineageRowSet seen(arity, a.num_rows() + b.num_rows());
+  auto add_all = [&](const Relation& rel, const ColumnarRelation& cols) {
+    const uint64_t* lineage = cols.data().lineage().data();
     for (int64_t i = 0; i < rel.num_rows(); ++i) {
-      const LineageRow lineage = rel.lineage(i);
-      if (seen.insert(HashLineage(lineage)).second) {
-        out.AppendRow(rel.row(i), lineage);
+      if (seen.Insert(lineage + i * arity)) {
+        out.AppendRow(rel.row(i), rel.lineage(i));
       }
     }
   };
-  add_all(a);
-  add_all(b);
+  add_all(a, *a_cols);
+  add_all(b, *b_cols);
   return out;
 }
 

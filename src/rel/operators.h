@@ -9,9 +9,13 @@
 #ifndef GUS_REL_OPERATORS_H_
 #define GUS_REL_OPERATORS_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
+#include "rel/column_batch.h"
 #include "rel/expression.h"
 #include "rel/relation.h"
 #include "util/status.h"
@@ -55,6 +59,41 @@ Result<Relation> CrossProduct(const Relation& left, const Relation& right);
 /// once — GUS methods are randomized *filters*, so the union of two samples
 /// of R is still a subset of R.
 Result<Relation> UnionDistinctLineage(const Relation& a, const Relation& b);
+
+/// Checks that two sampled-mode union inputs are samples of one expression
+/// (Prop. 7): the same column schema and the same lineage schema.
+Status CheckUnionLayouts(const BatchLayout& a, const BatchLayout& b);
+
+/// \brief A set of lineage rows compared by their ids: HashLineageRow only
+/// picks the bucket, so rows whose hashes collide stay distinct.
+///
+/// Keeps pointers to the inserted rows, which must outlive the set.
+class LineageRowSet {
+ public:
+  LineageRowSet(int arity, int64_t expected_rows)
+      : rows_(0, Hash{arity}, Equal{arity}) {
+    rows_.reserve(static_cast<size_t>(expected_rows));
+  }
+
+  /// Adds the row of `arity` ids at `ids`; false when an equal row is in.
+  bool Insert(const uint64_t* ids) { return rows_.insert(ids).second; }
+
+ private:
+  struct Hash {
+    int arity;
+    size_t operator()(const uint64_t* ids) const {
+      return HashLineageRow(ids, static_cast<size_t>(arity));
+    }
+  };
+  struct Equal {
+    int arity;
+    bool operator()(const uint64_t* a, const uint64_t* b) const {
+      return std::equal(a, a + arity, b);
+    }
+  };
+
+  std::unordered_set<const uint64_t*, Hash, Equal> rows_;
+};
 
 /// SUM of `expr` over all rows (numeric).
 Result<double> AggregateSum(const Relation& input, const ExprPtr& expr);

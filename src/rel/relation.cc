@@ -1,7 +1,6 @@
 #include "rel/relation.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -47,12 +46,20 @@ ColumnarRelation* Relation::MutableColumns() {
   // Copies of this relation and ColumnarCatalog snapshots keep the
   // content they saw; a sole owner writes in place and forgets the
   // fingerprints of its old content.
-  if (storage_.use_count() != 1) {
+  //
+  // use_count() alone is a relaxed load. Copying the pointer increments
+  // the count with an acquire-release read-modify-write, so a count of
+  // two seen after the copy orders this write after the last reads of
+  // every holder that has let go (its decrement releases), in a form
+  // ThreadSanitizer models.
+  bool sole_owner;
+  {
+    const std::shared_ptr<Storage> probe = storage_;
+    sole_owner = probe.use_count() == 2;
+  }
+  if (!sole_owner) {
     storage_ = std::make_shared<Storage>(storage_->columns);
   } else {
-    // use_count() is a relaxed load: order this write after the last
-    // reads of a holder that has just let go.
-    std::atomic_thread_fence(std::memory_order_acquire);
     storage_->fingerprints.clear();
   }
   return &storage_->columns;

@@ -41,8 +41,9 @@ using LineageRow = std::vector<uint64_t>;
 
 /// \brief Order-sensitive hash of one row's lineage ids.
 ///
-/// Shared by the row and columnar engines (union dedup keys on it), so the
-/// two must keep using the identical function.
+/// Shared by the row and columnar engines (union dedup buckets lineage rows
+/// by it, LineageRowSet in rel/operators.h), so the two must keep using the
+/// identical function.
 inline uint64_t HashLineageRow(const uint64_t* ids, size_t n) {
   uint64_t h = 0x6a09e667f3bcc908ULL;
   for (size_t i = 0; i < n; ++i) h = HashCombine(h, ids[i]);

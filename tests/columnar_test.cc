@@ -306,6 +306,31 @@ TEST(SharedColumnsTest, SoleOwnerAppendsInPlaceAndForgetsFingerprints) {
             grown);
 }
 
+TEST(SharedColumnsTest, SoleOwnerAppendIsOrderedAfterAReaderLetsGo) {
+  // A reader thread reads a copy's columns and then drops the copy. The
+  // owner learns of that only through the owner count (the flag is a
+  // relaxed atomic, which orders nothing) and appends in place, so the
+  // sole-owner check itself must order the append after the reader's
+  // reads. ThreadSanitizer builds report it if it does not.
+  Relation a = testing::MakeSingleTable(1000);
+  const ColumnarRelation* columns = a.Columnar().get();
+  std::atomic<bool> released{false};
+  double sum = 0.0;
+  std::thread reader([copy = a, &released, &sum]() mutable {
+    for (const double v : copy.Columnar()->data().column(0).f64) sum += v;
+    copy = Relation();
+    released.store(true, std::memory_order_relaxed);
+  });
+  while (!released.load(std::memory_order_relaxed)) {
+    std::this_thread::yield();
+  }
+  a.AppendRow(Row{Value(1001.0)}, {1000});
+  reader.join();
+  EXPECT_EQ(columns, a.Columnar().get());  // written in place
+  EXPECT_EQ(1001, a.num_rows());
+  EXPECT_EQ(500500.0, sum);
+}
+
 TEST(SharedColumnsTest, MovedFromRelationWorksAfterReassignment) {
   Relation a = testing::MakeSingleTable(5);
   const std::shared_ptr<const ColumnarRelation> original = a.Columnar();

@@ -50,11 +50,13 @@ void ExpectIdentical(const Relation& row_result, const Relation& col_result) {
 }
 
 void ExpectEnginesAgree(const PlanPtr& plan, const Catalog& catalog,
-                        uint64_t seed, ExecMode mode) {
+                        uint64_t seed, ExecMode mode,
+                        int64_t batch_rows = kDefaultBatchRows) {
   Rng row_rng(seed);
   auto row_result = ExecutePlan(plan, catalog, &row_rng, mode);
   Rng col_rng(seed);
-  auto col_result = ExecuteColumnar(plan, catalog, &col_rng, mode);
+  auto col_result =
+      ExecuteColumnar(plan, catalog, &col_rng, mode, batch_rows);
   ASSERT_EQ(row_result.ok(), col_result.ok())
       << row_result.status().ToString() << " vs "
       << col_result.status().ToString();
@@ -66,14 +68,15 @@ void ExpectEnginesAgree(const PlanPtr& plan, const Catalog& catalog,
 }
 
 void ExpectEnginesAgreeBothModes(const PlanPtr& plan, const Catalog& catalog,
-                                 uint64_t seed) {
+                                 uint64_t seed,
+                                 int64_t batch_rows = kDefaultBatchRows) {
   {
     SCOPED_TRACE("exact");
-    ExpectEnginesAgree(plan, catalog, seed, ExecMode::kExact);
+    ExpectEnginesAgree(plan, catalog, seed, ExecMode::kExact, batch_rows);
   }
   {
     SCOPED_TRACE("sampled");
-    ExpectEnginesAgree(plan, catalog, seed, ExecMode::kSampled);
+    ExpectEnginesAgree(plan, catalog, seed, ExecMode::kSampled, batch_rows);
   }
 }
 
@@ -313,6 +316,86 @@ TEST(EngineParityTest, MixedNumericKeyJoin) {
   ExpectEnginesAgreeBothModes(plan, catalog, 17);
 }
 
+TEST(EngineParityTest, JoinWithSmallerLeftInputBuildsOnTheLeft) {
+  // D (5 rows) joined on the left of F (15 rows): the build side flips to
+  // the left input, and rows still come out in the row engine's order.
+  Catalog catalog = MakeTinyJoin(5, 3).MakeCatalog();
+  PlanPtr plan =
+      PlanNode::Join(PlanNode::Scan("D"), PlanNode::Scan("F"), "pk", "fk");
+  ExpectEnginesAgreeBothModes(plan, catalog, 30);
+  Rng rng(30);
+  ASSERT_OK_AND_ASSIGN(Relation out, ExecuteColumnar(plan, catalog, &rng));
+  EXPECT_EQ(15, out.num_rows());
+}
+
+TEST(EngineParityTest, JoinAndProductWithAnEmptyInput) {
+  // An empty join input is always the smaller one, hence the build side;
+  // the probe side is empty only when both are.
+  Catalog catalog = MakeTinyJoin(5, 3).MakeCatalog();
+  const PlanPtr f = PlanNode::Scan("F");
+  const PlanPtr d = PlanNode::Scan("D");
+  const PlanPtr no_f = PlanNode::SelectNode(Lt(Col("v"), Lit(0.0)), f);
+  const PlanPtr no_d = PlanNode::SelectNode(Lt(Col("w"), Lit(0.0)), d);
+  const std::vector<std::pair<std::string, PlanPtr>> cases = {
+      {"join, empty left build side", PlanNode::Join(no_f, d, "fk", "pk")},
+      {"join, empty right build side", PlanNode::Join(f, no_d, "fk", "pk")},
+      {"join, empty probe side", PlanNode::Join(no_f, no_d, "fk", "pk")},
+      {"product, empty left side", PlanNode::Product(no_f, d)},
+      {"product, empty right side", PlanNode::Product(f, no_d)},
+  };
+  for (const auto& [name, plan] : cases) {
+    SCOPED_TRACE(name);
+    ExpectEnginesAgreeBothModes(plan, catalog, 31);
+    Rng rng(31);
+    ASSERT_OK_AND_ASSIGN(Relation out, ExecuteColumnar(plan, catalog, &rng));
+    EXPECT_EQ(0, out.num_rows());
+    EXPECT_EQ(4, out.schema().num_columns());
+  }
+}
+
+TEST(EngineParityTest, StringKeyJoinOverManySmallBatches) {
+  // A 60-row probe side pulled in 7-row batches against a build side with
+  // duplicate string keys: every batch boundary keeps probe rows ascending
+  // and candidates in build input order, with the build side on either
+  // input, and a streaming Bernoulli above the join draws as in the row
+  // engine.
+  std::vector<Row> facts, dims;
+  const char* keys[] = {"ab", "cd", "ef", "gh", "zz"};
+  for (int i = 0; i < 60; ++i) {
+    facts.push_back(Row{Value(keys[i % 5]), Value(1.5 * i)});
+  }
+  const char* dim_keys[] = {"cd", "ab", "cd", "ef", "ab", "cd", "yy"};
+  for (int i = 0; i < 7; ++i) {
+    dims.push_back(Row{Value(dim_keys[i]), Value(int64_t{100 + i})});
+  }
+  Catalog catalog;
+  catalog.emplace("SF", Relation::MakeBase(
+                            "SF",
+                            Schema({{"sk", ValueType::kString},
+                                    {"v", ValueType::kFloat64}}),
+                            std::move(facts)));
+  catalog.emplace("SD", Relation::MakeBase(
+                            "SD",
+                            Schema({{"dk", ValueType::kString},
+                                    {"w", ValueType::kInt64}}),
+                            std::move(dims)));
+  const PlanPtr build_right =
+      PlanNode::Join(PlanNode::Scan("SF"), PlanNode::Scan("SD"), "sk", "dk");
+  const PlanPtr build_left =
+      PlanNode::Join(PlanNode::Scan("SD"), PlanNode::Scan("SF"), "dk", "sk");
+  for (const PlanPtr& plan : {build_right, build_left}) {
+    ExpectEnginesAgreeBothModes(plan, catalog, 32, /*batch_rows=*/7);
+    Rng rng(32);
+    ASSERT_OK_AND_ASSIGN(
+        Relation out,
+        ExecuteColumnar(plan, catalog, &rng, ExecMode::kExact, 7));
+    EXPECT_EQ(72, out.num_rows());  // per 5 facts: ab 2 + cd 3 + ef 1
+  }
+  ExpectEnginesAgreeBothModes(
+      PlanNode::Sample(SamplingSpec::Bernoulli(0.5), build_right), catalog,
+      33, /*batch_rows=*/7);
+}
+
 // -- Morsel engine: thread-count parity ------------------------------------
 //
 // The morsel-parallel engine draws a *different* (equally valid) sample
@@ -362,6 +445,77 @@ TEST(EngineParityTest, MorselThreadParityBothModes) {
   {
     SCOPED_TRACE("sampled");
     ExpectMorselThreadParity(q1.plan, catalog, 23, ExecMode::kSampled);
+  }
+}
+
+TEST(EngineParityTest, MorselNonPivotJoinMatchesRowEngine) {
+  // The non-pivot side is itself a join (E, the smaller input, on its
+  // left), so the serial join runs inside the morsel prepare. A WOR sample
+  // over the pivot scan keeps the plan seed-decoupled, hence bit-identical
+  // to the row engine at every thread count.
+  Catalog catalog = MakeTinyJoin(40, 3).MakeCatalog();  // F: 120, D: 40
+  std::vector<Row> e_rows;
+  for (int k = 0; k < 30; ++k) {
+    e_rows.push_back(Row{Value(int64_t{k}), Value(0.5 * k)});
+  }
+  catalog.emplace("E", Relation::MakeBase(
+                           "E",
+                           Schema({{"ek", ValueType::kInt64},
+                                   {"z", ValueType::kFloat64}}),
+                           std::move(e_rows)));
+  PlanPtr plan = PlanNode::Join(
+      PlanNode::Sample(SamplingSpec::WithoutReplacement(50, 120),
+                       PlanNode::Scan("F")),
+      PlanNode::Join(PlanNode::Scan("E"), PlanNode::Scan("D"), "ek", "pk"),
+      "fk", "pk");
+  for (const ExecMode mode : {ExecMode::kExact, ExecMode::kSampled}) {
+    SCOPED_TRACE(mode == ExecMode::kExact ? "exact" : "sampled");
+    Rng row_rng(34);
+    ASSERT_OK_AND_ASSIGN(Relation row_result,
+                         ExecutePlan(plan, catalog, &row_rng, mode));
+    EXPECT_GT(row_result.num_rows(), 0);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      Rng rng(34);
+      ASSERT_OK_AND_ASSIGN(
+          Relation morsel,
+          ExecutePlan(plan, catalog, &rng, mode, MorselWithThreads(threads)));
+      ExpectIdentical(row_result, morsel);
+    }
+  }
+}
+
+TEST(EngineParityTest, UnionKeepsLineagesWhoseHashesCollide) {
+  // Two tuples whose lineage ids differ but hash alike, one per union
+  // branch over the same relation: every engine keeps both.
+  const auto [first, second] = ::gus::testing::CollidingLineageRows();
+  Relation pairs(Schema({{"k", ValueType::kInt64}}), {"X", "Y"});
+  pairs.AppendRow(Row{Value(int64_t{0})}, first);
+  pairs.AppendRow(Row{Value(int64_t{1})}, second);
+  Catalog catalog;
+  catalog.emplace("P", pairs);
+  const PlanPtr scan = PlanNode::Scan("P");
+  PlanPtr plan = PlanNode::Union(
+      PlanNode::SelectNode(Eq(Col("k"), Lit(Value(int64_t{0}))), scan),
+      PlanNode::SelectNode(Eq(Col("k"), Lit(Value(int64_t{1}))), scan));
+  Rng row_rng(35);
+  ASSERT_OK_AND_ASSIGN(Relation row_result,
+                       ExecutePlan(plan, catalog, &row_rng,
+                                   ExecMode::kSampled));
+  ASSERT_EQ(2, row_result.num_rows());
+  EXPECT_EQ(first, row_result.lineage(0));
+  EXPECT_EQ(second, row_result.lineage(1));
+  Rng col_rng(35);
+  ASSERT_OK_AND_ASSIGN(Relation serial,
+                       ExecuteColumnar(plan, catalog, &col_rng));
+  ExpectIdentical(row_result, serial);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Rng rng(35);
+    ASSERT_OK_AND_ASSIGN(Relation morsel,
+                         ExecutePlan(plan, catalog, &rng, ExecMode::kSampled,
+                                     MorselWithThreads(threads)));
+    ExpectIdentical(row_result, morsel);
   }
 }
 

@@ -156,6 +156,24 @@ TEST(UnionTest, DeduplicatesOnLineage) {
   EXPECT_EQ(4, u.num_rows());  // {2,3,4} ∪ {1,2} = all 4, tuple 2 kept once.
 }
 
+TEST(UnionTest, KeepsDistinctLineagesWhoseHashesCollide) {
+  const auto [first, second] = ::gus::testing::CollidingLineageRows();
+  ASSERT_NE(first, second);
+  ASSERT_EQ(HashLineageRow(first.data(), first.size()),
+            HashLineageRow(second.data(), second.size()));
+  const Schema schema({{"v", ValueType::kFloat64}});
+  Relation a(schema, {"X", "Y"});
+  a.AppendRow(Row{Value(1.0)}, first);
+  Relation b(schema, {"X", "Y"});
+  b.AppendRow(Row{Value(2.0)}, second);
+  b.AppendRow(Row{Value(3.0)}, first);  // a's tuple again: kept once
+  ASSERT_OK_AND_ASSIGN(Relation u, UnionDistinctLineage(a, b));
+  ASSERT_EQ(2, u.num_rows());
+  EXPECT_EQ(first, u.lineage(0));
+  EXPECT_EQ(second, u.lineage(1));
+  EXPECT_TRUE(u.row(1)[0] == Value(2.0));
+}
+
 TEST(UnionTest, RequiresMatchingSchemas) {
   Relation a = MakeSingleTable(2, "A");
   Relation b = MakeSingleTable(2, "B");

@@ -16,6 +16,7 @@
 #include "plan/columnar_executor.h"
 #include "plan/executor.h"
 #include "rel/relation.h"
+#include "util/hash.h"
 #include "util/status.h"
 
 namespace gus {
@@ -91,6 +92,22 @@ inline Relation MakeSingleTable(int n, const std::string& name = "R") {
   }
   return Relation::MakeBase(name, Schema({{"v", ValueType::kFloat64}}),
                             std::move(rows));
+}
+
+/// \brief Two distinct two-id lineage rows, (0, 0) and (1, y), whose
+/// HashLineageRow values are equal.
+///
+/// HashCombine(s, v) is Mix64(s ^ (v + k + (s << 6) + (s >> 2))) and Mix64 is
+/// a bijection, so the second row collides exactly when its Mix64 argument
+/// equals the first row's — which is linear in y, and solved for it here.
+inline std::pair<LineageRow, LineageRow> CollidingLineageRows() {
+  constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+  const uint64_t iv = HashLineageRow(nullptr, 0);
+  const uint64_t s0 = HashCombine(iv, 0);
+  const uint64_t s1 = HashCombine(iv, 1);
+  const uint64_t target = s0 ^ (0 + kGolden + (s0 << 6) + (s0 >> 2));
+  const uint64_t y = (s1 ^ target) - kGolden - (s1 << 6) - (s1 >> 2);
+  return {LineageRow{0, 0}, LineageRow{1, y}};
 }
 
 /// \brief `plan` run on the serial batch pipeline (ExecutePlanColumnar)

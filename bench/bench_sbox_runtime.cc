@@ -315,6 +315,7 @@ void PrintThreadScalingAt(int64_t orders, const std::string& name_prefix,
          {"speedup_vs_serial", best_serial / best},
          {"est_diff_vs_one_thread", est_diff},
          {"prepare_ms", stats.prepare_ms},
+         {"minor_faults", static_cast<double>(stats.minor_faults)},
          {"parallel_ms", stats.parallel_ms},
          {"sink_fold_ms", stats.sink_fold_ms},
          {"morsels", static_cast<double>(stats.morsels)},

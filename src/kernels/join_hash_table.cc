@@ -329,25 +329,30 @@ uint64_t JoinHashTable::StateDigest() const {
 std::vector<uint64_t> ColumnKeyHashes(const ColumnData& col,
                                       int64_t num_rows) {
   std::vector<uint64_t> hashes(static_cast<size_t>(num_rows));
+  KeyHashRange(col, DictKeyHashes(col), 0, num_rows, hashes.data());
+  return hashes;
+}
+
+void KeyHashRange(const ColumnData& col,
+                  const std::vector<uint64_t>& dict_hashes, int64_t begin,
+                  int64_t len, uint64_t* out) {
   switch (col.type) {
     case ValueType::kInt64:
-      simd::HashI64Keys(col.i64.data(), num_rows, hashes.data());
-      break;
+      simd::HashI64Keys(col.i64.data() + begin, len, out);
+      return;
     case ValueType::kFloat64:
       // Stays scalar: HashFloat64Key branches on Float64AsExactInt64 and
-      // f64 keys are rare on the hash-build path.
-      for (int64_t i = 0; i < num_rows; ++i) {
-        hashes[i] = HashFloat64Key(col.f64[i]);
+      // f64 keys are rare join keys.
+      for (int64_t i = 0; i < len; ++i) {
+        out[i] = HashFloat64Key(col.f64[begin + i]);
       }
-      break;
-    case ValueType::kString: {
-      const std::vector<uint64_t> dict_hashes = DictKeyHashes(col);
-      simd::HashDictCodes(dict_hashes.data(), col.codes.data(), num_rows,
-                          hashes.data());
-      break;
-    }
+      return;
+    case ValueType::kString:
+      simd::HashDictCodes(dict_hashes.data(), col.codes.data() + begin, len,
+                          out);
+      return;
   }
-  return hashes;
+  GUS_CHECK(false && "unhandled ValueType");
 }
 
 void KeyHashRows(const ColumnData& col,

@@ -91,6 +91,13 @@ inline bool JoinBuildKeysCompatible(const ColumnData& col, int64_t i,
 /// already hold DictKeyHashes can loop KeyHashAt instead.
 std::vector<uint64_t> ColumnKeyHashes(const ColumnData& col, int64_t num_rows);
 
+/// \brief Batch form of KeyHashAt over rows [begin, begin + len), through
+/// the dispatched SIMD kernels for int64 and dictionary-string keys
+/// (float64 stays scalar). `out` must hold len hashes.
+void KeyHashRange(const ColumnData& col,
+                  const std::vector<uint64_t>& dict_hashes, int64_t begin,
+                  int64_t len, uint64_t* out);
+
 /// \brief Batch form of KeyHashAt over an arbitrary row list (`rows`, len
 /// entries), routed through the dispatched SIMD gather kernels for int64
 /// and dictionary-string keys (float64 stays scalar: its hash branches on

@@ -158,12 +158,21 @@ std::vector<int64_t> SmallestCandidateRows(
   GUS_CHECK(n <= static_cast<int64_t>(cands.size()));
   std::vector<int64_t> rows;
   if (n <= 0) return rows;
-  std::vector<WorCandidate> order = cands;
-  std::nth_element(order.begin(), order.begin() + (n - 1), order.end());
-  const WorCandidate cutoff = order[static_cast<size_t>(n - 1)];
+  // The n-th smallest priority alone, selected over a copy of the keys
+  // (half the bytes of the pairs). Pairs order by (priority, row) and the
+  // candidates arrive by ascending row, so the n smallest pairs are every
+  // candidate below the cutoff priority plus the first candidates at it.
+  std::vector<uint64_t> prio(cands.size());
+  for (size_t i = 0; i < cands.size(); ++i) prio[i] = cands[i].first;
+  std::nth_element(prio.begin(), prio.begin() + (n - 1), prio.end());
+  const uint64_t cutoff = prio[static_cast<size_t>(n - 1)];
+  int64_t at_cutoff = n;
+  for (const WorCandidate& c : cands) at_cutoff -= c.first < cutoff ? 1 : 0;
   rows.reserve(static_cast<size_t>(n));
   for (const WorCandidate& c : cands) {
-    if (c <= cutoff) rows.push_back(c.second);
+    if (c.first < cutoff || (c.first == cutoff && at_cutoff-- > 0)) {
+      rows.push_back(c.second);
+    }
   }
   return rows;
 }

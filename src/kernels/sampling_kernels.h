@@ -211,8 +211,9 @@ void AppendWorCandidates(uint64_t seed, uint64_t tau, int64_t begin,
 ///
 /// `cands` must hold at least n pairs in ascending row order (as
 /// AppendWorCandidates writes them, range after range): one nth_element
-/// finds the n-th smallest pair, and a pass in candidate order keeps
-/// every pair at or below it, so the output needs no sort.
+/// over the priorities finds the n-th smallest, and a pass in candidate
+/// order keeps the pairs below it plus the first ones at it (the smaller
+/// rows, as pairs order), so the output needs no sort.
 std::vector<int64_t> SmallestCandidateRows(
     const std::vector<WorCandidate>& cands, int64_t n);
 

@@ -120,9 +120,17 @@ void PrepareBatch(const LayoutPtr& layout, ColumnBatch* out) {
 Result<ColumnarRelation> DrainSource(BatchSource* src) {
   ColumnarRelation out(src->layout());
   SelView view;
+  bool sized = false;
   while (true) {
     GUS_ASSIGN_OR_RETURN(bool more, src->NextView(&view));
     if (!more) break;
+    if (!sized) {
+      // A source that knows its row count after one pull (a scan, a keep
+      // slice) gets its columns sized once instead of grown by doubling.
+      sized = true;
+      const int64_t rest = src->remaining_rows();
+      if (rest >= 0) out.mutable_data()->Reserve(view.num_rows() + rest);
+    }
     if (view.num_rows() == 0) continue;
     if (view.contiguous()) {
       out.mutable_data()->AppendRangeFrom(*view.data, view.begin, view.len);
@@ -213,12 +221,195 @@ class ScanSliceSource final : public BatchSource {
     return true;
   }
 
+  int64_t remaining_rows() const override { return end_ - pos_; }
+
  private:
   ScanInput input_;
   int64_t batch_rows_;
   int64_t pos_;
   int64_t end_;
   RowRun run_;
+};
+
+/// \brief The longest prefix of the sorted global row ids [ids, ids + n)
+/// that one run holds, as a selection view over that run's batch (`run`
+/// seeks to the run holding ids[0]). A run that begins at row 0 has local
+/// indices equal to global ids, so the view borrows `ids`; any other run
+/// rebases them into `scratch`.
+Result<SelView> RunSelection(const ScanInput& input, const int64_t* ids,
+                             int64_t n, RowRun* run,
+                             std::vector<int64_t>* scratch) {
+  GUS_RETURN_NOT_OK(input.Seek(ids[0], run));
+  SelView v;
+  v.data = run->batch.get();
+  v.sel = ids;
+  v.sel_len = std::lower_bound(ids, ids + n, run->end) - ids;
+  if (run->begin != 0) {
+    scratch->resize(static_cast<size_t>(v.sel_len));
+    for (int64_t i = 0; i < v.sel_len; ++i) {
+      (*scratch)[i] = ids[i] - run->begin;
+    }
+    v.sel = scratch->data();
+  }
+  return v;
+}
+
+/// \brief A fixed-size sampler's leaf: the rows named by keep[offset,
+/// offset + len) (global row ids, ascending) as selection views, one run
+/// at a time. The keep-set is shared; a morsel walks its own sub-range, the
+/// serial pipeline all of it.
+class KeepSliceSource final : public BatchSource {
+ public:
+  KeepSliceSource(ScanInput input,
+                  std::shared_ptr<const std::vector<int64_t>> keep,
+                  int64_t offset, int64_t len, int64_t batch_rows)
+      : BatchSource(input.layout()),
+        input_(std::move(input)),
+        keep_(std::move(keep)),
+        pos_(offset),
+        end_(offset + len),
+        batch_rows_(batch_rows) {}
+
+  Result<bool> NextView(SelView* out) override {
+    if (pos_ >= end_) return false;
+    GUS_ASSIGN_OR_RETURN(
+        *out, RunSelection(input_, keep_->data() + pos_,
+                           std::min(batch_rows_, end_ - pos_), &run_, &sel_));
+    pos_ += out->sel_len;
+    return true;
+  }
+
+  int64_t remaining_rows() const override { return end_ - pos_; }
+
+ private:
+  ScanInput input_;
+  std::shared_ptr<const std::vector<int64_t>> keep_;
+  int64_t pos_;
+  int64_t end_;
+  int64_t batch_rows_;
+  RowRun run_;
+  std::vector<int64_t> sel_;  // run-local indices when the run is rebased
+};
+
+/// Sampled-mode block sampling over scan rows [begin, end): per-block keep
+/// decisions are pure functions of (seed, block id), kept rows gather with
+/// their lineage re-keyed to the block id — bit-identical to
+/// DecideSampling's block keep-set over the whole scan, whatever the run
+/// geometry (a kept block may straddle runs) or the row range.
+class BlockSampleSource final : public BatchSource {
+ public:
+  BlockSampleSource(ScanInput input, int64_t begin, int64_t end,
+                    uint64_t seed, double p, int64_t block_size,
+                    int64_t batch_rows)
+      : BatchSource(input.layout()),
+        input_(std::move(input)),
+        pos_(begin),
+        end_(end),
+        seed_(seed),
+        p_(p),
+        block_size_(block_size),
+        batch_rows_(batch_rows) {}
+
+  Result<bool> NextView(SelView* out) override {
+    if (pos_ >= end_) return false;
+    sel_.clear();
+    const int64_t stop = std::min(end_, pos_ + batch_rows_);
+    while (pos_ < stop) {
+      const int64_t block = pos_ / block_size_;
+      const int64_t block_end = std::min(stop, (block + 1) * block_size_);
+      if (DecoupledBlockKeep(seed_, static_cast<uint64_t>(block), p_)) {
+        for (int64_t r = pos_; r < block_end; ++r) sel_.push_back(r);
+      }
+      pos_ = block_end;
+    }
+    // The lineage re-key mutates rows, so this path gathers into an owned
+    // batch (same discipline as the breaker's re-key path), one run at a
+    // time; GatherFrom appends, so runs concatenate in row order.
+    PrepareBatch(layout_, &scratch_);
+    const int64_t n = static_cast<int64_t>(sel_.size());
+    for (int64_t k = 0; k < n;) {
+      GUS_ASSIGN_OR_RETURN(const SelView run_rows,
+                           RunSelection(input_, sel_.data() + k, n - k, &run_,
+                                        &local_sel_));
+      scratch_.GatherFrom(*run_rows.data, run_rows.sel, run_rows.sel_len);
+      k += run_rows.sel_len;
+    }
+    auto& lineage = *scratch_.mutable_lineage();
+    for (size_t k = 0; k < sel_.size(); ++k) {
+      lineage[k] = static_cast<uint64_t>(sel_[k] / block_size_);
+    }
+    *out = SelView::Whole(&scratch_);
+    return true;
+  }
+
+ private:
+  ScanInput input_;
+  int64_t pos_;
+  int64_t end_;
+  uint64_t seed_;
+  double p_;
+  int64_t block_size_;
+  int64_t batch_rows_;
+  RowRun run_;
+  std::vector<int64_t> sel_;        // kept global row ids this pull
+  std::vector<int64_t> local_sel_;  // run-local indices when rebased
+  ColumnBatch scratch_;
+};
+
+/// \brief The serial pipeline's WOR, WR-distinct or block sampler over a
+/// base scan: it draws on the scan input and never drains it.
+///
+/// The first pull draws the sampler seed (DrawSamplerSeed) from the input's
+/// row count alone — the Rng position where a breaker over the scan would
+/// draw, since no scan row consumes the Rng — and picks the leaf the morsel
+/// engine uses for the same sampler, over the whole scan: the keep-set's
+/// rows as selection views over the scan's runs, or the kept blocks
+/// re-keyed.
+class ScanSamplerSource final : public BatchSource {
+ public:
+  ScanSamplerSource(ScanInput input, SamplingSpec spec, Rng* rng,
+                    int64_t batch_rows)
+      : BatchSource(input.layout()),
+        input_(std::move(input)),
+        spec_(std::move(spec)),
+        rng_(rng),
+        batch_rows_(batch_rows) {}
+
+  Result<bool> NextView(SelView* out) override {
+    if (leaf_ == nullptr) GUS_RETURN_NOT_OK(Draw());
+    return leaf_->NextView(out);
+  }
+
+  int64_t remaining_rows() const override {
+    return leaf_ == nullptr ? -1 : leaf_->remaining_rows();
+  }
+
+ private:
+  Status Draw() {
+    const int64_t rows = input_.num_rows();
+    GUS_ASSIGN_OR_RETURN(
+        const uint64_t seed,
+        DrawSamplerSeed(spec_, rows, layout_->lineage_arity(), rng_));
+    if (spec_.method == SamplingMethod::kBlockBernoulli) {
+      leaf_ = MakeBlockSampleSource(std::move(input_), 0, rows, seed, spec_.p,
+                                    spec_.block_size, batch_rows_);
+      return Status::OK();
+    }
+    GUS_ASSIGN_OR_RETURN(std::vector<int64_t> keep,
+                         FixedSizeKeepIndices(spec_, rows, seed));
+    const auto kept = static_cast<int64_t>(keep.size());
+    leaf_ = MakeKeepSliceSource(
+        std::move(input_),
+        std::make_shared<const std::vector<int64_t>>(std::move(keep)), 0,
+        kept, batch_rows_);
+    return Status::OK();
+  }
+
+  ScanInput input_;
+  SamplingSpec spec_;
+  Rng* rng_;
+  int64_t batch_rows_;
+  std::unique_ptr<BatchSource> leaf_;
 };
 
 /// Fused select: composes the child view's selection with the predicate's
@@ -465,15 +656,18 @@ class JoinProbeSource final : public BatchSource {
         }
         const int64_t n = probe_.num_rows();
         hash_scratch_.resize(static_cast<size_t>(n));
-        row_scratch_.resize(static_cast<size_t>(n));
-        for (int64_t k = 0; k < n; ++k) row_scratch_[k] = probe_.row(k);
-        KeyHashRows(key, probe_dict_hashes_, row_scratch_.data(), n,
-                    hash_scratch_.data());
+        if (probe_.contiguous()) {
+          KeyHashRange(key, probe_dict_hashes_, probe_.begin, n,
+                       hash_scratch_.data());
+        } else {
+          KeyHashRows(key, probe_dict_hashes_, probe_.sel, n,
+                      hash_scratch_.data());
+        }
         pair_probe_.clear();
         pair_build_.clear();
         side_->table.ProbeBatch(hash_scratch_.data(), n, &pair_probe_,
                                 &pair_build_);
-        for (int64_t& pr : pair_probe_) pr = row_scratch_[pr];
+        for (int64_t& pr : pair_probe_) pr = probe_.row(pr);
         FilterEqualKeyPairs(key, build_key, &pair_probe_, &pair_build_);
         emit_pos_ = 0;
         continue;
@@ -511,7 +705,6 @@ class JoinProbeSource final : public BatchSource {
   DictPtr probe_dict_;
   std::vector<uint64_t> probe_dict_hashes_;
   std::vector<uint64_t> hash_scratch_;
-  std::vector<int64_t> row_scratch_;
   std::vector<int64_t> pair_probe_, pair_build_;
   int64_t emit_pos_ = 0;
   bool done_ = false;
@@ -782,6 +975,20 @@ std::unique_ptr<BatchSource> MakeScanSliceSource(ScanInput input,
       new ScanSliceSource(std::move(input), batch_rows, begin, len));
 }
 
+std::unique_ptr<BatchSource> MakeKeepSliceSource(
+    ScanInput input, std::shared_ptr<const std::vector<int64_t>> keep,
+    int64_t offset, int64_t len, int64_t batch_rows) {
+  return std::unique_ptr<BatchSource>(new KeepSliceSource(
+      std::move(input), std::move(keep), offset, len, batch_rows));
+}
+
+std::unique_ptr<BatchSource> MakeBlockSampleSource(
+    ScanInput input, int64_t begin, int64_t end, uint64_t seed, double p,
+    int64_t block_size, int64_t batch_rows) {
+  return std::unique_ptr<BatchSource>(new BlockSampleSource(
+      std::move(input), begin, end, seed, p, block_size, batch_rows));
+}
+
 std::unique_ptr<BatchSource> MakeBlockRekeySource(
     std::unique_ptr<BatchSource> child, int64_t block_size, int64_t base_row) {
   return std::unique_ptr<BatchSource>(
@@ -880,6 +1087,20 @@ Result<std::unique_ptr<BatchSource>> CompileBatchPipeline(
       return MakeScanSliceSource(std::move(input), batch_rows);
     }
     case PlanOp::kSample: {
+      const SamplingMethod method = plan->spec().method;
+      if (mode == ExecMode::kSampled &&
+          plan->child()->op() == PlanOp::kScan &&
+          method != SamplingMethod::kBernoulli &&
+          method != SamplingMethod::kLineageBernoulli) {
+        // Fixed-size and block samplers over a base scan draw on the scan
+        // input itself (ScanSamplerSource): nothing is drained.
+        GUS_ASSIGN_OR_RETURN(
+            ScanInput input,
+            ResolveScanInput(catalog, plan->child()->relation()));
+        GUS_RETURN_NOT_OK(plan->spec().Validate());
+        return std::unique_ptr<BatchSource>(new ScanSamplerSource(
+            std::move(input), plan->spec(), rng, batch_rows));
+      }
       GUS_ASSIGN_OR_RETURN(
           std::unique_ptr<BatchSource> child,
           CompileBatchPipeline(plan->child(), catalog, rng, mode, batch_rows));

@@ -13,8 +13,12 @@
 //                   lineage-Bernoulli fuse as streaming selection
 //                   composers over the geometric-skip / lineage-hash
 //                   kernels (kernels/sampling_kernels.h); fixed-size and
-//                   block samplers stay pipeline breakers through the
-//                   shared index-selection core (sampling/samplers.h)
+//                   block samplers over a base scan draw on the scan input
+//                   at their first pull and stream the kept rows (the keep
+//                   slice and block sample leaves the morsel engine uses
+//                   too); over anything else they stay pipeline breakers
+//                   through the shared index-selection core
+//                   (sampling/samplers.h)
 //   join/product    one probe operator over a SharedSide: one input
 //                   materialized once (a join's with its flat
 //                   open-addressing JoinHashTable, kernels/join_hash_table.h)
@@ -226,6 +230,13 @@ class BatchSource {
   /// view. Default: Next into an internal scratch batch, viewed whole.
   virtual Result<bool> NextView(SelView* out);
 
+  /// \brief Rows this source will still emit after its last pull, when it
+  /// knows them exactly; -1 (the default) when not.
+  ///
+  /// DrainSource reads it once, after its first pull, to size its output's
+  /// columns in one allocation.
+  virtual int64_t remaining_rows() const { return -1; }
+
  protected:
   explicit BatchSource(LayoutPtr layout) : layout_(std::move(layout)) {}
 
@@ -247,6 +258,26 @@ std::unique_ptr<BatchSource> MakeScanSliceSource(ScanInput input,
                                                  int64_t batch_rows,
                                                  int64_t begin = 0,
                                                  int64_t len = -1);
+
+/// \brief A fixed-size sampler's leaf: the rows of `input` named by
+/// keep[offset, offset + len) (global row ids, ascending) as selection
+/// views over the input's runs, at most `batch_rows` per pull.
+///
+/// The morsel engine gives each morsel its sub-range of a pivot keep-set;
+/// the serial pipeline walks a whole keep-set drawn over the scan.
+std::unique_ptr<BatchSource> MakeKeepSliceSource(
+    ScanInput input, std::shared_ptr<const std::vector<int64_t>> keep,
+    int64_t offset, int64_t len, int64_t batch_rows);
+
+/// \brief Sampled-mode block sampling over rows [begin, end) of `input`:
+/// blocks kept by DecoupledBlockKeep(seed, block, p), their rows gathered
+/// with lineage re-keyed to the block id, `batch_rows` input rows per pull.
+///
+/// Any row range yields the rows DecideSampling keeps in it for that seed,
+/// so morsel slices and the serial pipeline's whole scan agree.
+std::unique_ptr<BatchSource> MakeBlockSampleSource(
+    ScanInput input, int64_t begin, int64_t end, uint64_t seed, double p,
+    int64_t block_size, int64_t batch_rows);
 
 /// Vectorized select over `child`; binds `predicate` against the child
 /// layout.

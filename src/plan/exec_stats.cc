@@ -1,5 +1,7 @@
 #include "plan/exec_stats.h"
 
+#include <sys/resource.h>
+
 #include <cstdlib>
 #include <sstream>
 
@@ -27,6 +29,7 @@ std::string ExecStats::ToString(const std::string& label) const {
       << " bytes\n";
   out << "  sinks      " << sinks_created << " created, " << sinks_recycled
       << " recycled\n";
+  out << "  faults     " << minor_faults << " minor (process-wide)\n";
   out << "  pool       " << workers << " workers, " << pool_wakeups
       << " wakeups, " << pool_threads_spawned << " spawned\n";
   out << "  morsels/worker ";
@@ -54,6 +57,12 @@ std::string ExecStats::ToString(const std::string& label) const {
         << " misses, " << cache_invalidations << " invalidations\n";
   }
   return out.str();
+}
+
+int64_t ProcessMinorFaults() {
+  struct rusage usage {};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+  return static_cast<int64_t>(usage.ru_minflt);
 }
 
 bool ProfileEnvEnabled() {

@@ -58,6 +58,11 @@ struct ExecStats {
   int64_t bytes_moved = 0;    ///< approx payload of those rows (cols+lineage)
   int64_t sinks_created = 0;  ///< fresh per-morsel sink allocations
   int64_t sinks_recycled = 0; ///< sinks served from the reuse arena
+  /// Minor page faults during the engine call: the getrusage(RUSAGE_SELF)
+  /// ru_minflt delta around it. Process-wide, so faults taken by other
+  /// threads of the process at the same time count too; read only when
+  /// stats are on.
+  int64_t minor_faults = 0;
   /// Morsels run by each worker (index = worker id; 0 is the caller).
   std::vector<int64_t> worker_morsels;
 
@@ -116,6 +121,10 @@ struct ExecStats {
   /// `label` names the query in the header line (empty = none).
   std::string ToString(const std::string& label = "") const;
 };
+
+/// The process's minor page faults so far (getrusage(RUSAGE_SELF)
+/// ru_minflt); ExecStats::minor_faults is a delta of two reads.
+int64_t ProcessMinorFaults();
 
 /// True when the GUS_PROFILE environment variable asks for per-query
 /// profile dumps (set to anything but "" or "0"). Read once per process.

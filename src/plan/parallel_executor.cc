@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "kernels/sampling_kernels.h"
 #include "plan/exec_stats.h"
 #include "rel/operators.h"
 #include "sampling/samplers.h"
@@ -230,131 +229,6 @@ uint64_t FingerprintBlockSampler(uint64_t seed, int64_t block_size, double p) {
                                  static_cast<uint64_t>(block_size)),
                      p_bits);
 }
-
-// ---- Per-morsel physical sources -------------------------------------------
-
-/// \brief The longest prefix of the sorted global row ids [ids, ids + n)
-/// that one run holds, as a selection view over that run's batch (`run`
-/// seeks to the run holding ids[0]). A run that begins at row 0 has local
-/// indices equal to global ids, so the view borrows `ids`; any other run
-/// rebases them into `scratch`.
-Result<SelView> RunSelection(const ScanInput& input, const int64_t* ids,
-                             int64_t n, RowRun* run,
-                             std::vector<int64_t>* scratch) {
-  GUS_RETURN_NOT_OK(input.Seek(ids[0], run));
-  SelView v;
-  v.data = run->batch.get();
-  v.sel = ids;
-  v.sel_len = std::lower_bound(ids, ids + n, run->end) - ids;
-  if (run->begin != 0) {
-    scratch->resize(static_cast<size_t>(v.sel_len));
-    for (int64_t i = 0; i < v.sel_len; ++i) {
-      (*scratch)[i] = ids[i] - run->begin;
-    }
-    v.sel = scratch->data();
-  }
-  return v;
-}
-
-/// \brief A fixed-size sampler's per-morsel form: the rows named by
-/// keep[offset, offset + len) (global row ids, ascending) as selection
-/// views, one run at a time. The global keep-set is shared; each morsel
-/// walks its own sub-range.
-class KeepSliceSource final : public BatchSource {
- public:
-  KeepSliceSource(ScanInput input,
-                  std::shared_ptr<const std::vector<int64_t>> keep,
-                  int64_t offset, int64_t len, int64_t batch_rows)
-      : BatchSource(input.layout()),
-        input_(std::move(input)),
-        keep_(std::move(keep)),
-        pos_(offset),
-        end_(offset + len),
-        batch_rows_(batch_rows) {}
-
-  Result<bool> NextView(SelView* out) override {
-    if (pos_ >= end_) return false;
-    GUS_ASSIGN_OR_RETURN(
-        *out, RunSelection(input_, keep_->data() + pos_,
-                           std::min(batch_rows_, end_ - pos_), &run_, &sel_));
-    pos_ += out->sel_len;
-    return true;
-  }
-
- private:
-  ScanInput input_;
-  std::shared_ptr<const std::vector<int64_t>> keep_;
-  int64_t pos_;
-  int64_t end_;
-  int64_t batch_rows_;
-  RowRun run_;
-  std::vector<int64_t> sel_;  // run-local indices when the run is rebased
-};
-
-/// Sampled-mode block sampling over a morsel slice: per-block keep
-/// decisions are pure functions of (seed, block id), kept rows gather with
-/// their lineage re-keyed to the block id — bit-identical to the serial
-/// engines' DecideSampling path on the whole scan, whatever the run
-/// geometry (a kept block may straddle runs).
-class BlockSampleSource final : public BatchSource {
- public:
-  BlockSampleSource(ScanInput input, int64_t begin, int64_t end,
-                    uint64_t seed, double p, int64_t block_size,
-                    int64_t batch_rows)
-      : BatchSource(input.layout()),
-        input_(std::move(input)),
-        pos_(begin),
-        end_(end),
-        seed_(seed),
-        p_(p),
-        block_size_(block_size),
-        batch_rows_(batch_rows) {}
-
-  Result<bool> NextView(SelView* out) override {
-    if (pos_ >= end_) return false;
-    sel_.clear();
-    const int64_t stop = std::min(end_, pos_ + batch_rows_);
-    while (pos_ < stop) {
-      const int64_t block = pos_ / block_size_;
-      const int64_t block_end = std::min(stop, (block + 1) * block_size_);
-      if (DecoupledBlockKeep(seed_, static_cast<uint64_t>(block), p_)) {
-        for (int64_t r = pos_; r < block_end; ++r) sel_.push_back(r);
-      }
-      pos_ = block_end;
-    }
-    // The lineage re-key mutates rows, so this path gathers into an owned
-    // batch (same discipline as the serial breaker's re-key path), one run
-    // at a time; GatherFrom appends, so runs concatenate in row order.
-    PrepareBatch(layout_, &scratch_);
-    const int64_t n = static_cast<int64_t>(sel_.size());
-    for (int64_t k = 0; k < n;) {
-      GUS_ASSIGN_OR_RETURN(const SelView run_rows,
-                           RunSelection(input_, sel_.data() + k, n - k, &run_,
-                                        &local_sel_));
-      scratch_.GatherFrom(*run_rows.data, run_rows.sel, run_rows.sel_len);
-      k += run_rows.sel_len;
-    }
-    auto& lineage = *scratch_.mutable_lineage();
-    for (size_t k = 0; k < sel_.size(); ++k) {
-      lineage[k] = static_cast<uint64_t>(sel_[k] / block_size_);
-    }
-    *out = SelView::Whole(&scratch_);
-    return true;
-  }
-
- private:
-  ScanInput input_;
-  int64_t pos_;
-  int64_t end_;
-  uint64_t seed_;
-  double p_;
-  int64_t block_size_;
-  int64_t batch_rows_;
-  RowRun run_;
-  std::vector<int64_t> sel_;        // kept global row ids this pull
-  std::vector<int64_t> local_sel_;  // run-local indices when rebased
-  ColumnBatch scratch_;
-};
 
 // ---- Split geometry --------------------------------------------------------
 
@@ -581,24 +455,14 @@ Result<ProgramPtr> CompileNode(const PlanPtr& plan, ColumnarCatalog* catalog,
           // resolve the exact global keep-set now, from one seed draw —
           // the same draw DecideSampling makes in the serial engines.
           const int64_t population = prog->pivot.num_rows();
-          if (spec.population != population) {
-            return Status::InvalidArgument(
-                spec.method == SamplingMethod::kWithoutReplacement
-                    ? "WOR spec population does not match the input "
-                      "cardinality"
-                    : "WR spec population does not match the input "
-                      "cardinality");
-          }
-          const uint64_t seed = rng->Next();
-          std::vector<int64_t> keep;
-          if (spec.method == SamplingMethod::kWithoutReplacement) {
-            GUS_ASSIGN_OR_RETURN(
-                keep, DecoupledWorKeepIndices(population, spec.n, seed,
-                                              options.num_threads));
-          } else {
-            GUS_ASSIGN_OR_RETURN(keep, DecoupledWrDistinctKeepIndices(
-                                           population, spec.n, seed));
-          }
+          GUS_ASSIGN_OR_RETURN(
+              const uint64_t seed,
+              DrawSamplerSeed(spec, population,
+                              child->layout->lineage_arity(), rng));
+          GUS_ASSIGN_OR_RETURN(
+              std::vector<int64_t> keep,
+              FixedSizeKeepIndices(spec, population, seed,
+                                   options.num_threads));
           ResolvedPivotSampler resolved;
           resolved.method = static_cast<uint8_t>(spec.method);
           resolved.seed = seed;
@@ -610,16 +474,19 @@ Result<ProgramPtr> CompileNode(const PlanPtr& plan, ColumnarCatalog* catalog,
           break;
         }
         case SamplingMethod::kBlockBernoulli: {
-          if (child->layout->lineage_arity() != 1) {
-            return Status::InvalidArgument(
-                "block lineage applies to base (single-lineage) relations");
-          }
           node->block_size = spec.block_size;
           if (mode == ExecMode::kExact) {
+            if (child->layout->lineage_arity() != 1) {
+              return Status::InvalidArgument(
+                  "block lineage applies to base (single-lineage) relations");
+            }
             node->kind = MorselProgramNode::Kind::kBlockRekey;
             break;
           }
-          const uint64_t seed = rng->Next();
+          GUS_ASSIGN_OR_RETURN(
+              const uint64_t seed,
+              DrawSamplerSeed(spec, prog->pivot.num_rows(),
+                              child->layout->lineage_arity(), rng));
           ResolvedPivotSampler resolved;
           resolved.method = static_cast<uint8_t>(spec.method);
           resolved.seed = seed;
@@ -717,13 +584,13 @@ Result<std::unique_ptr<BatchSource>> InstantiateNode(
       const int64_t hi =
           std::lower_bound(keep.begin(), keep.end(), begin + len) -
           keep.begin();
-      return std::unique_ptr<BatchSource>(new KeepSliceSource(
-          prog.pivot, n.keep, lo, hi - lo, kDefaultBatchRows));
+      return MakeKeepSliceSource(prog.pivot, n.keep, lo, hi - lo,
+                                 kDefaultBatchRows);
     }
     case MorselProgramNode::Kind::kBlockSample:
-      return std::unique_ptr<BatchSource>(new BlockSampleSource(
-          prog.pivot, begin, begin + len, n.sampler_seed, n.p, n.block_size,
-          kDefaultBatchRows));
+      return MakeBlockSampleSource(prog.pivot, begin, begin + len,
+                                   n.sampler_seed, n.p, n.block_size,
+                                   kDefaultBatchRows);
     case MorselProgramNode::Kind::kBlockRekey: {
       GUS_ASSIGN_OR_RETURN(std::unique_ptr<BatchSource> child,
                            InstantiateNode(*n.child, prog, begin, len, rng));
@@ -1018,15 +885,19 @@ Status ParallelExecuteUnitRangeToSink(
       std::fputs(stats->ToString().c_str(), stderr);
     }
   };
-  // Segment-store accounting: counter deltas around this execution (the
-  // cache is shared, so only deltas are attributable to this query).
+  // Counter deltas around this execution: minor page faults, and the
+  // segment store's (the cache is shared, so only deltas are attributable
+  // to this query).
   SegmentCache* const seg_cache = catalog->segment_cache();
   SegmentCacheCounters cache_before;
+  const int64_t faults_before = stats != nullptr ? ProcessMinorFaults() : 0;
   if (stats != nullptr && seg_cache != nullptr) {
     cache_before = seg_cache->counters();
   }
-  const auto snap_store_stats = [&] {
-    if (stats == nullptr || seg_cache == nullptr) return;
+  const auto snap_counters = [&] {
+    if (stats == nullptr) return;
+    stats->minor_faults = ProcessMinorFaults() - faults_before;
+    if (seg_cache == nullptr) return;
     const SegmentCacheCounters after = seg_cache->counters();
     stats->segments_faulted = after.faults - cache_before.faults;
     stats->store_bytes_read = after.bytes_read - cache_before.bytes_read;
@@ -1065,7 +936,7 @@ Status ParallelExecuteUnitRangeToSink(
       }
     }
     if (stats != nullptr) {
-      snap_store_stats();
+      snap_counters();
       stats->total_ms = MsBetween(t_start, StatsClock::now());
       emit_profile();
     }
@@ -1098,7 +969,7 @@ Status ParallelExecuteUnitRangeToSink(
     GUS_ASSIGN_OR_RETURN(*out, make_sink(*program.out_layout));
     if (stats != nullptr) {
       stats->sinks_created = 1;
-      snap_store_stats();
+      snap_counters();
       stats->prepare_ms = MsBetween(t_start, StatsClock::now());
       stats->total_ms = stats->prepare_ms;
       emit_profile();
@@ -1271,7 +1142,7 @@ Status ParallelExecuteUnitRangeToSink(
     stats->sinks_recycled = sinks_recycled;
     stats->pool_wakeups = lease.wakeups_during();
     stats->pool_threads_spawned = lease.spawned_during();
-    snap_store_stats();
+    snap_counters();
     if (const StoredRelation* store = program.pivot.store()) {
       stats->segments_total = SegmentsInUnitRange(
           *store, program.morsel_rows, unit_begin, unit_end);

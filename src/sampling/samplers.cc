@@ -210,6 +210,41 @@ Result<std::vector<int64_t>> DecoupledBlockKeepIndices(
   return keep;
 }
 
+Result<uint64_t> DrawSamplerSeed(const SamplingSpec& spec, int64_t num_rows,
+                                 int lineage_arity, Rng* rng) {
+  switch (spec.method) {
+    case SamplingMethod::kWithoutReplacement:
+    case SamplingMethod::kWithReplacementDistinct:
+      if (spec.population != num_rows) {
+        return Status::InvalidArgument(
+            spec.method == SamplingMethod::kWithoutReplacement
+                ? "WOR spec population does not match the input cardinality"
+                : "WR spec population does not match the input cardinality");
+      }
+      return rng->Next();
+    case SamplingMethod::kBlockBernoulli:
+      if (lineage_arity != 1) {
+        return Status::InvalidArgument(
+            "block lineage applies to base (single-lineage) relations");
+      }
+      return rng->Next();
+    case SamplingMethod::kBernoulli:
+    case SamplingMethod::kLineageBernoulli:
+      break;
+  }
+  return Status::Internal("sampling method draws no sampler seed");
+}
+
+Result<std::vector<int64_t>> FixedSizeKeepIndices(const SamplingSpec& spec,
+                                                  int64_t num_rows,
+                                                  uint64_t seed,
+                                                  int num_threads) {
+  if (spec.method == SamplingMethod::kWithoutReplacement) {
+    return DecoupledWorKeepIndices(num_rows, spec.n, seed, num_threads);
+  }
+  return DecoupledWrDistinctKeepIndices(num_rows, spec.n, seed);
+}
+
 Result<SamplingDecision> DecideSampling(
     const SamplingSpec& spec, int64_t num_rows,
     const std::vector<std::string>& lineage_schema,
@@ -221,35 +256,23 @@ Result<SamplingDecision> DecideSampling(
       GUS_ASSIGN_OR_RETURN(d.keep, BernoulliKeepIndices(num_rows, spec.p, rng));
       return d;
     }
-    case SamplingMethod::kWithoutReplacement: {
-      if (spec.population != num_rows) {
-        return Status::InvalidArgument(
-            "WOR spec population does not match the input cardinality");
-      }
+    case SamplingMethod::kWithoutReplacement:
+    case SamplingMethod::kWithReplacementDistinct: {
       // Seed-decoupled mergeable draw: one Rng value, then a pure function
       // of (seed, row) — identical across engines AND across any
       // morsel/shard partition of the input (see samplers.h).
       GUS_ASSIGN_OR_RETURN(
-          d.keep, DecoupledWorKeepIndices(num_rows, spec.n, rng->Next()));
-      return d;
-    }
-    case SamplingMethod::kWithReplacementDistinct: {
-      if (spec.population != num_rows) {
-        return Status::InvalidArgument(
-            "WR spec population does not match the input cardinality");
-      }
-      GUS_ASSIGN_OR_RETURN(d.keep, DecoupledWrDistinctKeepIndices(
-                                       num_rows, spec.n, rng->Next()));
+          const uint64_t seed,
+          DrawSamplerSeed(spec, num_rows,
+                          static_cast<int>(lineage_schema.size()), rng));
+      GUS_ASSIGN_OR_RETURN(d.keep, FixedSizeKeepIndices(spec, num_rows, seed));
       return d;
     }
     case SamplingMethod::kBlockBernoulli: {
-      if (spec.block_size <= 0) {
-        return Status::InvalidArgument("block_size must be positive");
-      }
-      if (lineage_schema.size() != 1) {
-        return Status::InvalidArgument(
-            "block lineage applies to base (single-lineage) relations");
-      }
+      GUS_ASSIGN_OR_RETURN(
+          const uint64_t seed,
+          DrawSamplerSeed(spec, num_rows,
+                          static_cast<int>(lineage_schema.size()), rng));
       const int64_t block_size = spec.block_size;
       GUS_ASSIGN_OR_RETURN(
           d.keep, DecoupledBlockKeepIndices(
@@ -257,7 +280,7 @@ Result<SamplingDecision> DecideSampling(
                       [block_size](int64_t i) {
                         return static_cast<uint64_t>(i / block_size);
                       },
-                      rng->Next()));
+                      seed));
       d.rekey_block_lineage = true;
       return d;
     }

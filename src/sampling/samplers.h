@@ -100,6 +100,26 @@ Result<std::vector<int64_t>> DecoupledWrDistinctKeepIndices(int64_t num_rows,
 Result<std::vector<int64_t>> DecoupledBlockKeepIndices(
     int64_t num_rows, double p, const LineageIdFn& block_of, uint64_t seed);
 
+/// \brief Checks a WOR, WR-distinct or block `spec` against an input of
+/// `num_rows` rows with `lineage_arity` lineage dimensions, then draws the
+/// sampler's one seed from `rng`.
+///
+/// The only place those methods consume the Rng: DecideSampling, the
+/// serial pipeline's scan samplers and the morsel compiler's pivot samplers
+/// all draw through it, so their checks and seeds agree. A WOR or WR spec's
+/// population must equal `num_rows`; a block spec needs one lineage
+/// dimension. `spec` must already pass SamplingSpec::Validate.
+Result<uint64_t> DrawSamplerSeed(const SamplingSpec& spec, int64_t num_rows,
+                                 int lineage_arity, Rng* rng);
+
+/// \brief The keep-set of a WOR or WR-distinct `spec` over `num_rows` rows
+/// from the seed DrawSamplerSeed drew (DecoupledWorKeepIndices over
+/// `num_threads` workers, or DecoupledWrDistinctKeepIndices).
+Result<std::vector<int64_t>> FixedSizeKeepIndices(const SamplingSpec& spec,
+                                                  int64_t num_rows,
+                                                  uint64_t seed,
+                                                  int num_threads = 1);
+
 /// \brief While alive, adds the wall time this thread spends resolving
 /// fixed-size keep-sets (DecoupledWorKeepIndices,
 /// DecoupledWrDistinctKeepIndices) to `*ms`.

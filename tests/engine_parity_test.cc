@@ -19,9 +19,12 @@
 #include "est/streaming.h"
 #include "plan/columnar_executor.h"
 #include "plan/executor.h"
+#include "plan/parallel_executor.h"
 #include "plan/soa_transform.h"
 #include "rel/column_batch.h"
 #include "sqlish/planner.h"
+#include "store/segment_cache.h"
+#include "store/segment_catalog.h"
 #include "test_util.h"
 
 namespace gus {
@@ -553,6 +556,193 @@ TEST(EngineParityTest, SqlishMorselThreadParity) {
       EXPECT_EQ(one.values[i].hi, four.values[i].hi);
     }
   }
+}
+
+// -- Samplers over a base scan draw on the scan input ----------------------
+//
+// A WOR, WR-distinct or block sampler whose input is a scan draws its one
+// seed at its first pull, from the scan's row count alone, and never
+// drains the scan. The cases below pin what that must keep: the Rng order
+// against a streaming Bernoulli elsewhere in the plan, the rows over a
+// segment-backed scan, and the errors. The morsel engine runs them at 1
+// and 4 threads; its pivot is always F (the largest relation), so every
+// Bernoulli here is off the pivot and the morsel engine draws the row
+// engine's sample.
+
+/// F (120 rows, fk/v), D (40 rows, pk/w) and E (30 rows, ek/z).
+Catalog ScanSamplerCatalog() {
+  Catalog catalog = MakeTinyJoin(40, 3).MakeCatalog();
+  std::vector<Row> e_rows;
+  for (int k = 0; k < 30; ++k) {
+    e_rows.push_back(Row{Value(int64_t{k}), Value(0.5 * k)});
+  }
+  catalog.emplace("E", Relation::MakeBase(
+                           "E",
+                           Schema({{"ek", ValueType::kInt64},
+                                   {"z", ValueType::kFloat64}}),
+                           std::move(e_rows)));
+  return catalog;
+}
+
+/// Row engine, serial pipeline and morsel engine (1 and 4 threads): the
+/// same rows in the same order, or the same error code.
+void ExpectAllEnginesAgree(const PlanPtr& plan, const Catalog& catalog,
+                           uint64_t seed) {
+  Rng row_rng(seed);
+  auto row_result = ExecutePlan(plan, catalog, &row_rng, ExecMode::kSampled);
+  Rng col_rng(seed);
+  auto serial = ExecuteColumnar(plan, catalog, &col_rng);
+  ASSERT_EQ(row_result.ok(), serial.ok())
+      << row_result.status().ToString() << " vs "
+      << serial.status().ToString();
+  if (row_result.ok()) {
+    EXPECT_GT(row_result->num_rows(), 0);
+    ExpectIdentical(*row_result, *serial);
+  } else {
+    EXPECT_EQ(row_result.status().code(), serial.status().code());
+  }
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Rng rng(seed);
+    auto morsel = ExecutePlan(plan, catalog, &rng, ExecMode::kSampled,
+                              MorselWithThreads(threads));
+    ASSERT_EQ(row_result.ok(), morsel.ok()) << morsel.status().ToString();
+    if (row_result.ok()) {
+      ExpectIdentical(*row_result, *morsel);
+    } else {
+      EXPECT_EQ(row_result.status().code(), morsel.status().code());
+    }
+  }
+}
+
+TEST(EngineParityTest, ScanSamplerDrawsInRowEngineRngOrder) {
+  Catalog catalog = ScanSamplerCatalog();
+  const PlanPtr bern_d =
+      PlanNode::Sample(SamplingSpec::Bernoulli(0.5), PlanNode::Scan("D"));
+  const PlanPtr wor_f = PlanNode::Sample(
+      SamplingSpec::WithoutReplacement(50, 120), PlanNode::Scan("F"));
+  const PlanPtr wor_e = PlanNode::Sample(
+      SamplingSpec::WithoutReplacement(20, 30), PlanNode::Scan("E"));
+  const PlanPtr f = PlanNode::Scan("F");
+  // A streaming Bernoulli drawing during the join's left drain, before the
+  // scan sampler on the right draws its seed; the same join with its sides
+  // swapped; and a Bernoulli over such a join. The last three put the scan
+  // sampler in the morsel engine's non-pivot subtree (E), which runs in
+  // the serial pipeline.
+  const PlanPtr d_then_e = PlanNode::Join(bern_d, wor_e, "pk", "ek");
+  const PlanPtr e_then_d = PlanNode::Join(wor_e, bern_d, "ek", "pk");
+  const std::vector<std::pair<std::string, PlanPtr>> cases = {
+      {"Bernoulli left, WOR right", PlanNode::Join(bern_d, wor_f, "pk", "fk")},
+      {"WOR left, Bernoulli right", PlanNode::Join(wor_f, bern_d, "fk", "pk")},
+      {"non-pivot: Bernoulli left, WOR right",
+       PlanNode::Join(f, d_then_e, "fk", "pk")},
+      {"non-pivot: WOR left, Bernoulli right",
+       PlanNode::Join(f, e_then_d, "fk", "pk")},
+      {"non-pivot: Bernoulli over the join",
+       PlanNode::Join(
+           f, PlanNode::Sample(SamplingSpec::Bernoulli(0.6), d_then_e), "fk",
+           "pk")},
+  };
+  for (const auto& [name, plan] : cases) {
+    SCOPED_TRACE(name);
+    for (const uint64_t seed : {401, 402, 403}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed));
+      ExpectAllEnginesAgree(plan, catalog, seed);
+    }
+  }
+}
+
+TEST(EngineParityTest, ScanSamplerErrorsAgreeAcrossEngines) {
+  Catalog catalog = ScanSamplerCatalog();
+  const PlanPtr f = PlanNode::Scan("F");
+  const PlanPtr d = PlanNode::Scan("D");
+  const std::vector<std::pair<std::string, SamplingSpec>> specs = {
+      {"WOR population mismatch", SamplingSpec::WithoutReplacement(5, 999)},
+      {"WR population mismatch",
+       SamplingSpec::WithReplacementDistinct(5, 41)},
+      {"WOR n > N", SamplingSpec::WithoutReplacement(41, 40)},
+      {"WOR n > N, population mismatch",
+       SamplingSpec::WithoutReplacement(50, 60)},
+  };
+  for (const auto& [name, spec] : specs) {
+    SCOPED_TRACE(name);
+    const PlanPtr sampled = PlanNode::Sample(spec, d);
+    // Alone (the morsel engine's pivot), off the pivot, and after a
+    // Bernoulli that has drawn.
+    for (const PlanPtr& plan :
+         {sampled, PlanNode::Join(f, sampled, "fk", "pk"),
+          PlanNode::Join(
+              PlanNode::Sample(SamplingSpec::Bernoulli(0.5), f), sampled,
+              "fk", "pk")}) {
+      ExpectAllEnginesAgree(plan, catalog, 404);
+      Rng rng(404);
+      EXPECT_STATUS_CODE(kInvalidArgument,
+                         ExecuteColumnar(plan, catalog, &rng).status());
+    }
+  }
+}
+
+TEST(EngineParityTest, NonPivotScanSamplersOverSegmentsMatchResident) {
+  // D and F stored as 7-row segments: D's 40 rows span 6 of them. WOR, WR
+  // and block samplers over D, alone (serial pipeline) and as the
+  // non-pivot side of a join with F, give the row engine's relation from
+  // every engine, over resident and segment-backed catalogs alike.
+  Catalog catalog = ScanSamplerCatalog();
+  const std::string dir = testing::UniqueTempDir("scan_sampler_segments");
+  ASSERT_OK(WriteCatalogSegments(catalog, dir, /*segment_rows=*/7));
+  ASSERT_OK_AND_ASSIGN(auto stored, SegmentCatalog::Open(dir));
+  ColumnarCatalog resident(&catalog);
+  const auto fingerprint = [](const ColumnarRelation& rel) {
+    return ContentFingerprint("result", rel.data());
+  };
+  const std::vector<std::pair<std::string, SamplingSpec>> specs = {
+      {"WOR", SamplingSpec::WithoutReplacement(15, 40)},
+      {"WR", SamplingSpec::WithReplacementDistinct(15, 40)},
+      {"block", SamplingSpec::BlockBernoulli(0.5, 4)},
+  };
+  for (const auto& [name, spec] : specs) {
+    SCOPED_TRACE(name);
+    const PlanPtr sampled = PlanNode::Sample(spec, PlanNode::Scan("D"));
+    for (const PlanPtr& plan :
+         {sampled, PlanNode::Join(PlanNode::Scan("F"), sampled, "fk", "pk")}) {
+      Rng row_rng(405);
+      ASSERT_OK_AND_ASSIGN(Relation row_result,
+                           ExecutePlan(plan, catalog, &row_rng,
+                                       ExecMode::kSampled));
+      ASSERT_GT(row_result.num_rows(), 0);
+      const uint64_t expected = fingerprint(*row_result.Columnar());
+      for (ColumnarCatalog* columnar :
+           {&resident, static_cast<ColumnarCatalog*>(stored.get())}) {
+        SCOPED_TRACE(columnar == &resident ? "resident" : "segments");
+        Rng serial_rng(405);
+        ASSERT_OK_AND_ASSIGN(ColumnarRelation serial,
+                             ExecutePlanColumnar(plan, columnar, &serial_rng));
+        EXPECT_EQ(expected, fingerprint(serial));
+        for (const int threads : {1, 4}) {
+          SCOPED_TRACE("threads=" + std::to_string(threads));
+          Rng rng(405);
+          ASSERT_OK_AND_ASSIGN(
+              ColumnarRelation morsel,
+              ExecutePlanMorsel(plan, columnar, &rng, ExecMode::kSampled,
+                                MorselWithThreads(threads)));
+          EXPECT_EQ(expected, fingerprint(morsel));
+        }
+      }
+    }
+  }
+  // Drawing on the scan input reads only the segments holding a kept row:
+  // a 2-row WOR over D faults at most 2 of its 6 segments on a cold cache.
+  stored->segment_cache()->Clear();
+  const int64_t faults_before = stored->segment_cache()->counters().faults;
+  Rng rng(406);
+  ASSERT_OK_AND_ASSIGN(
+      ColumnarRelation two,
+      ExecutePlanColumnar(
+          PlanNode::Sample(SamplingSpec::WithoutReplacement(2, 40),
+                           PlanNode::Scan("D")),
+          stored.get(), &rng));
+  EXPECT_EQ(2, two.num_rows());
+  EXPECT_LE(stored->segment_cache()->counters().faults - faults_before, 2);
 }
 
 // -- Sharded engine: shard-count parity --------------------------------------

@@ -595,6 +595,21 @@ TEST(WorKeepSetTest, ChunkedCandidatesMatchDirectTopN) {
   }
 }
 
+TEST(WorKeepSetTest, SmallestCandidatesBreakPriorityTiesBySmallerRow) {
+  // Pairs order by (priority, row): of the candidates at the cutoff
+  // priority, the smaller rows are kept, and the output stays row-ordered.
+  const std::vector<WorCandidate> cands = {
+      {5, 0}, {2, 1}, {5, 2}, {9, 3}, {5, 4}, {1, 5}, {5, 6}};
+  EXPECT_EQ(std::vector<int64_t>({5}), SmallestCandidateRows(cands, 1));
+  EXPECT_EQ(std::vector<int64_t>({0, 1, 5}), SmallestCandidateRows(cands, 3));
+  EXPECT_EQ(std::vector<int64_t>({0, 1, 2, 4, 5}),
+            SmallestCandidateRows(cands, 5));
+  EXPECT_EQ(std::vector<int64_t>({0, 1, 2, 4, 5, 6}),
+            SmallestCandidateRows(cands, 6));
+  EXPECT_EQ(std::vector<int64_t>({0, 1, 2, 3, 4, 5, 6}),
+            SmallestCandidateRows(cands, 7));
+}
+
 TEST(WorKeepSetTest, DecoupledWorCoreMatchesOracle) {
   ASSERT_OK_AND_ASSIGN(std::vector<int64_t> keep,
                        DecoupledWorKeepIndices(500, 50, 99));

@@ -542,6 +542,31 @@ TEST(ParallelExecutorTest, ExecStatsCountsKeepSetTimeInsidePrepare) {
   }
 }
 
+TEST(ParallelExecutorTest, ExecStatsRecordsMinorFaults) {
+  // The fault count is a delta of the process-wide counter around the
+  // call, recorded for the pivot path and the serial fallback alike, and
+  // printed in the profile.
+  Catalog catalog = MakeTinyJoin(40, 3).MakeCatalog();
+  // A WOR over a select has no pivot: the serial fallback runs it.
+  const PlanPtr fallback = PlanNode::Sample(
+      SamplingSpec::WithoutReplacement(10, 120),
+      PlanNode::SelectNode(Ge(Col("v"), Lit(0.0)), PlanNode::Scan("F")));
+  for (const PlanPtr& plan : {BernoulliJoinPlan(), fallback}) {
+    ExecOptions exec = MorselOptions(4);
+    ExecStats stats;
+    stats.minor_faults = -1;
+    exec.stats = &stats;
+    const int64_t before = ProcessMinorFaults();
+    Rng rng(57);
+    ASSERT_OK(
+        ExecutePlan(plan, catalog, &rng, ExecMode::kSampled, exec).status());
+    EXPECT_EQ(plan == fallback, stats.serial_fallback);
+    EXPECT_GE(stats.minor_faults, 0);
+    EXPECT_LE(stats.minor_faults, ProcessMinorFaults() - before);
+    EXPECT_NE(std::string::npos, stats.ToString().find("faults"));
+  }
+}
+
 TEST(ParallelExecutorTest, LargeWorPivotMatchesRowEngineAtEveryThreadCount) {
   // Above the kernel's per-worker floor the pivot's keep-set is filtered
   // on several pool workers; the rows must not change.
